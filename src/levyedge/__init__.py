@@ -31,7 +31,6 @@ from .levy import (
 from .sampling import (
     RngStream,
     sample_gaussian,
-    sample_levy_increment,
     sample_perturbed_normal,
     sample_small_jumps,
 )

@@ -153,42 +153,42 @@ def _existing_hash(path: str) -> Optional[str]:
     return None
 
 
-def _open_out(path: Optional[str], chash: str, force: bool):
-    if path is None:
-        return sys.stdout, False
+def _check_hash_guard(path: Optional[str], chash: str, force: bool) -> None:
+    """Refuse to overwrite an output stamped with a different config hash."""
+    if path is None or force:
+        return
     prev = _existing_hash(path)
-    if prev is not None and prev != chash and not force:
+    if prev is not None and prev != chash:
         raise ConfigError(
             f"output {path} carries config hash {prev}, current run is {chash}; "
             "pass --force to overwrite"
         )
-    return open(path, "w", encoding="utf-8", newline=""), True
 
 
-def _emit(rows: List[list], chash: str, no_timestamp: bool,
+def _open_out(path: Optional[str], chash: str, force: bool):
+    if path is None:
+        return sys.stdout, False
+    _check_hash_guard(path, chash, force)
+    try:
+        return open(path, "w", encoding="utf-8", newline=""), True
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path}: {exc}") from exc
+
+
+def _emit(result: list, kind: str, chash: str, no_timestamp: bool,
           out_path: Optional[str], force: bool) -> None:
+    """The hash line, the optional timestamp, then CSV rows or text lines."""
     fh, close = _open_out(out_path, chash, force)
     try:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["config_hash", chash])
         if not no_timestamp:
             w.writerow(["timestamp", datetime.datetime.now(datetime.timezone.utc).isoformat()])
-        for row in rows:
-            w.writerow(row)
-    finally:
-        if close:
-            fh.close()
-
-
-def _emit_text(lines: List[str], chash: str, no_timestamp: bool,
-               out_path: Optional[str], force: bool) -> None:
-    fh, close = _open_out(out_path, chash, force)
-    try:
-        fh.write(f"config_hash,{chash}\n")
-        if not no_timestamp:
-            fh.write(f"timestamp,{datetime.datetime.now(datetime.timezone.utc).isoformat()}\n")
-        for line in lines:
-            fh.write(line + "\n")
+        for item in result:
+            if kind == "csv":
+                w.writerow(item)
+            else:
+                fh.write(item + "\n")
     finally:
         if close:
             fh.close()
@@ -365,7 +365,8 @@ def run_sde_convergence(cfg: Dict[str, str], seed: int, threads: int) -> List[li
     h_list = _get_float_list(cfg, "h_list", "0.0625,0.03125,0.015625,0.0078125")
     M = _get_int(cfg, "replicates", 256)
     sub = _get_int(cfg, "fine_substeps", 16)
-    style = cfg.get("coupling_style", "radial")
+    if cfg.get("coupling_style", "radial") != "radial":
+        raise ConfigError("coupling_style must be radial")
     sigma_name = cfg.get("sigma", "contractive")
     T = _get_float(cfg, "T", 1.0)
     drift = _get_float(cfg, "drift", 0.1)
@@ -378,7 +379,7 @@ def run_sde_convergence(cfg: Dict[str, str], seed: int, threads: int) -> List[li
     rows: List[list] = [["h", "eps", "replicates", "rms_sup_error"]]
     rms = []
     for hi, h in enumerate(h_list):
-        scfg = SchemeConfig(h=h, eps=h, fine_substeps=sub, coupling_style=style)
+        scfg = SchemeConfig(h=h, eps=h, fine_substeps=sub)
         rng = RngStream(seed, 100 + hi)
         res = coupled_paths(spec, scfg, M, rng)
         r = float(np.sqrt(np.mean(res.sup_distance ** 2)))
@@ -453,9 +454,9 @@ def run_edgeworth_build(cfg: Dict[str, str], seed: int, threads: int) -> List[st
     from fractions import Fraction
 
     m_probe = _get_int(cfg, "m_probe", 100)
-    eps = Fraction(1, int(math.isqrt(m_probe)))
-    if eps ** -2 != m_probe:
-        raise ConfigError("m_probe must be a perfect square")
+    if m_probe < 1 or math.isqrt(m_probe) ** 2 != m_probe:
+        raise ConfigError("m_probe must be a positive perfect square")
+    eps = Fraction(1, math.isqrt(m_probe))
     order = min(cset.order, r + 2)
     left = edgeworth_signed_moments(cset, r, eps, order)
     right = scaled_sum_moments(cset, m_probe, order)
@@ -536,32 +537,16 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         seed = args.seed & ((1 << 64) - 1)
         chash = config_hash(args.experiment, cfg, seed)
-        if args.out is not None:
-            # surface hash conflicts before doing any work
-            prev = _existing_hash(args.out)
-            if prev is not None and prev != chash and not args.force:
-                raise ConfigError(
-                    f"output {args.out} carries config hash {prev}, current run "
-                    f"is {chash}; pass --force to overwrite"
-                )
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        # surface hash conflicts before doing any work
+        _check_hash_guard(args.out, chash, args.force)
         result = runner(cfg, seed, max(1, args.threads))
+        _emit(result, kind, chash, args.no_timestamp, args.out, args.force)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except NumericalFailure as exc:
+    except (NumericalFailure,) + _NUMERIC_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except _NUMERIC_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    if kind == "csv":
-        _emit(result, chash, args.no_timestamp, args.out, args.force)
-    else:
-        _emit_text(result, chash, args.no_timestamp, args.out, args.force)
     return 0
 
 

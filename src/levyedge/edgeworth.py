@@ -126,15 +126,20 @@ class MomentSet:
             raise EdgeworthError("second moments must form a positive-definite matrix")
 
     def covariance(self):
-        q = self.dimension
-        cov = [[None] * q for _ in range(q)]
-        for i in range(q):
-            for j in range(q):
-                e = [0] * q
-                e[i] += 1
-                e[j] += 1
-                cov[i][j] = self.values[tuple(e)]
-        return cov
+        return _second_order(self.values, self.dimension)
+
+
+def _second_order(values: Dict[tuple, Coeff], q: int) -> list:
+    """The q x q matrix of the |alpha| = 2 entries: entry (i, j) is
+    values[e_i + e_j]."""
+    cov = [[None] * q for _ in range(q)]
+    for i in range(q):
+        for j in range(q):
+            e = [0] * q
+            e[i] += 1
+            e[j] += 1
+            cov[i][j] = values[tuple(e)]
+    return cov
 
 
 class CumulantSet:
@@ -149,19 +154,8 @@ class CumulantSet:
         for d in range(2, order + 1):
             for alpha in multi_indices(dimension, d):
                 self.mu[alpha] = mu.get(alpha, Fraction(0))
+        self.covariance = _second_order(self.mu, dimension)
         self._eig = None
-
-    @property
-    def covariance(self):
-        q = self.dimension
-        cov = [[None] * q for _ in range(q)]
-        for i in range(q):
-            for j in range(q):
-                e = [0] * q
-                e[i] += 1
-                e[j] += 1
-                cov[i][j] = self.mu[tuple(e)]
-        return cov
 
     def covariance_array(self) -> np.ndarray:
         return np.array([[float(c) for c in row] for row in self.covariance])
@@ -220,24 +214,34 @@ class CumulantSet:
     def from_text(text: str) -> "CumulantSet":
         mu = {}
         q = None
-        for raw in text.splitlines():
+        for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#")[0].strip()
             if not line:
                 continue
             parts = line.split()
-            alpha = tuple(int(a) for a in parts[:-1])
+            val = parts[-1]
+            try:
+                alpha = tuple(int(a) for a in parts[:-1])
+                mu[alpha] = Fraction(val) if "/" in val or "." not in val else float(val)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise EdgeworthError(f"line {lineno}: cannot parse {line!r}") from exc
             if q is None:
                 q = len(alpha)
             elif len(alpha) != q:
                 raise EdgeworthError("inconsistent dimension in cumulant file")
-            val = parts[-1]
-            mu[alpha] = Fraction(val) if "/" in val or "." not in val else float(val)
         if not mu:
             raise EdgeworthError("empty cumulant file")
         order = max(sum(a) for a in mu)
         if order < 2:
             raise EdgeworthError("cumulant file must reach order 2")
-        return CumulantSet(q, order, mu)
+        cset = CumulantSet(q, order, mu)
+        try:
+            positive = cset.eigenvalues()[0] > 0
+        except OverflowError as exc:
+            raise EdgeworthError("covariance entries exceed the float range") from exc
+        if not positive:
+            raise EdgeworthError("covariance must be positive definite")
+        return cset
 
 
 def moments_to_cumulants(m: MomentSet) -> CumulantSet:
@@ -380,14 +384,6 @@ def kappa_from_moments(m: MomentSet, M: int) -> Coeff:
         alpha = tuple(2 * b for b in beta)
         total = total + coef * m.values[alpha]
     return max(Fraction(1), total) if isinstance(total, Fraction) else max(1.0, total)
-
-
-def kappa_monte_carlo(sampler, M: float, n: int, rng) -> float:
-    """max(1, E|X|^M) by Monte Carlo for non-even or fractional M."""
-    x = np.asarray(sampler(n, rng), dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    return max(1.0, float(np.mean(np.linalg.norm(x, axis=1) ** M)))
 
 
 #: frozen diagnostic parameters for the sufficient-size heuristic

@@ -88,13 +88,6 @@ class LevyMeasureSpec:
             return np.zeros((q, q))
         return (self.interval_radial_second_moment(a, b) / q) * np.eye(q)
 
-    def annulus_covariance(self, r: int) -> np.ndarray:
-        a, b = self.annulus_bounds(r)
-        return self.interval_covariance(a, b)
-
-    def annulus_mean(self, r: int) -> np.ndarray:
-        return np.zeros(self.dimension)  # isotropy
-
     def big_jump_mass(self, eps: float) -> float:
         a, b = self._clip(eps, self.tau)
         if a >= b:
@@ -303,14 +296,6 @@ class AnnulusDecomposition:
             if m > 0:
                 bands.append((lo, hi, m))
         return bands
-
-
-def annulus_mass(spec: LevyMeasureSpec, r: int) -> float:
-    return spec.annulus_mass(r)
-
-
-def small_jump_covariance(spec: LevyMeasureSpec, eps: float) -> np.ndarray:
-    return spec.small_jump_covariance(eps)
 
 
 def cramer_probe(spec: LevyMeasureSpec, r: int, rho: float, grid: np.ndarray) -> float:

@@ -123,17 +123,7 @@ class GradientPolyMap:
 
 def apply_L(u: Polynomial, sigma) -> Polynomial:
     """The divergence-form operator U = grad u  ->  div U - x . Sigma^{-1} U."""
-    sig = _as_matrix(sigma)
-    inv = rational_inverse(sig)
-    q = u.dimension
-    grad = u.gradient()
-    out = u.laplacian()
-    for i in range(q):
-        xi = Polynomial.variable(q, i)
-        for j in range(q):
-            if inv[i][j] != 0:
-                out = out - xi * grad[j] * inv[i][j]
-    return out
+    return u.laplacian() - _x_dot_inv_grad(u, _as_matrix(sigma))
 
 
 def solve_hermite_pde(rhs: Polynomial, sigma) -> Polynomial:

@@ -561,7 +561,7 @@ class EpsSeries:
     def exp(self) -> "EpsSeries":
         """Series exponential; requires zero order-0 coefficient."""
         if not self.coeffs[0].is_zero():
-            raise PolynomialError("series_exp needs zero constant-in-eps part")
+            raise PolynomialError("exp needs zero constant-in-eps part")
         one = Polynomial.constant(self.dimension, Fraction(1))
         out = EpsSeries([one], self.order)
         term = EpsSeries([one], self.order)
@@ -574,7 +574,7 @@ class EpsSeries:
         """Series 1/self; requires order-0 coefficient exactly 1."""
         c0 = self.coeffs[0]
         if c0 != Polynomial.constant(self.dimension, Fraction(1)):
-            raise PolynomialError("series_reciprocal needs order-0 coefficient 1")
+            raise PolynomialError("reciprocal needs order-0 coefficient 1")
         v = self - 1  # strictly positive eps-order
         one = Polynomial.constant(self.dimension, Fraction(1))
         out = EpsSeries([one], self.order)
@@ -598,18 +598,6 @@ class EpsSeries:
     def __repr__(self):
         parts = [f"eps^{k}*({c.to_text()})" for k, c in enumerate(self.coeffs)]
         return "EpsSeries[" + " + ".join(parts) + "]"
-
-
-def series_exp(s: EpsSeries) -> EpsSeries:
-    return s.exp()
-
-
-def series_reciprocal(s: EpsSeries) -> EpsSeries:
-    return s.reciprocal()
-
-
-def series_mul(a: EpsSeries, b: EpsSeries) -> EpsSeries:
-    return a * b
 
 
 def taylor_shift(S: Polynomial, displacement: Sequence[Sequence[Polynomial]], order: int) -> EpsSeries:

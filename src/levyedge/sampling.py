@@ -1,4 +1,4 @@
-"""Seeded sampling: Gaussians, perturbed normals, and Levy increments.
+"""Seeded sampling: Gaussians, perturbed normals, and Levy jump sums.
 
 Streams are counter-based (Philox keyed by master seed and stream id),
 so any (master_seed, stream_id) pair reproduces its draws exactly and
@@ -9,7 +9,7 @@ and timesteps be generated in any order or in parallel.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -160,75 +160,17 @@ def sample_small_jumps(
     return out
 
 
-MODE_EXACT = "exact"
-MODE_GAUSSIANIZED = "gaussianized"
-MODE_PERTURBED = "perturbed"
+def sample_big_jumps(spec: LevyMeasureSpec, eps: float, t: float, rng, n: int = 1) -> np.ndarray:
+    """n draws of the sum of the jumps beyond eps over time t.
 
-
-def sample_levy_increment(
-    a: Sequence[float],
-    B: np.ndarray,
-    spec: LevyMeasureSpec,
-    eps: float,
-    h: float,
-    mode: str,
-    rng,
-    n: int = 1,
-    decomposition: Optional[AnnulusDecomposition] = None,
-    pert_map: Optional[GradientPolyMap] = None,
-    pert_eps: Optional[float] = None,
-    pert_order: int = 1,
-) -> np.ndarray:
-    """n draws of the one-step driving increment over time h.
-
-    exact: a h + B W_h + Z_h^eps + big jumps.  gaussianized: the
-    small-jump block becomes sqrt(h) xi_{Sigma_eps}, folded into an
-    adjusted diffusion root (B Bt + Sigma_eps)^(1/2); the drift absorbs
-    the big-jump compensator.  perturbed: the Gaussian surrogate is
-    post-composed with a gradient perturbation of the standard normal,
-    pushing its law beyond the plain central-limit order.
+    A compound-Poisson draw with intensity nu(eps < |z| <= tau); isotropy
+    makes its compensator vanish.
     """
-    if not (0 < h and 0 < eps <= spec.tau):
-        raise SamplingError("need h > 0 and eps in (0, tau]")
-    g = _as_generator(rng)
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    B = np.asarray(B, dtype=float)
-    q = spec.dimension
-    out = np.tile(a * h, (n, 1))
-
-    big_mass = spec.big_jump_mass(eps)
-    # isotropic support means the big-jump compensator vanishes; kept
-    # explicit so the drift adjustment survives a non-centered extension
-    big_mean = np.zeros(q)
-    out -= h * big_mass * big_mean
-
-    if mode == MODE_EXACT:
-        out += np.sqrt(h) * sample_gaussian(B @ B.T, g, n)
-        if decomposition is None:
-            decomposition = AnnulusDecomposition(spec, eps)
-        out += sample_small_jumps(spec, decomposition, h, g, n)
-    elif mode in (MODE_GAUSSIANIZED, MODE_PERTURBED):
-        sig_eps = spec.small_jump_covariance(eps)
-        if mode == MODE_GAUSSIANIZED:
-            bbar = sym_sqrt(B @ B.T + sig_eps)
-            out += np.sqrt(h) * (g.standard_normal((n, q)) @ bbar.T)
-        else:
-            if pert_map is None:
-                raise SamplingError("perturbed mode needs a gradient map")
-            e = pert_eps if pert_eps is not None else 1.0
-            y = sample_perturbed_normal(pert_map, e, pert_order, g, n)
-            out += np.sqrt(h) * (y @ sym_sqrt(sig_eps).T)
-            out += np.sqrt(h) * sample_gaussian(B @ B.T, g, n)
-    else:
-        raise SamplingError(f"unknown mode {mode!r}")
-
-    if big_mass > 0:
-        out += sample_compound_poisson(
-            big_mass,
-            lambda c, gg: spec.sample_interval(eps, spec.tau, c, gg),
-            big_mean,
-            h,
-            g,
-            n,
-        )
-    return out
+    return sample_compound_poisson(
+        spec.big_jump_mass(eps),
+        lambda c, gg: spec.sample_interval(eps, spec.tau, c, gg),
+        np.zeros(spec.dimension),
+        t,
+        rng,
+        n,
+    )

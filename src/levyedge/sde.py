@@ -1,38 +1,39 @@
 """Euler schemes for SDEs driven by a Levy process, with coupling.
 
 The driving noise is Z_t = a t + B W_t + compensated jumps; the state
-follows dX = sigma(X) dZ.  Besides the plain explicit Euler iteration in
-each increment mode, the module builds coupled pairs of paths (exact
-fine-grid proxy vs Gaussian-substituted coarse scheme) sharing their
-drift, Brownian, and big-jump randomness, with the small-jump block
-matched to its Gaussian surrogate per step either by the radial
-rank coupling (optimal for spherically symmetric laws) or by an exact
-batch assignment.
+follows dX = sigma(X) dZ.  One noise source (_step_noise) draws each
+coarse step's Brownian, small-jump and big-jump blocks, and one stepper
+(_euler) moves the state through them.  On top of these sit the plain
+explicit Euler iteration in each increment mode, the fine-grid Gaussian
+limit path, and coupled pairs of paths (exact fine-grid proxy vs
+Gaussian-substituted coarse scheme) sharing their drift, Brownian, and
+big-jump randomness, with the small-jump block matched to its Gaussian
+surrogate per step by the radial rank coupling (optimal for spherically
+symmetric laws).
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 from .levy import AnnulusDecomposition, LevyMeasureSpec
+from .perturbation import GradientPolyMap
 from .sampling import (
-    MODE_EXACT,
-    MODE_GAUSSIANIZED,
-    MODE_PERTURBED,
     RngStream,
-    sample_compound_poisson,
-    sample_gaussian,
-    sample_levy_increment,
+    sample_big_jumps,
+    sample_perturbed_normal,
     sample_small_jumps,
     sym_sqrt,
 )
+
+MODE_EXACT = "exact"
+MODE_GAUSSIANIZED = "gaussianized"
+MODE_PERTURBED = "perturbed"
 
 
 class SdeError(ValueError):
@@ -76,60 +77,107 @@ class SchemeConfig:
     h: float
     eps: float
     mode: str = MODE_GAUSSIANIZED
-    coupling: bool = False
     fine_substeps: int = 16
     tail_depth: int = 6
-    coupling_style: str = "radial"
 
     def __post_init__(self):
         if not (0 < self.h < 1 and 0 < self.eps < 1):
             raise SdeError("h and eps must lie in (0,1)")
         if self.mode not in (MODE_EXACT, MODE_GAUSSIANIZED, MODE_PERTURBED):
             raise SdeError(f"unknown mode {self.mode!r}")
-        if self.coupling_style not in ("radial", "assignment"):
-            raise SdeError(f"unknown coupling style {self.coupling_style!r}")
 
     def n_steps(self, T: float) -> int:
         return int(math.floor(T / self.h + 1e-12))
 
 
-def euler_path(spec: SdeSpec, cfg: SchemeConfig, rng: RngStream, n_paths: int = 1,
-               **mode_kwargs) -> np.ndarray:
-    """Explicit Euler iterates X_0..X_N, shape (n_paths, N+1, d).
+def _jump_parts(spec: SdeSpec, cfg: SchemeConfig):
+    """The annulus decomposition and Sigma_eps^(1/2) of the measure at cfg.eps."""
+    if spec.measure is None:
+        return None, np.zeros((spec.q, spec.q))
+    dec = AnnulusDecomposition(spec.measure, cfg.eps, depth=cfg.tail_depth)
+    return dec, sym_sqrt(spec.measure.small_jump_covariance(cfg.eps))
 
-    Each step consumes one increment draw of the driving noise in the
-    configured mode; sigma is evaluated at the left endpoint.
+
+def _surrogate(g, shape, t: float, root: np.ndarray, pert=None) -> np.ndarray:
+    """sqrt(t) Sigma^(1/2) y for y standard normal, or perturbed normal when
+    pert = (map, eps, order); result has shape shape + (q,)."""
+    if pert is None:
+        y = g.standard_normal(shape + (root.shape[0],))
+    else:
+        pmap, pert_eps, pert_order = pert
+        y = sample_perturbed_normal(pmap, pert_eps, pert_order, g, math.prod(shape))
+        y = y.reshape(shape + (root.shape[0],))
+    return np.sqrt(t) * y @ root.T
+
+
+def _step_noise(spec: SdeSpec, cfg: SchemeConfig, rng: RngStream, k: int, M: int,
+                sub: int, mode: str, dec, root: np.ndarray, pert=None):
+    """Driving noise of coarse step k on sub equal substeps, for M replicates.
+
+    Returns the Brownian, small-jump and big-jump blocks, each (M, sub, .),
+    drawn from the step's "bw", "smalljump"/"surrogate" and "bigjump"
+    children of rng.  The small-jump block is the compensated jump sum
+    (exact), its Gaussian surrogate (gaussianized) or a perturbed
+    surrogate (perturbed); without a measure both jump blocks are zero.
     """
+    hs = cfg.h / sub
+    q = spec.q
+    dw = np.sqrt(hs) * rng.child(0, k, "bw").standard_normal((M, sub, spec.B.shape[1]))
+    if spec.measure is None:
+        return dw, np.zeros((M, sub, q)), np.zeros((M, sub, q))
+    if mode == MODE_EXACT:
+        gj = rng.child(0, k, "smalljump")
+        small = np.stack(
+            [sample_small_jumps(spec.measure, dec, hs, gj, M) for _ in range(sub)], axis=1
+        )
+    else:
+        small = _surrogate(rng.child(0, k, "surrogate"), (M, sub), hs, root, pert)
+    gb = rng.child(0, k, "bigjump")
+    big = np.stack(
+        [sample_big_jumps(spec.measure, cfg.eps, hs, gb, M) for _ in range(sub)], axis=1
+    )
+    return dw, small, big
+
+
+def _euler(spec: SdeSpec, x: np.ndarray, dz: np.ndarray) -> np.ndarray:
+    """Advance x (M, d) through the increments dz (M, sub, q) in order,
+    evaluating sigma at each left endpoint."""
+    for j in range(dz.shape[1]):
+        x = x + np.einsum("mdq,mq->md", spec.sigma(x), dz[:, j])
+    return x
+
+
+def _iterate(spec: SdeSpec, cfg: SchemeConfig, rng: RngStream, n_paths: int, sub: int,
+             mode: str, pert=None) -> np.ndarray:
+    """Euler iterates on sub substeps per coarse step, kept on the coarse grid."""
+    dec, root = _jump_parts(spec, cfg)
     n = cfg.n_steps(spec.T)
     out = np.empty((n_paths, n + 1, spec.d))
     out[:, 0] = spec.x0
     x = np.tile(spec.x0, (n_paths, 1))
-    dec = None
-    if spec.measure is not None and cfg.mode == MODE_EXACT:
-        dec = AnnulusDecomposition(spec.measure, cfg.eps, depth=cfg.tail_depth)
     for k in range(n):
-        g = rng.child(0, k, "increment")
-        if spec.measure is None:
-            dz = spec.a * cfg.h + np.sqrt(cfg.h) * (
-                g.standard_normal((n_paths, spec.B.shape[1])) @ spec.B.T
-            )
-        else:
-            dz = sample_levy_increment(
-                spec.a, spec.B, spec.measure, cfg.eps, cfg.h, cfg.mode, g,
-                n=n_paths, decomposition=dec, **mode_kwargs,
-            )
-        x = x + np.einsum("mdq,mq->md", spec.sigma(x), dz)
+        dw, small, big = _step_noise(spec, cfg, rng, k, n_paths, sub, mode, dec, root, pert)
+        x = _euler(spec, x, spec.a * (cfg.h / sub) + dw @ spec.B.T + small + big)
         out[:, k + 1] = x
     return out
 
 
-def _batch_ot_permutation(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Permutation pi minimizing sum |u_i - v_pi(i)|^2 (exact assignment)."""
-    cost = cdist(u, v, "sqeuclidean")
-    rows, cols = linear_sum_assignment(cost)
-    perm = np.empty_like(cols)
-    perm[rows] = cols
-    return perm
+def euler_path(spec: SdeSpec, cfg: SchemeConfig, rng: RngStream, n_paths: int = 1,
+               pert_map: Optional[GradientPolyMap] = None, pert_eps: float = 1.0,
+               pert_order: int = 1) -> np.ndarray:
+    """Explicit Euler iterates X_0..X_N, shape (n_paths, N+1, d).
+
+    Each step draws the driving increment a h + B W_h + small jumps + big
+    jumps with the small-jump block in cfg.mode: exact, gaussianized
+    (sqrt(h) Sigma_eps^(1/2) xi) or perturbed (xi replaced by a draw of
+    sample_perturbed_normal(pert_map, pert_eps, pert_order)).  Sigma is
+    evaluated at the left endpoint.
+    """
+    if cfg.mode != MODE_PERTURBED:
+        return _iterate(spec, cfg, rng, n_paths, 1, cfg.mode)
+    if pert_map is None:
+        raise SdeError("perturbed mode needs a gradient map")
+    return _iterate(spec, cfg, rng, n_paths, 1, cfg.mode, (pert_map, pert_eps, pert_order))
 
 
 def _radial_rank_match(z: np.ndarray, gvec: np.ndarray) -> np.ndarray:
@@ -173,27 +221,21 @@ def coupled_paths(spec: SdeSpec, cfg: SchemeConfig, M: int, rng: RngStream) -> C
 
     Per coarse step both schemes see identical drift, Brownian, and
     big-jump draws; the small-jump sum and its Gaussian surrogate are
-    paired across the M replicates by the configured coupling style:
-    "radial" (rank-match radii, keep directions; the distance-optimal
-    map for spherically symmetric laws) or "assignment" (exact batch
-    optimal assignment, whose empirical bias decays more slowly in M
-    and can mask the substitution rate).  The exact
-    side advances on a grid of cfg.fine_substeps sub-intervals per step
-    (an Euler proxy for the true solution); the approximate side takes
-    one coarse step.
+    paired across the M replicates by the radial coupling (rank-match
+    radii, keep directions), the distance-optimal map for spherically
+    symmetric laws.  The exact side advances on a grid of
+    cfg.fine_substeps sub-intervals per step (an Euler proxy for the
+    true solution); the approximate side takes one coarse step.
     """
     if M < 2:
         raise SdeError("coupling needs at least two replicates")
     if spec.measure is None:
         raise SdeError("coupling is about the jump substitution; need a measure")
+    dec, root = _jump_parts(spec, cfg)
+    if not _is_isotropic(root):
+        raise SdeError("radial coupling needs an isotropic small-jump covariance")
     n = cfg.n_steps(spec.T)
     sub = max(1, cfg.fine_substeps)
-    hs = cfg.h / sub
-    dec = AnnulusDecomposition(spec.measure, cfg.eps, depth=cfg.tail_depth)
-    sig_eps = spec.measure.small_jump_covariance(cfg.eps)
-    root_eps = sym_sqrt(sig_eps)
-    big_mass = spec.measure.big_jump_mass(cfg.eps)
-    q = spec.q
 
     x = np.tile(spec.x0, (M, 1))
     xb = x.copy()
@@ -202,53 +244,15 @@ def coupled_paths(spec: SdeSpec, cfg: SchemeConfig, M: int, rng: RngStream) -> C
     exact[:, 0] = x
     approx[:, 0] = xb
     for k in range(n):
-        gw = rng.child(0, k, "bw")
-        gj = rng.child(0, k, "smalljump")
-        gb = rng.child(0, k, "bigjump")
-        gs = rng.child(0, k, "surrogate")
-        dw = np.sqrt(hs) * gw.standard_normal((M, sub, spec.B.shape[1]))
-        small = np.stack(
-            [sample_small_jumps(spec.measure, dec, hs, gj, M) for _ in range(sub)],
-            axis=1,
-        )
-        if big_mass > 0:
-            big = np.stack(
-                [
-                    sample_compound_poisson(
-                        big_mass,
-                        lambda c, gg: spec.measure.sample_interval(cfg.eps, spec.measure.tau, c, gg),
-                        np.zeros(q),
-                        hs,
-                        gb,
-                        M,
-                    )
-                    for _ in range(sub)
-                ],
-                axis=1,
-            )
-        else:
-            big = np.zeros((M, sub, q))
+        dw, small, big = _step_noise(spec, cfg, rng, k, M, sub, MODE_EXACT, dec, root)
         # exact side: fine Euler through the substeps
-        for j in range(sub):
-            dz = spec.a * hs + dw[:, j] @ spec.B.T + small[:, j] + big[:, j]
-            x = x + np.einsum("mdq,mq->md", spec.sigma(x), dz)
-        # approximate side: one coarse step with the small-jump block
+        x = _euler(spec, x, spec.a * (cfg.h / sub) + dw @ spec.B.T + small + big)
+        # approximate side: one coarse step with the small-jump sum
         # replaced by its matched Gaussian surrogate
-        z_small = small.sum(axis=1)
-        surrogate = np.sqrt(cfg.h) * gs.standard_normal((M, q)) @ root_eps.T
-        if cfg.coupling_style == "radial":
-            if not _is_isotropic(sig_eps):
-                raise SdeError("radial coupling needs an isotropic small-jump covariance")
-            matched = _radial_rank_match(z_small, surrogate)
-        else:
-            matched = surrogate[_batch_ot_permutation(z_small, surrogate)]
-        dzb = (
-            spec.a * cfg.h
-            + dw.sum(axis=1) @ spec.B.T
-            + matched
-            + big.sum(axis=1)
-        )
-        xb = xb + np.einsum("mdq,mq->md", spec.sigma(xb), dzb)
+        surrogate = _surrogate(rng.child(0, k, "surrogate"), (M,), cfg.h, root)
+        matched = _radial_rank_match(small.sum(axis=1), surrogate)
+        dzb = spec.a * cfg.h + dw.sum(axis=1) @ spec.B.T + matched + big.sum(axis=1)
+        xb = _euler(spec, xb, dzb[:, None])
         exact[:, k + 1] = x
         approx[:, k + 1] = xb
     sup = np.max(np.linalg.norm(exact - approx, axis=2), axis=1)
@@ -261,29 +265,15 @@ def continuous_gaussian_limit_path(
 ) -> np.ndarray:
     """Fine-grid Euler for the all-Gaussian limiting SDE, coarse-grid output.
 
-    The driving noise is a t + (B Bt + Sigma_eps)^(1/2) W_t; requires the
-    measure to carry no mass beyond eps.  Brownian draws come from the
-    same (step, substep) stream children as coupled_paths' "bw" streams,
-    so a caller holding the same root stream shares the Brownian motion.
+    The driving noise is a t + B W_t + Sigma_eps^(1/2) W'_t, the
+    gaussianized noise of the scheme; requires the measure to carry no
+    mass beyond eps.  W is drawn from the same "bw" stream children as in
+    coupled_paths, so a caller holding the same root stream shares the
+    Brownian motion.
     """
     if spec.measure is not None and spec.measure.big_jump_mass(cfg.eps) * spec.T > 1e-9:
         raise SdeError("limit path requires no jumps beyond eps")
-    sig = spec.measure.small_jump_covariance(cfg.eps) if spec.measure is not None else 0.0
-    bbar = sym_sqrt(spec.B @ spec.B.T + sig)
-    n = cfg.n_steps(spec.T)
-    sub = max(1, cfg.fine_substeps)
-    hs = cfg.h / sub
-    out = np.empty((n_paths, n + 1, spec.d))
-    out[:, 0] = spec.x0
-    x = np.tile(spec.x0, (n_paths, 1))
-    for k in range(n):
-        gw = rng.child(0, k, "bw")
-        dw = np.sqrt(hs) * gw.standard_normal((n_paths, sub, spec.q))
-        for j in range(sub):
-            dz = spec.a * hs + dw[:, j] @ bbar.T
-            x = x + np.einsum("mdq,mq->md", spec.sigma(x), dz)
-        out[:, k + 1] = x
-    return out
+    return _iterate(spec, cfg, rng, n_paths, max(1, cfg.fine_substeps), MODE_GAUSSIANIZED)
 
 
 def dump_paths_csv(fh, result: CoupledResult) -> None:

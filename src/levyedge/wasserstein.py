@@ -200,6 +200,8 @@ def rate_fit(
         if np.any(m <= 0):
             continue
         slopes.append(_slope(m))
+    if not slopes:
+        raise WassersteinError("no bootstrap resample has positive means")
     lo, hi = np.percentile(slopes, [2.5, 97.5])
     return slope, (float(lo), float(hi))
 

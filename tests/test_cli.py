@@ -2,16 +2,33 @@
 
 import csv
 import io
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from levyedge import cli
+from levyedge.edgeworth import multi_indices
 
 
 def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+MEASURE = "kind = stable-like\nq = 2\nalpha = 1.5\n"
+
+#: small configs, one per replicated experiment; {reps} is the replicate count
+TINY = {
+    "clt-rate": "law = centered-exponential\nm_list = 4,16,64\n"
+                "n_samples = 200\nreplicates = {reps}\n",
+    "jump-coupling": MEASURE + "eps_list = 0.5,0.25,0.125\nn_samples = 64\n"
+                     "replicates = {reps}\n",
+    "sde-convergence": MEASURE + "h_list = 0.25,0.125,0.0625\nreplicates = {reps}\n"
+                       "fine_substeps = 2\nT = 0.5\ncoupling_style = radial\n",
+}
 
 
 class TestConfigParsing:
@@ -49,6 +66,22 @@ class TestExitCodes:
         monkeypatch.setitem(cli._EXPERIMENTS, "clt-rate", (boom, "csv"))
         assert cli.main(["clt-rate"]) == 3
 
+    def test_only_radial_coupling_style(self, tmp_path):
+        base = TINY["sde-convergence"].format(reps=2).replace("coupling_style = radial\n", "")
+        bad = write(tmp_path, "a.cfg", base + "coupling_style = assignment\n")
+        good = write(tmp_path, "r.cfg", base + "coupling_style = radial\n")
+        out = str(tmp_path / "out.csv")
+        assert cli.main(["sde-convergence", "--config", bad, "--out", out]) == 2
+        assert cli.main(["sde-convergence", "--config", good, "--out", out]) == 0
+
+    @pytest.mark.parametrize("line", ["3 abc", "a 2", "2 1/0"])
+    def test_malformed_cumulant_file_is_2(self, tmp_path, capsys, line):
+        cum = write(tmp_path, "bad.cum", line + "\n")
+        cfg = write(tmp_path, "eb.cfg", f"cumulants = {cum}\nr = 1\n")
+        assert cli.main(["edgeworth-build", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "line 1" in err
+
 
 class TestOutputs:
     def test_small_run_and_summary(self, tmp_path):
@@ -64,28 +97,24 @@ class TestOutputs:
         assert rows[1] == ["m", "p", "mode", "distance", "replicate"]
         assert rows[-1][0] == "slope"
 
-    def test_byte_identical_rerun(self, tmp_path):
-        cfg = write(
-            tmp_path, "clt.cfg",
-            "law = centered-exponential\nm_list = 4,16,64\n"
-            "n_samples = 200\nreplicates = 2\n",
-        )
+    @pytest.mark.parametrize("experiment", list(TINY))
+    def test_byte_identical_rerun(self, tmp_path, experiment):
+        cfg = write(tmp_path, "tiny.cfg", TINY[experiment].format(reps=2))
         o1, o2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         for o in (o1, o2):
             assert cli.main(
-                ["clt-rate", "--config", cfg, "--seed", "9", "--out", o, "--no-timestamp"]
+                [experiment, "--config", cfg, "--seed", "9", "--out", o, "--no-timestamp"]
             ) == 0
         assert open(o1).read() == open(o2).read()
 
-    def test_threads_do_not_change_results(self, tmp_path):
-        cfg = write(
-            tmp_path, "clt.cfg",
-            "law = centered-exponential\nm_list = 4,16,64\n"
-            "n_samples = 200\nreplicates = 4\n",
-        )
+    @pytest.mark.parametrize("experiment", list(TINY))
+    def test_threads_do_not_change_results(self, tmp_path, experiment):
+        cfg = write(tmp_path, "tiny.cfg", TINY[experiment].format(reps=4))
         o1, o2 = str(tmp_path / "t1.csv"), str(tmp_path / "t4.csv")
-        cli.main(["clt-rate", "--config", cfg, "--out", o1, "--no-timestamp"])
-        cli.main(["clt-rate", "--config", cfg, "--out", o2, "--no-timestamp", "--threads", "4"])
+        assert cli.main([experiment, "--config", cfg, "--out", o1, "--no-timestamp"]) == 0
+        assert cli.main(
+            [experiment, "--config", cfg, "--out", o2, "--no-timestamp", "--threads", "4"]
+        ) == 0
         assert open(o1).read() == open(o2).read()
 
     def test_hash_guard_blocks_mismatched_overwrite(self, tmp_path):
@@ -97,6 +126,17 @@ class TestOutputs:
         assert cli.main(
             ["clt-rate", "--config", cfg2, "--out", out, "--no-timestamp", "--force"]
         ) == 0
+
+    def test_hash_guard_catches_output_written_during_run(self, tmp_path, monkeypatch):
+        out = tmp_path / "out.csv"
+
+        def racing(cfg, seed, threads):
+            out.write_text("config_hash,0000000000000000\n")
+            return [["m"]]
+
+        monkeypatch.setitem(cli._EXPERIMENTS, "clt-rate", (racing, "csv"))
+        assert cli.main(["clt-rate", "--out", str(out)]) == 2
+        assert out.read_text() == "config_hash,0000000000000000\n"
 
     def test_edgeworth_build_text_dump(self, tmp_path):
         cfg = write(tmp_path, "eb.cfg", "law = centered-exponential\nr = 1\nm_probe = 100\n")
@@ -127,3 +167,59 @@ class TestOutputs:
         assert rows[-1][-1] == "degenerate"
         # every distance row is exactly zero
         assert all(float(r[3]) == 0.0 for r in rows[2:-1])
+
+
+#: tokens a hand-edited file might hold in place of a number
+_JUNK = ["abc", "1/0", "-1", "nan", "1e999", "0.5", "3/", "=", "#", "", "2 2"]
+
+
+@st.composite
+def cumulant_files(draw):
+    """A valid cumulant file of dimension 1-2 and order up to 4, with a
+    token now and then swapped for junk, lines dropped, or junk added."""
+    q = draw(st.integers(1, 2))
+    lines = []
+    for total in range(2, draw(st.integers(2, 4)) + 1):
+        for alpha in multi_indices(q, total):
+            if total == 2:
+                value = str(draw(st.integers(1, 3))) if max(alpha) == 2 else "0"
+            else:
+                value = str(draw(st.fractions(-3, 3, max_denominator=4)))
+            tokens = [str(a) for a in alpha] + [value]
+            for i in range(len(tokens)):
+                if draw(st.integers(0, 19)) == 0:
+                    tokens[i] = draw(st.sampled_from(_JUNK))
+            if draw(st.integers(0, 19)):
+                lines.append(" ".join(tokens))
+    lines += draw(st.lists(st.text(" 0123456789/.-#ae", max_size=8), max_size=1))
+    return "\n".join(lines) + "\n"
+
+
+def config_values(valid):
+    """A valid value half of the time, otherwise a wrong one."""
+    return st.one_of(st.sampled_from(valid),
+                     st.sampled_from(["0", "-1", "-4", "x", "1.5", "", "99", "1e3"]))
+
+
+class TestExitCodeFuzz:
+    @given(
+        cumulants=cumulant_files(),
+        r=config_values(["1", "2"]),
+        m_probe=config_values(["4", "100"]),
+        source=st.sampled_from(["cumulants", "law", "both", "neither"]),
+        extra=st.one_of(st.just(""), st.text("abc=# []\n0123456789", max_size=12)),
+    )
+    @settings(deadline=None, max_examples=50)
+    def test_edgeworth_build_exit_code(self, cumulants, r, m_probe, source, extra):
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp)
+            (d / "c.cum").write_text(cumulants)
+            cfg = f"r = {r}\nm_probe = {m_probe}\n" + extra + "\n"
+            if source in ("cumulants", "both"):
+                cfg += f"cumulants = {d / 'c.cum'}\n"
+            if source in ("law", "both"):
+                cfg += "law = centered-exponential\n"
+            (d / "e.cfg").write_text(cfg)
+            rc = cli.main(["edgeworth-build", "--config", str(d / "e.cfg"),
+                           "--out", str(d / "out.txt"), "--no-timestamp"])
+        assert rc in (0, 2, 3)

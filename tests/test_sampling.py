@@ -8,21 +8,29 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from levyedge.edgeworth import CumulantSet, build_Q, edgeworth_signed_moments
-from levyedge.levy import AnnulusDecomposition, StableLikeMeasure
+from levyedge.levy import AnnulusDecomposition, LevyError, StableLikeMeasure
 from levyedge.perturbation import invert_S_map
 from levyedge.sampling import (
-    MODE_EXACT,
-    MODE_GAUSSIANIZED,
     RngStream,
     SamplingError,
     derive_stream_id,
+    sample_big_jumps,
     sample_compound_poisson,
     sample_gaussian,
-    sample_levy_increment,
     sample_perturbed_normal,
     sample_small_jumps,
     sym_sqrt,
 )
+from levyedge.sde import MODE_EXACT, MODE_GAUSSIANIZED, SchemeConfig, SdeError, SdeSpec, euler_path
+
+
+def levy_increment(a, B, meas, eps, h, mode, rng, n):
+    """n draws of the one-step driving increment: one Euler step of
+    X = Z with X_0 = 0 (sigma = I, horizon h)."""
+    q = meas.dimension
+    spec = SdeSpec(d=q, q=q, a=a, B=B, x0=np.zeros(q), T=h, measure=meas,
+                   sigma_fn=lambda x: np.tile(np.eye(q), (x.shape[0], 1, 1)))
+    return euler_path(spec, SchemeConfig(h=h, eps=eps, mode=mode), rng, n)[:, 1]
 
 
 class TestStreams:
@@ -135,13 +143,29 @@ class TestLevyIncrement:
         a = np.array([0.2, -0.1])
         B = 0.4 * np.eye(2)
         eps, h = 0.5, 0.5
-        ze = sample_levy_increment(a, B, self.MEAS, eps, h, MODE_EXACT, RngStream(4, 1), 25_000)
-        zg = sample_levy_increment(a, B, self.MEAS, eps, h, MODE_GAUSSIANIZED, RngStream(4, 2), 25_000)
+        ze = levy_increment(a, B, self.MEAS, eps, h, MODE_EXACT, RngStream(4, 1), 25_000)
+        zg = levy_increment(a, B, self.MEAS, eps, h, MODE_GAUSSIANIZED, RngStream(4, 2), 25_000)
         assert np.allclose(ze.mean(axis=0), zg.mean(axis=0), atol=0.08)
         assert np.allclose(np.cov(ze.T), np.cov(zg.T), rtol=0.1, atol=0.1)
 
     def test_eps_beyond_tau_rejected(self):
-        with pytest.raises(SamplingError):
-            sample_levy_increment(
+        with pytest.raises(SdeError):
+            levy_increment(
                 np.zeros(2), np.eye(2), self.MEAS, 2.0, 0.1, MODE_EXACT, RngStream(0, 0), 4
             )
+        # eps inside (0, 1) but beyond a smaller support radius
+        with pytest.raises(LevyError):
+            levy_increment(
+                np.zeros(2), np.eye(2), StableLikeMeasure(2, 1.5, 0.25), 0.5, 0.1,
+                MODE_GAUSSIANIZED, RngStream(0, 0), 4,
+            )
+
+    def test_big_jumps_mean_and_variance(self):
+        # compound Poisson over eps < |z| <= tau: mean 0 (isotropy) and
+        # per-coordinate variance t * (radial second moment) / q
+        eps, t = 0.5, 0.5
+        z = sample_big_jumps(self.MEAS, eps, t, RngStream(5, 1), 20_000)
+        want = t * self.MEAS.interval_radial_second_moment(eps, self.MEAS.tau) / 2
+        assert np.allclose(z.mean(axis=0), 0.0, atol=0.02)
+        assert np.allclose(z.var(axis=0), want, rtol=0.05)
+        assert not sample_big_jumps(self.MEAS, self.MEAS.tau, t, RngStream(5, 1), 8).any()

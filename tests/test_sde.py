@@ -2,13 +2,18 @@
 
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from levyedge.edgeworth import CumulantSet, build_Q
 from levyedge.levy import CustomRadialMeasure, StableLikeMeasure
+from levyedge.perturbation import invert_S_map
 from levyedge.sampling import RngStream
 from levyedge.sde import (
+    MODE_GAUSSIANIZED,
+    MODE_PERTURBED,
     CoupledResult,
     SchemeConfig,
     SdeError,
@@ -77,6 +82,24 @@ class TestEulerPath:
         out = euler_path(spec, cfg, RngStream(1, 1), n_paths=5)
         assert out.shape == (5, 5, 2)
 
+    def test_perturbed_mode_needs_map(self):
+        spec = make_spec(contractive_sigma)
+        cfg = SchemeConfig(h=0.25, eps=0.25, mode=MODE_PERTURBED)
+        with pytest.raises(SdeError):
+            euler_path(spec, cfg, RngStream(2, 0), n_paths=4)
+
+    def test_perturbed_order_zero_is_gaussianized(self):
+        # order 0 switches the perturbation off: the draw is the plain
+        # Gaussian surrogate from the same stream
+        c = CumulantSet(2, 3, {(2, 0): Fraction(1), (0, 2): Fraction(1), (3, 0): Fraction(1)})
+        pmap = invert_S_map(build_Q(c, 1), c.covariance)
+        spec = make_spec(contractive_sigma)
+        pert = euler_path(spec, SchemeConfig(h=0.25, eps=0.25, mode=MODE_PERTURBED),
+                          RngStream(3, 0), n_paths=6, pert_map=pmap, pert_eps=0.5, pert_order=0)
+        plain = euler_path(spec, SchemeConfig(h=0.25, eps=0.25, mode=MODE_GAUSSIANIZED),
+                           RngStream(3, 0), n_paths=6)
+        assert np.array_equal(pert, plain)
+
 
 class TestRadialRankMatch:
     def test_marginal_preserved(self):
@@ -142,12 +165,6 @@ class TestCoupledPaths:
         # shared randomness keeps the pair far closer than independence would
         assert np.sqrt(np.mean(r1.sup_distance ** 2)) < 1.0
 
-    def test_assignment_style_available(self):
-        spec = make_spec(contractive_sigma)
-        cfg = SchemeConfig(h=0.25, eps=0.25, fine_substeps=2, coupling_style="assignment")
-        res = coupled_paths(spec, cfg, 8, RngStream(6, 0))
-        assert res.exact.shape == res.approx.shape
-
     def test_needs_measure_and_replicates(self):
         spec = make_spec(contractive_sigma, measure=None)
         with pytest.raises(SdeError):
@@ -155,10 +172,6 @@ class TestCoupledPaths:
         spec2 = make_spec(contractive_sigma)
         with pytest.raises(SdeError):
             coupled_paths(spec2, SchemeConfig(h=0.25, eps=0.25), 1, RngStream(0, 0))
-
-    def test_unknown_coupling_style(self):
-        with pytest.raises(SdeError):
-            SchemeConfig(h=0.25, eps=0.25, coupling_style="sinkhorn")
 
 
 class TestLimitPath:
@@ -173,6 +186,15 @@ class TestLimitPath:
             spec, SchemeConfig(h=0.25, eps=0.25, fine_substeps=4), RngStream(7, 0), 3
         )
         assert out.shape == (3, 5, 2)
+
+    def test_shares_brownian_motion_with_coupled_paths(self):
+        # without jumps the limit noise is the coupled exact side's noise:
+        # the same "bw" stream children drive both fine-grid schemes
+        spec = make_spec(contractive_sigma, measure=null_measure())
+        cfg = SchemeConfig(h=0.25, eps=0.25, fine_substeps=4)
+        limit = continuous_gaussian_limit_path(spec, cfg, RngStream(11, 0), 8)
+        coupled = coupled_paths(spec, cfg, 8, RngStream(11, 0))
+        assert np.allclose(limit, coupled.exact, rtol=1e-12, atol=0)
 
 
 class TestCsvDump:

@@ -157,6 +157,11 @@ class TestRateFit:
         with pytest.raises(WassersteinError):
             rate_fit([1, 2, 3], [1.0, -1.0, 1.0])
 
+    def test_no_usable_bootstrap_resample(self):
+        # every resample has nonpositive means: a typed error, not IndexError
+        with pytest.raises(WassersteinError):
+            rate_fit([1, 2, 4], [1, 1, 1], bootstrap_reps=10, replicates=-np.ones((3, 2)))
+
 
 class TestSliced:
     def test_diagnostic_close_to_exact_on_isotropic_shift(self):
