@@ -2,7 +2,7 @@
 substitution of small Levy jumps, with Wasserstein-distance rate
 verification for central-limit and SDE discretization experiments."""
 
-from .polycore import EpsSeries, Polynomial, gaussian_moment, hermite_1d, hermite_tensor
+from .polycore import EpsSeries, Polynomial, gaussian_moment, hermite_1d, hermite_sigma
 from .edgeworth import (
     CumulantSet,
     MomentSet,

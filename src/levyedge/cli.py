@@ -43,7 +43,7 @@ from .levy import (
     measure_from_config,
 )
 from .perturbation import PerturbationError, apply_L, compute_S_tilde, invert_S_map
-from .polycore import Polynomial
+from .polycore import Polynomial, PolynomialError
 from .sampling import RngStream, SamplingError, sample_gaussian, sample_perturbed_normal, sample_small_jumps
 from .sde import SchemeConfig, SdeError, SdeSpec, coupled_paths
 from .wasserstein import (
@@ -66,6 +66,7 @@ class NumericalFailure(RuntimeError):
 _NUMERIC_ERRORS = (
     EdgeworthError,
     PerturbationError,
+    PolynomialError,
     LevyError,
     SamplingError,
     WassersteinError,

@@ -7,22 +7,22 @@ moment diagnostics used to size the number of summands.
 
 Conventions.  The correction polynomial of order k is stored with real
 coefficients against the basis (i z)^alpha; its position-space partner
-for diagonal covariance diag(lambda) is
+for covariance Sigma is
 
-    Q_k(x) = sum_alpha b_alpha prod_j lambda_j^(-alpha_j/2)
-             H_{alpha_j}(lambda_j^(-1/2) x_j),
+    Q_k(x) = sum_alpha b_alpha H^Sigma_alpha(x),
+    H^Sigma_alpha = phi_Sigma^(-1) (-d)^alpha phi_Sigma,
 
-which reproduces the classical one-dimensional expansion
-phi(x) (1 + eps mu3/6 H_3(x) + ...).  Non-diagonal covariance is handled
-by orthogonal diagonalisation with a deterministic eigenvector sign.
+so that H^Sigma_alpha phi_Sigma has Fourier transform
+(i z)^alpha exp(-z . Sigma z / 2).  The construction is exact
+for every rational positive-definite Sigma and reproduces the classical
+one-dimensional expansion phi(x) (1 + eps mu3/6 H_3(x) + ...).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -30,10 +30,10 @@ from .polycore import (
     Coeff,
     EpsSeries,
     Polynomial,
-    PolynomialError,
     gaussian_expectation,
     grlex_key,
-    hermite_tensor,
+    hermite_sigma,
+    rational_inverse,
 )
 
 
@@ -85,22 +85,6 @@ def _poly_expm1(p: Polynomial, n: int) -> Polynomial:
             break
         out = out + power
     return out
-
-
-def deterministic_eigh(sigma: np.ndarray):
-    """Symmetric eigendecomposition with a fixed sign convention.
-
-    Returns (lams, A) with sigma = A diag(lams) A^T, eigenvalues ascending,
-    each eigenvector's first nonzero component positive.
-    """
-    lams, A = np.linalg.eigh(np.asarray(sigma, dtype=float))
-    A = A.copy()
-    for j in range(A.shape[1]):
-        col = A[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-14)
-        if nz.size and col[nz[0]] < 0:
-            A[:, j] = -col
-    return lams, A
 
 
 class MomentSet:
@@ -167,38 +151,8 @@ class CumulantSet:
 
     def check_nonsingular(self):
         lams = self.eigenvalues()
-        if lams[0] < 1e-10 * lams[-1]:
+        if lams[0] <= 1e-10 * lams[-1]:
             raise EdgeworthError("covariance is numerically singular")
-
-    def is_diagonal(self) -> bool:
-        q = self.dimension
-        return all(
-            self.covariance[i][j] == 0
-            for i in range(q)
-            for j in range(q)
-            if i != j
-        )
-
-    def diagonal_lambdas(self):
-        return [self.covariance[j][j] for j in range(self.dimension)]
-
-    def rotate(self, A: np.ndarray) -> "CumulantSet":
-        """Cumulants of A^T X (floats; used for non-diagonal covariance)."""
-        q = self.dimension
-        mu = {}
-        for d in range(2, self.order + 1):
-            # degree-d cumulant polynomial c_d(z) = sum mu_alpha z^alpha / alpha!
-            cd = Polynomial(
-                q,
-                {
-                    a: Fraction(1, _factorial_alpha(a)) * self.mu[a]
-                    for a in multi_indices(q, d)
-                },
-            )
-            rotated = cd.compose_affine(np.asarray(A))  # c_d(A z)
-            for alpha in multi_indices(q, d):
-                mu[alpha] = float(rotated.coefficient(alpha)) * _factorial_alpha(alpha)
-        return CumulantSet(q, self.order, mu)
 
     # -- text format ---------------------------------------------------
 
@@ -316,32 +270,22 @@ def build_P(c: CumulantSet, r: int) -> list:
     return ps
 
 
-def _q_from_p_diagonal(p: Polynomial, lambdas) -> Polynomial:
-    q = p.dimension
-    out = Polynomial.zero(q)
-    for alpha, b in p.terms.items():
-        out = out + hermite_tensor(alpha, lambdas, "edgeworth") * b
-    return out
-
-
 def build_Q(c: CumulantSet, r: int) -> list:
     """Position-space Edgeworth polynomials Q_1..Q_r.
 
-    For diagonal covariance the construction is exact (rational).  A
-    general covariance is diagonalised, built in the eigenframe and
-    rotated back (float coefficients).
+    Q_k sums b_alpha H^Sigma_alpha over the terms b_alpha (i z)^alpha of
+    P_k; exact (rational) for rational cumulants.
     """
     c.check_nonsingular()
-    if c.is_diagonal():
-        ps = build_P(c, r)
-        lambdas = c.diagonal_lambdas()
-        return [_q_from_p_diagonal(p, lambdas) for p in ps]
-    lams, A = deterministic_eigh(c.covariance_array())
-    rotated = c.rotate(A)  # cumulants of A^T X, diagonal covariance
-    ps = build_P(rotated, r)
-    qs_diag = [_q_from_p_diagonal(p, [float(l) for l in lams]) for p in ps]
-    At = A.T
-    return [qk.compose_affine(At) for qk in qs_diag]  # Q_k(x) = Q_k^diag(A^T x)
+    sigma_inv = rational_inverse(c.covariance)
+    memo: dict = {}
+    qs = []
+    for p in build_P(c, r):
+        qk = Polynomial.zero(c.dimension)
+        for alpha, b in p.terms.items():
+            qk = qk + hermite_sigma(alpha, sigma_inv, memo) * b
+        qs.append(qk)
+    return qs
 
 
 def gaussian_density(sigma: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -439,8 +383,8 @@ def _extend(c: CumulantSet, order: int) -> CumulantSet:
 def edgeworth_signed_moments(c: CumulantSet, r: int, eps, max_order: int) -> Dict[tuple, Coeff]:
     """Moments of the signed density phi_Sigma (1 + sum eps^k Q_k), exact.
 
-    Requires diagonal covariance for rational exactness; eps may be a
-    Fraction (e.g. a reciprocal square root of a perfect-square m).
+    Rational for rational cumulants and a Fraction eps (e.g. the
+    reciprocal square root of a perfect-square m).
     """
     qs = build_Q(c, r) if r >= 1 else []
     sigma = c.covariance

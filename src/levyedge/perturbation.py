@@ -5,32 +5,28 @@ A map x -> x + sum_k eps^k grad u_k(x) pushes N(0, Sigma) forward to a
 target sequence of density corrections (typically the Edgeworth
 polynomials Q_k): each level solves
 
-    -Lap u + x . Sigma^{-1} grad u = rhs,
+    -Lap u + x . Sigma^{-1} grad u = rhs
 
-whose eigenfunctions are tensor Hermite products with eigenvalue
-nu_alpha = sum_j alpha_j / lambda_j, after subtracting the inter-level
-correction S~ produced by the series expansion of the pushforward
-density.  All arithmetic stays in exact rationals when the inputs are
-rational and Sigma is diagonal.
+one degree at a time (x . Sigma^{-1} grad keeps the degree, -Lap lowers
+it by two), after subtracting the inter-level correction S~ produced by
+the series expansion of the pushforward density.  All arithmetic stays
+in exact rationals when the inputs and Sigma are rational.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .edgeworth import deterministic_eigh, multi_indices
+from .edgeworth import multi_indices
 from .polycore import (
-    Coeff,
     EpsSeries,
     Polynomial,
-    PolynomialError,
     gaussian_expectation,
-    gaussian_inner_product,
-    hermite_tensor,
+    rational_inverse,
+    solve_linear,
     taylor_shift,
 )
 
@@ -39,37 +35,10 @@ class PerturbationError(ValueError):
     pass
 
 
-def rational_inverse(mat: Sequence[Sequence[Coeff]]) -> list:
-    """Exact inverse of a small matrix by Gauss-Jordan on Fractions."""
-    n = len(mat)
-    a = [[Fraction(x) if not isinstance(x, float) else x for x in row] for row in mat]
-    inv = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise PerturbationError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        p = a[col][col]
-        a[col] = [x / p for x in a[col]]
-        inv[col] = [x / p for x in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return inv
-
-
 def _as_matrix(sigma) -> list:
     if isinstance(sigma, np.ndarray):
         return [[float(x) for x in row] for row in sigma]
     return [list(row) for row in sigma]
-
-
-def _is_diagonal(sig: list) -> bool:
-    n = len(sig)
-    return all(sig[i][j] == 0 for i in range(n) for j in range(n) if i != j)
 
 
 def is_curl_free(U: Sequence[Polynomial]) -> bool:
@@ -123,45 +92,45 @@ class GradientPolyMap:
 
 def apply_L(u: Polynomial, sigma) -> Polynomial:
     """The divergence-form operator U = grad u  ->  div U - x . Sigma^{-1} U."""
-    return u.laplacian() - _x_dot_inv_grad(u, _as_matrix(sigma))
+    return u.laplacian() - _x_dot_inv_grad(u, rational_inverse(_as_matrix(sigma)))
 
 
 def solve_hermite_pde(rhs: Polynomial, sigma) -> Polynomial:
-    """Solve -Lap u + x . Sigma^{-1} grad u = rhs for diagonal Sigma.
+    """Solve -Lap u + x . Sigma^{-1} grad u = rhs for positive-definite Sigma.
 
-    Expands rhs over the Hermite eigenbasis of the operator and divides
-    each coefficient by its eigenvalue nu_alpha = sum_j alpha_j/lambda_j.
-    rhs must integrate to zero against the N(0, Sigma) density (the
-    constant mode has eigenvalue 0).  Result normalized to zero constant
-    term; exact when rhs and Sigma are rational.
+    x . Sigma^{-1} grad keeps the degree and -Lap lowers it by two, so the
+    degree-d part u_d solves x . Sigma^{-1} grad u_d = rhs_d + Lap u_{d+2},
+    from the top degree down: one linear system on the degree-d
+    monomials each, diagonal when Sigma is.  The degree-0 balance holds
+    exactly when rhs integrates to zero against the N(0, Sigma) density,
+    and the free constant is chosen so that u does too.  Exact when rhs
+    and Sigma are rational.
     """
     sig = _as_matrix(sigma)
-    if not _is_diagonal(sig):
-        raise PerturbationError("solver requires diagonal covariance; rotate first")
+    inv = rational_inverse(sig)
     q = rhs.dimension
-    lambdas = [sig[j][j] for j in range(q)]
-    if any(l <= 0 for l in lambdas):
-        raise PerturbationError("covariance must be positive definite")
-    exact = all(isinstance(l, Fraction) or isinstance(l, int) for l in lambdas)
-    mean = gaussian_expectation(rhs, sig)
+    exact = not any(
+        isinstance(c, float) for c in list(rhs.terms.values()) + [x for row in sig for x in row]
+    )
+    top = max(rhs.degree(), 0)
+    parts = [Polynomial.zero(q)] * (top + 3)  # parts[d]: degree-d part of u
+    for d in range(top, 0, -1):
+        lap = parts[d + 2].laplacian()
+        monos = list(multi_indices(q, d))
+        b = [[rhs.coefficient(a) + lap.coefficient(a)] for a in monos]
+        if any(row[0] != 0 for row in b):
+            # column beta holds x . Sigma^{-1} grad x^beta, again of degree d
+            cols = [_x_dot_inv_grad(Polynomial(q, {beta: 1}), inv) for beta in monos]
+            sol = solve_linear([[col.coefficient(a) for col in cols] for a in monos], b)
+            parts[d] = Polynomial(q, {a: row[0] for a, row in zip(monos, sol)})
+    mean = rhs.constant_term() + parts[2].laplacian().constant_term()
     if (mean != 0) if exact else (abs(float(mean)) > 1e-9):
         raise PerturbationError("rhs must have zero Gaussian mean")
-    d = rhs.degree()
     u = Polynomial.zero(q)
-    for total in range(1, d + 1):
-        for alpha in multi_indices(q, total):
-            basis = hermite_tensor(alpha, lambdas, "scaled")
-            c = gaussian_inner_product(rhs, basis, sig)
-            if c == 0:
-                continue
-            norm_sq = math.prod(math.factorial(a) for a in alpha)
-            lam_pow: Coeff = Fraction(1) if exact else 1.0
-            nu: Coeff = Fraction(0) if exact else 0.0
-            for a, l in zip(alpha, lambdas):
-                lam_pow = lam_pow * l ** a
-                nu = nu + Fraction(a, 1) / l if exact else nu + a / l
-            u = u + basis * (c / (norm_sq * lam_pow * nu))
-    residual = (u.laplacian() * -1) + _x_dot_inv_grad(u, sig) - rhs
+    for part in parts[1:top + 1]:
+        u = u + part
+    u = u - gaussian_expectation(u, sig)
+    residual = _x_dot_inv_grad(u, inv) - u.laplacian() - rhs
     if exact:
         if not residual.is_zero():
             raise AssertionError("PDE residual nonzero in exact mode")
@@ -171,9 +140,9 @@ def solve_hermite_pde(rhs: Polynomial, sigma) -> Polynomial:
     return u
 
 
-def _x_dot_inv_grad(u: Polynomial, sig) -> Polynomial:
+def _x_dot_inv_grad(u: Polynomial, inv) -> Polynomial:
+    """x . Sigma^{-1} grad u, given inv = Sigma^{-1}."""
     q = u.dimension
-    inv = rational_inverse(sig)
     grad = u.gradient()
     out = Polynomial.zero(q)
     for i in range(q):
@@ -218,7 +187,7 @@ def compute_S_tilde(
     #         + (1/2) sum eps^{j1+j2} grad u_{j1} . Sigma^{-1} grad u_{j2}
     expo = [Polynomial.zero(q) for _ in range(order + 1)]
     for j, u in enumerate(potentials, start=1):
-        expo[j] = expo[j] + _x_dot_inv_grad(u, sig)
+        expo[j] = expo[j] + _x_dot_inv_grad(u, inv)
     for j1 in range(1, k + 1):
         for j2 in range(1, k + 1):
             if j1 + j2 > order:
@@ -286,32 +255,14 @@ def invert_S_map(Q: Sequence[Polynomial], sigma) -> GradientPolyMap:
     """Potentials whose gradient perturbation realizes target corrections.
 
     Solves the level-by-level recursion S~_k - L_Sigma(grad u_k) = Q_k
-    with S~_1 = 0.  Non-diagonal covariance is diagonalized with the
-    deterministic sign convention; the recursion runs in the eigenframe
-    and the potentials are rotated back (float coefficients).
+    with S~_1 = 0; exact for rational Q and Sigma.
     """
     sig = _as_matrix(sigma)
-    if _is_diagonal(sig):
-        return GradientPolyMap(sig, _invert_diagonal(Q, sig))
-    lams, A = deterministic_eigh(np.array([[float(x) for x in row] for row in sig]))
-    q = len(sig)
-    diag = [[float(lams[i]) if i == j else 0.0 for j in range(q)] for i in range(q)]
-    rotated_Q = [qk.compose_affine(A) for qk in Q]  # Q_k(A y) in the eigenframe
-    pots = _invert_diagonal(rotated_Q, diag)
-    back = [u.compose_affine(A.T) for u in pots]  # u_k(A^T x)
-    return GradientPolyMap(sig, back)
-
-
-def _invert_diagonal(Q: Sequence[Polynomial], sig) -> List[Polynomial]:
     pots: List[Polynomial] = []
-    for idx, qk in enumerate(Q, start=1):
-        if idx == 1:
-            rhs = qk
-        else:
-            s_tilde = compute_S_tilde(pots, list(Q[: idx - 1]), sig)
-            rhs = qk - s_tilde
+    for k, qk in enumerate(Q):
+        rhs = qk - compute_S_tilde(pots, list(Q[:k]), sig) if k else qk
         pots.append(solve_hermite_pde(rhs, sig))
-    return pots
+    return GradientPolyMap(sig, pots)
 
 
 def pushforward_density_1d(u: Polynomial, eps: float, ys: np.ndarray, lam: float = 1.0) -> np.ndarray:

@@ -3,9 +3,11 @@
 Polynomials are stored as a dict mapping exponent tuples to coefficients.
 Coefficients are `fractions.Fraction` in exact mode or `float` in numeric
 mode; the two modes mix freely (Fraction*float -> float).  On top of the
-carrier type this module provides probabilists' Hermite polynomials,
-Gaussian moment integration (Isserlis pairing) and truncated formal power
-series in an auxiliary small parameter, with polynomial coefficients.
+carrier type this module provides probabilists' Hermite polynomials and
+their counterparts H^Sigma_alpha for a general covariance, small linear
+solves (Gauss-Jordan), Gaussian moment integration (Isserlis pairing) and
+truncated formal power series in an auxiliary small parameter, with
+polynomial coefficients.
 
 All values are treated as immutable after construction; every operation
 returns a fresh object.
@@ -13,7 +15,6 @@ returns a fresh object.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence, Union
@@ -306,95 +307,79 @@ def _substitute(S: Polynomial, coords: Sequence, one):
 
 @lru_cache(maxsize=None)
 def hermite_1d(j: int) -> Polynomial:
-    """Probabilists' Hermite polynomial H_j in one variable, exact.
+    """Probabilists' Hermite polynomial H_j in one variable, exact:
+    H^Sigma_(j) for Sigma = 1, so H_(j+1) = x H_j - j H_(j-1)."""
+    return hermite_sigma((j,), [[Fraction(1)]])
 
-    H_0 = 1, H_1 = x, H_{j+1} = x H_j - j H_{j-1}.
+
+def hermite_sigma(alpha: Sequence[int], sigma_inv, memo: dict | None = None) -> Polynomial:
+    """Hermite polynomial H^Sigma_alpha = phi_Sigma^(-1) (-d)^alpha phi_Sigma.
+
+    sigma_inv is Sigma^(-1); the result is exact when its entries are.
+    Built by the recurrence H_(alpha+e_j) = (Sigma^(-1) x)_j H_alpha -
+    d_j H_alpha; a dict passed as memo shares the lower orders between
+    calls with the same sigma_inv.  For Sigma = diag(lam) this is
+    prod_j lam_j^(-alpha_j/2) H_(alpha_j)(lam_j^(-1/2) x_j), and
+    E[H_alpha H_beta] = [alpha == beta] alpha! prod_j lam_j^(-alpha_j).
     """
-    if j < 0:
-        raise PolynomialError("Hermite index must be >= 0")
-    if j == 0:
-        return Polynomial.constant(1, Fraction(1))
-    if j == 1:
-        return Polynomial.variable(1, 0)
-    x = Polynomial.variable(1, 0)
-    return x * hermite_1d(j - 1) - hermite_1d(j - 2) * (j - 1)
-
-
-def _hermite_scaled_1d(j: int, lam: Coeff, weight: int) -> Polynomial:
-    """lam^(weight*j/2) * H_j(lam^(-1/2) x) as an exact 1-d polynomial.
-
-    Requires weight in {-1, 0, +1}; the half-integer powers of lam cancel
-    against the parity of Hermite exponents for weight = +-1, while
-    weight = 0 is only exact when lam is a perfect square (handled by the
-    caller going through floats in that case).
-    """
-    h = hermite_1d(j)
-    terms = {}
-    for (k,), c in h.terms.items():
-        # exponent of lam^(1/2): weight*j - k; parity of k equals parity of j
-        half = weight * j - k
-        if half % 2 == 0:
-            factor = _pow_coeff(lam, half // 2)
-        else:
-            factor = float(lam) ** (half / 2.0)
-        terms[(k,)] = c * factor
-    return Polynomial(1, terms)
-
-
-def _pow_coeff(lam: Coeff, n: int) -> Coeff:
-    if isinstance(lam, Fraction):
-        return lam ** n
-    return float(lam) ** n
-
-
-def hermite_tensor(
-    alpha: Sequence[int],
-    lambdas: Sequence,
-    convention: str = "edgeworth",
-) -> Polynomial:
-    """Tensor Hermite polynomial for a diagonal covariance diag(lambdas).
-
-    convention:
-      "edgeworth"   prod_j lam_j^(-alpha_j/2) H_{alpha_j}(lam_j^(-1/2) x_j),
-                    the inverse-Fourier-transform normalisation;
-      "scaled"      prod_j lam_j^(+alpha_j/2) H_{alpha_j}(lam_j^(-1/2) x_j),
-                    exact-rational eigenbasis with <g_a, g_b> = a! prod lam^a;
-      "orthonormal" (alpha!)^(-1/2) prod_j H_{alpha_j}(lam_j^(-1/2) x_j),
-                    unit norm in L^2(phi) (float coefficients in general).
-    """
+    alpha = tuple(alpha)
     q = len(alpha)
-    if len(lambdas) != q:
-        raise PolynomialError("alpha / lambdas length mismatch")
-    lams = [_as_coeff(l) for l in lambdas]
-    if any((l <= 0) for l in lams):
-        raise PolynomialError("lambdas must be positive")
-
-    if convention == "edgeworth":
-        weight = -1
-    elif convention == "scaled":
-        weight = 1
-    elif convention == "orthonormal":
-        weight = 0
-    else:
-        raise PolynomialError(f"unknown convention {convention!r}")
-
-    out = Polynomial.constant(q, Fraction(1))
-    for j, (aj, lam) in enumerate(zip(alpha, lams)):
-        if convention == "orthonormal":
-            h1 = _hermite_scaled_1d(aj, float(lam), 0)
+    if len(sigma_inv) != q or any(a < 0 for a in alpha):
+        raise PolynomialError(f"bad Hermite index {alpha} for dimension {len(sigma_inv)}")
+    if memo is None:
+        memo = {}
+    if alpha not in memo:
+        j = next((i for i, a in enumerate(alpha) if a), None)
+        if j is None:
+            memo[alpha] = Polynomial.constant(q, Fraction(1))
         else:
-            h1 = _hermite_scaled_1d(aj, lam, weight)
-        # lift the 1-d polynomial into coordinate j
-        lifted = {}
-        for (k,), c in h1.terms.items():
-            e = [0] * q
-            e[j] = k
-            lifted[tuple(e)] = c
-        out = out * Polynomial(q, lifted)
-    if convention == "orthonormal":
-        norm = 1.0 / math.sqrt(math.prod(math.factorial(a) for a in alpha))
-        out = out * norm
-    return out
+            lower = list(alpha)
+            lower[j] -= 1
+            h = hermite_sigma(lower, sigma_inv, memo)
+            y_j = Polynomial(q, {
+                tuple(1 if k == i else 0 for k in range(q)): sigma_inv[j][i]
+                for i in range(q)
+            })
+            memo[alpha] = y_j * h - h.partial(j)
+    return memo[alpha]
+
+
+# ---------------------------------------------------------------------------
+# Linear algebra
+# ---------------------------------------------------------------------------
+
+
+def solve_linear(a: Sequence[Sequence], b: Sequence[Sequence]) -> list:
+    """Solve a X = b by Gauss-Jordan elimination; a is n x n, b is n x m.
+
+    Both are lists of rows.  The pivot is the largest |entry| of its
+    column, so float input stays stable; Fraction and int input gives an
+    exact Fraction result.
+    """
+    n = len(a)
+    a = [[_as_coeff(v) for v in row] for row in a]
+    x = [[_as_coeff(v) for v in row] for row in b]
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(a[r][col]))
+        p = a[piv][col]
+        if p == 0:
+            raise PolynomialError("singular matrix")
+        a[col], a[piv] = a[piv], a[col]
+        x[col], x[piv] = x[piv], x[col]
+        a[col] = [v / p for v in a[col]]
+        x[col] = [v / p for v in x[col]]
+        for r in range(n):
+            f = a[r][col]
+            if r != col and f != 0:
+                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
+                x[r] = [v - f * w for v, w in zip(x[r], x[col])]
+    return x
+
+
+def rational_inverse(mat: Sequence[Sequence]) -> list:
+    """Inverse of a small matrix, exact on Fractions."""
+    n = len(mat)
+    return solve_linear(mat, [[int(i == j) for j in range(n)] for i in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -419,47 +404,37 @@ def _isserlis(indices: tuple, sigma_key: tuple) -> Coeff:
     return total
 
 
-def gaussian_moment(alpha: Sequence[int], sigma) -> Coeff:
-    """E[x^alpha] under N(0, sigma), exact via recursive pairing.
-
-    sigma may hold Fractions (exact mode) or floats.  Symmetry is
-    required; positive-definiteness is checked through the diagonal and
-    a numeric eigenvalue test.
-    """
-    q = len(alpha)
-    rows = []
-    for i in range(q):
-        rows.append(tuple(_as_coeff(sigma[i][j]) for j in range(q)))
-    sigma_key = tuple(rows)
+def _sigma_key(sigma, q: int) -> tuple:
+    """sigma as a tuple of q row tuples, checked symmetric and positive
+    semi-definite (numeric eigenvalue test)."""
+    sigma_key = tuple(tuple(_as_coeff(sigma[i][j]) for j in range(q)) for i in range(q))
     for i in range(q):
         for j in range(i):
             if sigma_key[i][j] != sigma_key[j][i]:
                 raise PolynomialError("sigma must be symmetric")
-    w = np.linalg.eigvalsh(np.array([[float(c) for c in r] for r in rows]))
+    w = np.linalg.eigvalsh(np.array([[float(c) for c in r] for r in sigma_key]))
     if w.min() < -1e-12 * max(1.0, w.max()):
         raise PolynomialError("sigma must be positive semi-definite")
-    indices = []
-    for j, a in enumerate(alpha):
-        indices.extend([j] * a)
-    return _isserlis(tuple(sorted(indices)), sigma_key)
+    return sigma_key
 
 
-def gaussian_inner_product(p: Polynomial, r: Polynomial, sigma) -> Coeff:
-    """Integral of p*r against the N(0, sigma) density, exact."""
-    prod = p * r
-    total: Coeff = Fraction(0)
-    for alpha, c in prod.terms.items():
-        m = gaussian_moment(alpha, sigma)
-        if m != 0:
-            total = total + c * m
-    return total
+def gaussian_moment(alpha: Sequence[int], sigma) -> Coeff:
+    """E[x^alpha] under N(0, sigma), exact via recursive pairing.
+
+    sigma may hold Fractions (exact mode) or floats.  It must be
+    symmetric and positive semi-definite (numeric eigenvalue test).
+    """
+    return gaussian_expectation(Polynomial(len(alpha), {tuple(alpha): Fraction(1)}), sigma)
 
 
 def gaussian_expectation(p: Polynomial, sigma) -> Coeff:
-    """Integral of p against the N(0, sigma) density."""
+    """Integral of p against the N(0, sigma) density; sigma is checked
+    as in gaussian_moment, once per call."""
+    sigma_key = _sigma_key(sigma, p.dimension)
     total: Coeff = Fraction(0)
     for alpha, c in p.terms.items():
-        m = gaussian_moment(alpha, sigma)
+        indices = tuple(j for j, a in enumerate(alpha) for _ in range(a))
+        m = _isserlis(indices, sigma_key)
         if m != 0:
             total = total + c * m
     return total

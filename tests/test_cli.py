@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from levyedge import cli
+from levyedge import cli, polycore
 from levyedge.edgeworth import multi_indices
 
 
@@ -81,6 +81,25 @@ class TestExitCodes:
         assert cli.main(["edgeworth-build", "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "line 1" in err
+
+    def test_polynomial_degree_cap_is_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(polycore, "MAX_DEGREE", 2)
+        cfg = write(tmp_path, "eb.cfg", "law = centered-exponential\nr = 1\n")
+        assert cli.main(["edgeworth-build", "--config", cfg]) == 3
+        assert "exceeds cap 2" in capsys.readouterr().err
+
+    def test_correlated_covariance_builds_exactly(self, tmp_path):
+        # off-diagonal covariance 1/2: the build, residuals and moment
+        # check all stay exact rationals
+        cum = write(tmp_path, "corr.cum",
+                    "2 0 1\n1 1 1/2\n0 2 1\n3 0 1\n0 3 1/2\n2 1 0\n1 2 0\n")
+        cfg = write(tmp_path, "eb.cfg", f"cumulants = {cum}\nr = 1\n")
+        out = str(tmp_path / "out.txt")
+        assert cli.main(["edgeworth-build", "--config", cfg, "--out", out,
+                         "--no-timestamp"]) == 0
+        lines = open(out).read().splitlines()
+        assert "residual check: all zero (exact)" in lines
+        assert "moment check: all equal (exact)" in lines
 
 
 class TestOutputs:
@@ -176,13 +195,18 @@ _JUNK = ["abc", "1/0", "-1", "nan", "1e999", "0.5", "3/", "=", "#", "", "2 2"]
 @st.composite
 def cumulant_files(draw):
     """A valid cumulant file of dimension 1-2 and order up to 4, with a
-    token now and then swapped for junk, lines dropped, or junk added."""
+    token now and then swapped for junk, lines dropped, or junk added.
+    The covariance is sometimes correlated (and then not always positive
+    definite)."""
     q = draw(st.integers(1, 2))
     lines = []
     for total in range(2, draw(st.integers(2, 4)) + 1):
         for alpha in multi_indices(q, total):
             if total == 2:
-                value = str(draw(st.integers(1, 3))) if max(alpha) == 2 else "0"
+                if max(alpha) == 2:
+                    value = str(draw(st.integers(1, 3)))
+                else:
+                    value = str(draw(st.fractions(-2, 2, max_denominator=3)))
             else:
                 value = str(draw(st.fractions(-3, 3, max_denominator=4)))
             tokens = [str(a) for a in alpha] + [value]

@@ -25,6 +25,10 @@ from levyedge.edgeworth import (
 from levyedge.polycore import Polynomial, hermite_1d
 
 
+def _fact(alpha):
+    return math.prod(math.factorial(a) for a in alpha)
+
+
 def exp_cumulants(order=6):
     # centered Exp(1): kappa_j = (j-1)!
     return CumulantSet(1, order, {(j,): Fraction(math.factorial(j - 1)) for j in range(2, order + 1)})
@@ -100,21 +104,29 @@ class TestBuilders:
         assert q1 == expected
 
     def test_rotation_invariance_of_density(self):
-        # rotating the cumulants rotates the expansion density accordingly
+        # Y = A^T X for a rotation A has density f_X(A y), so the exact
+        # expansion of Y is the expansion of X composed with A
         mu = {
-            (2, 0): Fraction(1), (0, 2): Fraction(1), (1, 1): Fraction(0),
+            (2, 0): Fraction(1), (0, 2): Fraction(2), (1, 1): Fraction(0),
             (3, 0): Fraction(1, 2), (2, 1): Fraction(1, 3),
             (1, 2): Fraction(-1, 4), (0, 3): Fraction(1, 5),
+            (4, 0): Fraction(1), (3, 1): Fraction(-1, 2), (2, 2): Fraction(1, 3),
+            (1, 3): Fraction(0), (0, 4): Fraction(2, 3),
         }
-        c = CumulantSet(2, 3, mu)
-        th = 0.7
-        A = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
-        cr = c.rotate(A)
-        pts = np.array([[0.3, -1.2], [1.0, 0.4], [-0.6, 0.9]])
-        lhs = edgeworth_density(cr, 1, 0.2, pts)
-        # rotate(A) describes A^T X, whose density at x is the original at A x
-        rhs = edgeworth_density(c, 1, 0.2, pts @ A.T)
-        assert np.allclose(lhs, rhs, rtol=1e-12)
+        c = CumulantSet(2, 4, mu)
+        A = [[Fraction(3, 5), Fraction(-4, 5)], [Fraction(4, 5), Fraction(3, 5)]]
+        # the degree-d cumulant polynomial of Y is that of X at A z
+        mu_y = {}
+        for d in range(2, 5):
+            cd = Polynomial(2, {a: c.mu[a] / _fact(a) for a in multi_indices(2, d)})
+            rotated = cd.compose_affine(A)
+            for a in multi_indices(2, d):
+                mu_y[a] = rotated.coefficient(a) * _fact(a)
+        cy = CumulantSet(2, 4, mu_y)
+        assert cy.covariance[0][1] != 0
+        for qy, qx in zip(build_Q(cy, 2), build_Q(c, 2)):
+            assert all(isinstance(v, Fraction) for v in qy.terms.values())
+            assert qy == qx.compose_affine(A)
 
     def test_density_integrates_to_one(self):
         c = exp_cumulants(4)
@@ -153,6 +165,11 @@ class TestValidation:
     def test_mean_must_be_zero(self):
         with pytest.raises(EdgeworthError):
             MomentSet(1, 2, {(1,): 1, (2,): 1})
+
+    def test_zero_covariance_rejected(self):
+        c = CumulantSet(2, 3, {(3, 0): Fraction(1)})
+        with pytest.raises(EdgeworthError):
+            c.check_nonsingular()
 
     def test_singular_covariance_rejected(self):
         c = CumulantSet(2, 2, {(2, 0): 1, (0, 2): 0, (1, 1): 0})

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from levyedge.edgeworth import CumulantSet, build_Q, multi_indices
+from levyedge.edgeworth import (
+    CumulantSet,
+    build_Q,
+    edgeworth_signed_moments,
+    multi_indices,
+    scaled_sum_moments,
+)
 from levyedge.perturbation import (
     GradientPolyMap,
     PerturbationError,
@@ -23,7 +29,8 @@ from levyedge.polycore import (
     Polynomial,
     gaussian_expectation,
     hermite_1d,
-    hermite_tensor,
+    hermite_sigma,
+    rational_inverse,
 )
 
 
@@ -38,11 +45,27 @@ class TestSolver:
         assert u == Fraction(1, 3) * hermite_1d(3)
 
     def test_mixed_eigen_solve(self):
-        # lambda = (1, 2): H2(x1) g_{(0,1)} has eigenvalue 2/1 + 1/2 = 5/2
-        lam = [Fraction(1), Fraction(2)]
-        g = hermite_tensor((2, 1), lam, convention="scaled")
-        u = solve_hermite_pde(g, [[1, 0], [0, 2]])
+        # lambda = (1, 2): H^Sigma_(2,1) has eigenvalue 2/1 + 1/2 = 5/2
+        sig = [[1, 0], [0, 2]]
+        g = hermite_sigma((2, 1), rational_inverse(sig))
+        u = solve_hermite_pde(g, sig)
         assert u == Fraction(2, 5) * g
+
+    def test_solution_has_zero_gaussian_mean(self):
+        # H2 = x^2 - 1 has eigenvalue 2; the solution keeps its constant
+        # term, since it is normalised to zero Gaussian mean
+        u = solve_hermite_pde(hermite_1d(2), [[1]])
+        assert u == Fraction(1, 2) * hermite_1d(2)
+        assert u.constant_term() == Fraction(-1, 2)
+
+    def test_correlated_covariance_solve(self):
+        # x1 x2 under Sigma = [[2, 1], [1, 1]] (Sigma^{-1} = [[1, -1], [-1, 2]])
+        sig = [[2, 1], [1, 1]]
+        rhs = x(0) * x(1) - 1
+        u = solve_hermite_pde(rhs, sig)
+        assert (-apply_L(u, sig)) - rhs == Polynomial.zero(2)
+        assert gaussian_expectation(u, sig) == 0
+        assert all(isinstance(c, Fraction) for c in u.terms.values())
 
     def test_nonzero_mean_rejected(self):
         with pytest.raises(PerturbationError):
@@ -149,6 +172,45 @@ class TestSeriesCorrection:
         pmap = invert_S_map(Q, c.covariance)
         u1 = pmap.potentials[0]
         assert (-apply_L(u1, c.covariance)) - Q[0] == Polynomial.zero(2)
+
+
+@st.composite
+def ldl_cumulants(draw):
+    """Rational cumulants with Sigma = L D L^T: L unit lower-triangular,
+    D positive diagonal, so Sigma is positive definite and, in general,
+    not diagonal."""
+    q = draw(st.integers(1, 3))
+    r = draw(st.integers(1, 2))
+    small = st.fractions(-2, 2, max_denominator=3)
+    L = [[Fraction(int(i == j)) if j >= i else draw(small) for j in range(q)] for i in range(q)]
+    D = [draw(st.fractions(Fraction(1, 2), 3, max_denominator=4)) for _ in range(q)]
+    mu = {}
+    for total in range(3, r + 3):
+        for alpha in multi_indices(q, total):
+            mu[alpha] = draw(small)
+    for i in range(q):
+        for j in range(q):
+            e = [0] * q
+            e[i] += 1
+            e[j] += 1
+            mu[tuple(e)] = sum(L[i][k] * D[k] * L[j][k] for k in range(q))
+    return CumulantSet(q, r + 2, mu), r
+
+
+class TestGeneralCovariance:
+    @given(ldl_cumulants())
+    @settings(deadline=None, max_examples=20)
+    def test_exact_build_for_general_covariance(self, case):
+        c, r = case
+        sig = c.covariance
+        Q = build_Q(c, r)
+        pmap = invert_S_map(Q, sig)
+        for k, u in enumerate(pmap.potentials):
+            assert all(isinstance(v, Fraction) for v in u.terms.values())
+            s_tilde = compute_S_tilde(pmap.potentials[:k], Q[:k], sig) if k else 0
+            assert (apply_L(u, sig) + Q[k] - s_tilde).is_zero()
+        eps = Fraction(1, 3)
+        assert edgeworth_signed_moments(c, r, eps, r + 2) == scaled_sum_moments(c, 9, r + 2)
 
 
 class TestPushforward:

@@ -11,11 +11,13 @@ from hypothesis import given, settings, strategies as st
 from levyedge.polycore import (
     EpsSeries,
     Polynomial,
+    PolynomialError,
     gaussian_expectation,
-    gaussian_inner_product,
     gaussian_moment,
     hermite_1d,
-    hermite_tensor,
+    hermite_sigma,
+    rational_inverse,
+    solve_linear,
     taylor_shift,
 )
 
@@ -74,32 +76,66 @@ class TestHermite:
     @settings(deadline=None)
     def test_orthogonality_standard_gaussian(self, i, j):
         # E[H_i(Z) H_j(Z)] = i! [i == j]
-        val = gaussian_inner_product(hermite_1d(i), hermite_1d(j), [[1]])
+        hi, hj = hermite_sigma((i,), [[1]]), hermite_sigma((j,), [[1]])
+        assert hi == hermite_1d(i)
+        val = gaussian_expectation(hi * hj, [[1]])
         assert val == (math.factorial(i) if i == j else 0)
 
     def test_tensor_scaled_orthogonality(self):
-        # the lambda-scaled basis has squared norm alpha! * prod(lam^alpha)
-        lam = [Fraction(1), Fraction(3)]
+        # for Sigma = diag(lam) the squared norm is alpha! * prod(lam^-alpha)
         sig = [[1, 0], [0, 3]]
+        inv = rational_inverse(sig)
         a, b = (2, 1), (2, 1)
-        ga = hermite_tensor(a, lam, convention="scaled")
-        gb = hermite_tensor(b, lam, convention="scaled")
-        assert gaussian_inner_product(ga, gb, sig) == 2 * 1 * 3  # 2! 1! * 1^2 3^1
-        gc = hermite_tensor((1, 2), lam, convention="scaled")
-        assert gaussian_inner_product(ga, gc, sig) == 0
+        ga = hermite_sigma(a, inv)
+        gb = hermite_sigma(b, inv)
+        assert gaussian_expectation(ga * gb, sig) == Fraction(2, 3)  # 2! 1! * 1^-2 3^-1
+        gc = hermite_sigma((1, 2), inv)
+        assert gaussian_expectation(ga * gc, sig) == 0
 
     def test_tensor_eigenfunction(self):
         # -Delta g + x . Sigma^{-1} grad g = (sum alpha_j / lambda_j) g
         lam = [Fraction(2), Fraction(5)]
         sig = [[2, 0], [0, 5]]
         alpha = (3, 2)
-        g = hermite_tensor(alpha, lam, convention="scaled")
+        g = hermite_sigma(alpha, rational_inverse(sig))
         lhs = -g.laplacian() + sum(
             Fraction(1, l) * Polynomial.variable(2, j) * g.partial(j)
             for j, l in enumerate(lam)
         )
         nu = Fraction(3, 2) + Fraction(2, 5)
         assert lhs == nu * g
+
+    def test_sigma_hermite_is_gaussian_derivative(self):
+        # H^Sigma_alpha phi_Sigma = (-d)^alpha phi_Sigma for a correlated
+        # Sigma: the first two orders from grad phi = -phi Sigma^{-1} x
+        sig = [[2, 1], [1, 1]]
+        inv = rational_inverse(sig)
+        assert inv == [[1, -1], [-1, 2]]
+        y1 = x(0) - x(1)                     # (Sigma^{-1} x)_1
+        y2 = -x(0) + 2 * x(1)                # (Sigma^{-1} x)_2
+        assert hermite_sigma((1, 0), inv) == y1
+        assert hermite_sigma((1, 1), inv) == y1 * y2 + 1  # minus d_2 y1 = -(-1)
+        assert hermite_sigma((0, 2), inv) == y2 * y2 - 2
+
+
+class TestLinearSolve:
+    def test_exact_inverse_with_row_swaps(self):
+        mat = [[0, 2, 1], [1, 1, 0], [Fraction(1, 2), 0, 3]]
+        inv = rational_inverse(mat)
+        assert all(isinstance(v, Fraction) for row in inv for v in row)
+        prod = [[sum(mat[i][k] * inv[k][j] for k in range(3)) for j in range(3)]
+                for i in range(3)]
+        assert prod == [[int(i == j) for j in range(3)] for i in range(3)]
+
+    def test_float_pivoting_is_stable(self):
+        # a tiny leading entry: without pivoting on the largest entry the
+        # elimination divides by 1e-20 and loses the answer
+        sol = solve_linear([[1e-20, 1.0], [1.0, 1.0]], [[1.0], [2.0]])
+        assert sol[0][0] == pytest.approx(1.0) and sol[1][0] == pytest.approx(1.0)
+
+    def test_singular_rejected(self):
+        with pytest.raises(PolynomialError):
+            rational_inverse([[1, 2], [2, 4]])
 
 
 class TestGaussianMoments:
@@ -124,6 +160,19 @@ class TestGaussianMoments:
         z = rng.multivariate_normal([0, 0], sig, size=2_000_000)
         mc = float(np.mean(z[:, 0] ** 4 * z[:, 1] ** 2))
         assert mc == pytest.approx(exact, rel=0.02)
+
+    def test_expectation_checks_sigma_once(self, monkeypatch):
+        # one symmetry and eigenvalue check per call, not one per monomial
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+        p = x(0) ** 4 + x(0) * x(1) ** 3 + x(1) ** 2 + 1
+        assert gaussian_expectation(p, [[1, 0], [0, 1]]) == 3 + 1 + 1
+        assert len(calls) == 1
+        with pytest.raises(PolynomialError, match="symmetric"):
+            gaussian_expectation(p, [[1, 1], [0, 1]])
+        with pytest.raises(PolynomialError, match="positive semi-definite"):
+            gaussian_expectation(p, [[1, 2], [2, 1]])
 
     def test_gaussian_expectation_linear(self):
         p = 3 * x(0) ** 2 + x(0) * x(1) - 4
