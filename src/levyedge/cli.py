@@ -42,8 +42,8 @@ from .levy import (
     cramer_probe,
     measure_from_config,
 )
-from .perturbation import PerturbationError, apply_L, compute_S_tilde, invert_S_map
-from .polycore import Polynomial, PolynomialError
+from .perturbation import PerturbationError, apply_L, invert_S_map
+from .polycore import PolynomialError
 from .sampling import RngStream, SamplingError, sample_gaussian, sample_perturbed_normal, sample_small_jumps
 from .sde import SchemeConfig, SdeError, SdeSpec, coupled_paths
 from .wasserstein import (
@@ -429,19 +429,12 @@ def run_edgeworth_build(cfg: Dict[str, str], seed: int, threads: int) -> List[st
     lines.append("")
     pmap = invert_S_map(Q, cset.covariance)
     all_zero = True
-    zero_poly = Polynomial(cset.dimension)
     for k in range(1, r + 1):
         u = pmap.potentials[k - 1]
         lines.append(f"u_{k}(x) = {u.to_text()}")
         for j, g in enumerate(pmap.gradients[k - 1]):
             lines.append(f"p_{k},{j + 1}(x) = {g.to_text()}")
-        if k == 1:
-            stilde_k = zero_poly
-        else:
-            stilde_k = compute_S_tilde(
-                pmap.potentials[: k - 1], Q[: k - 1], cset.covariance
-            )
-        resid = apply_L(u, cset.covariance) + (Q[k - 1] - stilde_k)
+        resid = apply_L(u, cset.covariance) + (Q[k - 1] - pmap.s_tilde[k - 1])
         zero = not resid.terms
         all_zero = all_zero and zero
         lines.append(f"residual_{k}: {'0 (exact)' if zero else resid.to_text()}")

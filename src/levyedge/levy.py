@@ -110,8 +110,14 @@ class LevyMeasureSpec:
             sign = np.where(rng.random(n) < 0.5, -1.0, 1.0)
             return (rho * sign)[:, None]
         g = rng.standard_normal((n, q))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        return g * rho[:, None]
+        # |g| summed coordinate by coordinate, the order np.linalg.norm
+        # uses, then g / |g| * rho: the same bytes without its temporaries
+        norm = g[:, 0] * g[:, 0]
+        for j in range(1, q):
+            norm += g[:, j] * g[:, j]
+        g /= np.sqrt(norm, out=norm)[:, None]
+        g *= rho[:, None]
+        return g
 
     def conditional_char(self, r: int, s_mags: np.ndarray) -> np.ndarray:
         """|xi_r(s)| on the rescaled annulus law, by radial quadrature.
@@ -167,7 +173,9 @@ class StableLikeMeasure(LevyMeasureSpec):
         # inverse CDF of the density ~ rho^(-1-alpha) on (a, b]
         al = self.alpha
         u = rng.random(n)
-        return (a ** -al - u * (a ** -al - b ** -al)) ** (-1.0 / al)
+        u *= a ** -al - b ** -al
+        np.subtract(a ** -al, u, out=u)
+        return np.power(u, -1.0 / al, out=u)
 
 
 class CustomRadialMeasure(LevyMeasureSpec):

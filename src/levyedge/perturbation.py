@@ -52,12 +52,18 @@ def is_curl_free(U: Sequence[Polynomial]) -> bool:
 
 
 class GradientPolyMap:
-    """Potentials u_1..u_r and their gradient fields p_k for one covariance."""
+    """Potentials u_1..u_r and their gradient fields p_k for one covariance.
 
-    def __init__(self, sigma, potentials: Sequence[Polynomial]):
+    s_tilde holds S~_1..S~_r (S~_1 = 0) of the recursion that built the
+    potentials, when invert_S_map built them; otherwise it is None.
+    """
+
+    def __init__(self, sigma, potentials: Sequence[Polynomial],
+                 s_tilde: Optional[Sequence[Polynomial]] = None):
         self.sigma = _as_matrix(sigma)
         self.dimension = len(self.sigma)
         self.potentials = list(potentials)
+        self.s_tilde = None if s_tilde is None else list(s_tilde)
         self.gradients = [u.gradient() for u in self.potentials]
         for k, (u, p) in enumerate(zip(self.potentials, self.gradients), start=1):
             if u.dimension != self.dimension:
@@ -255,14 +261,20 @@ def invert_S_map(Q: Sequence[Polynomial], sigma) -> GradientPolyMap:
     """Potentials whose gradient perturbation realizes target corrections.
 
     Solves the level-by-level recursion S~_k - L_Sigma(grad u_k) = Q_k
-    with S~_1 = 0; exact for rational Q and Sigma.
+    with S~_1 = 0, and keeps each S~_k on the map; exact for rational Q
+    and Sigma.
     """
     sig = _as_matrix(sigma)
     pots: List[Polynomial] = []
+    s_tilde: List[Polynomial] = []
     for k, qk in enumerate(Q):
-        rhs = qk - compute_S_tilde(pots, list(Q[:k]), sig) if k else qk
-        pots.append(solve_hermite_pde(rhs, sig))
-    return GradientPolyMap(sig, pots)
+        if k:
+            s_tilde.append(compute_S_tilde(pots, list(Q[:k]), sig))
+            qk = qk - s_tilde[k]
+        else:
+            s_tilde.append(Polynomial.zero(len(sig)))
+        pots.append(solve_hermite_pde(qk, sig))
+    return GradientPolyMap(sig, pots, s_tilde)
 
 
 def pushforward_density_1d(u: Polynomial, eps: float, ys: np.ndarray, lam: float = 1.0) -> np.ndarray:

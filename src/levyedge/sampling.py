@@ -99,35 +99,47 @@ def sample_perturbed_normal(
     return out
 
 
+#: jumps drawn per jump_sampler call; the slicing fixes the draw order
+_JUMP_BUDGET = 1 << 23
+
+
 def sample_compound_poisson(
     intensity: float, jump_sampler, mean_jump, t: float, rng, n: int = 1
 ) -> np.ndarray:
     """n draws of a compensated compound Poisson value at time t.
 
     jump_sampler(count, rng) returns (count, q) jumps; mean_jump is the
-    jump-law mean used for the compensator t * intensity * E X.
+    jump-law mean used for the compensator t * intensity * E X.  The
+    Poisson counts come first; the jumps are then drawn in runs of whole
+    replicates of at most _JUMP_BUDGET jumps each (a replicate over the
+    budget is a run of its own), which bounds memory.
     """
     if intensity < 0:
         raise SamplingError("intensity must be nonnegative")
+    if t < 0:
+        raise SamplingError("t must be nonnegative")
     g = _as_generator(rng)
     mean_jump = np.atleast_1d(np.asarray(mean_jump, dtype=float))
     q = mean_jump.shape[0]
     out = np.zeros((n, q))
     if intensity > 0 and t > 0:
         counts = g.poisson(t * intensity, size=n)
-        # chunk the flat jump array to keep memory bounded
-        budget = 1 << 23
+        ends = np.concatenate(([0], np.cumsum(counts)))  # ends[i]: jumps before row i
         start = 0
         while start < n:
-            stop = start
-            block = 0
-            while stop < n and (block == 0 or block + counts[stop] <= budget):
-                block += counts[stop]
-                stop += 1
+            # the longest run of rows from start within the budget
+            stop = int(np.searchsorted(ends, ends[start] + _JUMP_BUDGET, side="right")) - 1
+            if stop < n and ends[stop] == ends[start]:
+                stop += 1  # zero-count rows, then one row over the budget
+            block = int(ends[stop] - ends[start])
             if block:
-                jumps = np.asarray(jump_sampler(int(block), g), dtype=float).reshape(int(block), q)
-                idx = np.repeat(np.arange(start, stop), counts[start:stop])
-                np.add.at(out, idx, jumps)
+                jumps = np.asarray(jump_sampler(block, g), dtype=float).reshape(block, q)
+                rows = np.repeat(np.arange(stop - start), counts[start:stop])
+                # bincount adds each row's jumps in draw order from 0.0
+                for j in range(q):
+                    out[start:stop, j] = np.bincount(
+                        rows, weights=jumps[:, j], minlength=stop - start
+                    )
             start = stop
         out -= t * intensity * mean_jump
     return out
@@ -141,6 +153,8 @@ def sample_small_jumps(
     Sums one compound-Poisson draw per band of the decomposition; the
     sub-resolution tail is a matched Gaussian or dropped per the policy.
     """
+    if t < 0:
+        raise SamplingError("t must be nonnegative")
     g = _as_generator(rng)
     q = spec.dimension
     out = np.zeros((n, q))

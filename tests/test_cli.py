@@ -1,14 +1,16 @@
 """Command-line harness: config parsing, hashing, exit codes, CSV output."""
 
 import csv
+import hashlib
 import io
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from levyedge import cli, polycore
+from levyedge import cli, perturbation, polycore
 from levyedge.edgeworth import multi_indices
 
 
@@ -29,6 +31,18 @@ TINY = {
     "sde-convergence": MEASURE + "h_list = 0.25,0.125,0.0625\nreplicates = {reps}\n"
                        "fine_substeps = 2\nT = 0.5\ncoupling_style = radial\n",
 }
+
+
+#: sha256 of the --no-timestamp output at --seed 9 (TINY with 2 replicates,
+#: and edgeworth-build of the centered exponential at r = 3).  A change
+#: that reorders random draws changes these on purpose, and CHANGES.md
+#: says so.
+GOLDEN = {
+    "jump-coupling": "76093a8c7d0f5e49f0ea4f12be1a96e083fa68adf6ba42575fc50dc305ce5fd4",
+    "sde-convergence": "5f6d90d865e0b82bdaaba91f6c9ed5abf18e545a20b207f8b8541c526626b9da",
+    "edgeworth-build": "cd0e17870c960713cdce6f29f280cda43952a733f8dfab1d3b20dfa66451a489",
+}
+EDGEWORTH_R3 = "law = centered-exponential\nr = 3\n"
 
 
 class TestConfigParsing:
@@ -125,6 +139,34 @@ class TestOutputs:
                 [experiment, "--config", cfg, "--seed", "9", "--out", o, "--no-timestamp"]
             ) == 0
         assert open(o1).read() == open(o2).read()
+
+    @pytest.mark.parametrize("experiment", list(GOLDEN))
+    def test_golden_bytes(self, tmp_path, experiment):
+        text = TINY[experiment].format(reps=2) if experiment in TINY else EDGEWORTH_R3
+        cfg = write(tmp_path, "tiny.cfg", text)
+        out = tmp_path / "out"
+        assert cli.main(
+            [experiment, "--config", cfg, "--seed", "9", "--out", str(out), "--no-timestamp"]
+        ) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[experiment]
+
+    def test_edgeworth_build_computes_each_s_tilde_once(self, tmp_path, monkeypatch):
+        # S~_2 and S~_3 come from invert_S_map; the residual report reuses them
+        calls = []
+        real = perturbation.compute_S_tilde
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[0]))
+            return real(*args, **kwargs)
+
+        for mod in list(sys.modules.values()):  # every binding, as `from ... import` makes
+            if mod.__name__.startswith("levyedge") and vars(mod).get("compute_S_tilde") is real:
+                monkeypatch.setattr(mod, "compute_S_tilde", counted)
+        cfg = write(tmp_path, "eb.cfg", EDGEWORTH_R3)
+        out = str(tmp_path / "out.txt")
+        assert cli.main(["edgeworth-build", "--config", cfg, "--out", out, "--no-timestamp"]) == 0
+        assert calls == [1, 2]
+        assert "residual check: all zero (exact)" in open(out).read().splitlines()
 
     @pytest.mark.parametrize("experiment", list(TINY))
     def test_threads_do_not_change_results(self, tmp_path, experiment):

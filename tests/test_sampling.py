@@ -1,5 +1,6 @@
 """Reproducible streams and the increment samplers built on them."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -7,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from levyedge import sampling
 from levyedge.edgeworth import CumulantSet, build_Q, edgeworth_signed_moments
-from levyedge.levy import AnnulusDecomposition, LevyError, StableLikeMeasure
+from levyedge.levy import AnnulusDecomposition, CustomRadialMeasure, LevyError, StableLikeMeasure
 from levyedge.perturbation import invert_S_map
 from levyedge.sampling import (
     RngStream,
@@ -116,16 +118,71 @@ class TestCompoundPoisson:
         assert out.mean() == pytest.approx(0.0, abs=0.02)
         assert out.var() == pytest.approx(t * lam * (s * s + mu * mu), rel=0.02)
 
-    def test_chunking_consistency(self):
-        # results must not depend on how the jump budget slices the batch
-        lam, t = 5.0, 1.0
+    def test_chunking_consistency(self, monkeypatch):
+        # the planned slicing and bincount scatter reproduce the row-by-row
+        # loop with np.add.at bit for bit (same sampler calls, same sums),
+        # over dimensions, jump budgets and mean counts per replicate
+        for q, mean_count, budget in itertools.product([1, 2, 3], [0.3, 4.0, 30.0], [1, 5, 64]):
+            meas = StableLikeMeasure(q, 1.5, 1.0)
+            blocks = {"kernel": [], "reference": []}
 
-        def sampler(c, g):
-            return g.standard_normal((c, 1))
+            def sampler(name):
+                def draw(c, g):
+                    blocks[name].append(c)
+                    return meas.sample_interval(0.25, 0.5, c, g)
+                return draw
 
-        a = sample_compound_poisson(lam, sampler, np.zeros(1), t, RngStream(7, 7), 1000)
-        b = sample_compound_poisson(lam, sampler, np.zeros(1), t, RngStream(7, 7), 1000)
-        assert np.array_equal(a, b)
+            monkeypatch.setattr(sampling, "_JUMP_BUDGET", budget)
+            mean = np.full(q, 0.1)
+            a = sample_compound_poisson(mean_count, sampler("kernel"), mean, 1.0,
+                                        RngStream(7, q), 300)
+            b = compound_poisson_row_loop(mean_count, sampler("reference"), mean, 1.0,
+                                          RngStream(7, q).generator, 300, budget)
+            assert np.array_equal(a, b), (q, mean_count, budget)
+            assert blocks["kernel"] == blocks["reference"]
+            if mean_count > 1:
+                assert len(blocks["kernel"]) > 1
+            else:
+                assert (a == -(1.0 * mean_count * mean)).all(axis=1).any()  # jump-free rows
+
+    @pytest.mark.parametrize("draw", ["compound", "small", "small-no-bands", "big"])
+    def test_negative_time_rejected(self, draw):
+        meas = StableLikeMeasure(2, 1.5, 1.0)
+        # zero density: the decomposition has no bands to draw from
+        empty = CustomRadialMeasure(2, np.linspace(0.1, 1.0, 16), np.zeros(16))
+        calls = {
+            "compound": lambda: sample_compound_poisson(
+                1.0, lambda c, g: np.zeros((c, 2)), np.zeros(2), -1.0, RngStream(0, 0), 3),
+            "small": lambda: sample_small_jumps(
+                meas, AnnulusDecomposition(meas, 0.5), -1.0, RngStream(0, 0), 3),
+            "small-no-bands": lambda: sample_small_jumps(
+                empty, AnnulusDecomposition(empty, 0.5), -1.0, RngStream(0, 0), 3),
+            "big": lambda: sample_big_jumps(meas, 0.5, -1.0, RngStream(0, 0), 3),
+        }
+        with pytest.raises(SamplingError, match="t must be nonnegative"):
+            calls[draw]()
+
+
+def compound_poisson_row_loop(intensity, jump_sampler, mean_jump, t, g, n, budget):
+    """The earlier kernel: plan runs of rows one row at a time, scatter
+    each run with np.add.at."""
+    q = mean_jump.shape[0]
+    out = np.zeros((n, q))
+    counts = g.poisson(t * intensity, size=n)
+    start = 0
+    while start < n:
+        stop = start
+        block = 0
+        while stop < n and (block == 0 or block + counts[stop] <= budget):
+            block += counts[stop]
+            stop += 1
+        if block:
+            jumps = np.asarray(jump_sampler(int(block), g), dtype=float).reshape(int(block), q)
+            idx = np.repeat(np.arange(start, stop), counts[start:stop])
+            np.add.at(out, idx, jumps)
+        start = stop
+    out -= t * intensity * mean_jump
+    return out
 
 
 class TestLevyIncrement:
