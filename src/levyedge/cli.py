@@ -23,7 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .edgeworth import (
     CumulantSet,
@@ -251,7 +251,7 @@ def run_clt_rate(cfg: Dict[str, str], seed: int, threads: int) -> List[list]:
             disp = pmap.displacement(eps)
 
             def qref(t, disp=disp):
-                x = stats.norm.ppf(t) * math.sqrt(sigma[0, 0])
+                x = special.ndtri(t) * math.sqrt(sigma[0, 0])
                 return x + float(disp[0](np.array([x])))
 
             vals = [wp_1d_exact(qs, qref, p)]

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Optional
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .edgeworth import CumulantSet, MomentSet, moments_to_cumulants, multi_indices
 
@@ -113,7 +113,7 @@ def centered_exponential(order: int = 6) -> TestLaw:
         root = math.sqrt(m)
 
         def qf(t):
-            return (stats.gamma.ppf(t, m) - m) / root
+            return (special.gammaincinv(m, t) - m) / root
 
         return qf
 
@@ -195,7 +195,7 @@ def gaussian_law(order: int = 6) -> TestLaw:
         return rng.standard_normal((n, 1))
 
     def sum_quantile(m):
-        return lambda t: stats.norm.ppf(t)
+        return special.ndtri
 
     return TestLaw("gaussian", 1, order, cs, sample, sample_sum=sample_sum,
                    sum_quantile=sum_quantile)

@@ -99,8 +99,9 @@ def sample_perturbed_normal(
     return out
 
 
-#: jumps drawn per jump_sampler call; the slicing fixes the draw order
-_JUMP_BUDGET = 1 << 23
+#: jumps drawn per jump_sampler call, sized so one run's jumps stay in
+#: cache; the slicing fixes the draw order
+_JUMP_BUDGET = 1 << 16
 
 
 def sample_compound_poisson(
@@ -134,12 +135,10 @@ def sample_compound_poisson(
             block = int(ends[stop] - ends[start])
             if block:
                 jumps = np.asarray(jump_sampler(block, g), dtype=float).reshape(block, q)
-                rows = np.repeat(np.arange(stop - start), counts[start:stop])
-                # bincount adds each row's jumps in draw order from 0.0
-                for j in range(q):
-                    out[start:stop, j] = np.bincount(
-                        rows, weights=jumps[:, j], minlength=stop - start
-                    )
+                # each row's jumps are one contiguous segment of the run
+                nonempty = np.flatnonzero(counts[start:stop])
+                first = ends[start:stop][nonempty] - ends[start]
+                out[start + nonempty] = np.add.reduceat(jumps, first, axis=0)
             start = stop
         out -= t * intensity * mean_jump
     return out
@@ -150,23 +149,29 @@ def sample_small_jumps(
 ) -> np.ndarray:
     """n draws of the compensated small-jump value Z_t^eps.
 
-    Sums one compound-Poisson draw per band of the decomposition; the
-    sub-resolution tail is a matched Gaussian or dropped per the policy.
+    The bands of the decomposition cover (inner, eps] with no gap, so
+    their independent compound-Poisson sums add up to one compound-Poisson
+    sum with the total intensity and jumps from nu restricted to
+    (inner, eps]; that one sum is drawn.  The sub-resolution tail is a
+    matched Gaussian or dropped per the policy.
     """
     if t < 0:
         raise SamplingError("t must be nonnegative")
     g = _as_generator(rng)
     q = spec.dimension
-    out = np.zeros((n, q))
-    for lo, hi, mass in decomposition.bands:
-        out += sample_compound_poisson(
-            mass,
-            lambda c, gg, lo=lo, hi=hi: spec.sample_interval(lo, hi, c, gg),
+    bands = decomposition.bands
+    if bands:
+        inner, eps = bands[-1][0], bands[0][1]
+        out = sample_compound_poisson(
+            decomposition.intensity,
+            lambda c, gg: spec.sample_interval(inner, eps, c, gg),
             np.zeros(q),
             t,
             g,
             n,
         )
+    else:
+        out = np.zeros((n, q))
     if decomposition.policy == TAIL_GAUSSIANIZE and t > 0:
         tail = decomposition.tail_covariance
         if np.trace(tail) > 0:

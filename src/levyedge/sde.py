@@ -125,18 +125,14 @@ def _step_noise(spec: SdeSpec, cfg: SchemeConfig, rng: RngStream, k: int, M: int
     dw = np.sqrt(hs) * rng.child(0, k, "bw").standard_normal((M, sub, spec.B.shape[1]))
     if spec.measure is None:
         return dw, np.zeros((M, sub, q)), np.zeros((M, sub, q))
+    # the M * sub rows of one jump draw are i.i.d., one per (replicate, substep)
     if mode == MODE_EXACT:
-        gj = rng.child(0, k, "smalljump")
-        small = np.stack(
-            [sample_small_jumps(spec.measure, dec, hs, gj, M) for _ in range(sub)], axis=1
-        )
+        small = sample_small_jumps(spec.measure, dec, hs, rng.child(0, k, "smalljump"), M * sub)
+        small = small.reshape(M, sub, q)
     else:
         small = _surrogate(rng.child(0, k, "surrogate"), (M, sub), hs, root, pert)
-    gb = rng.child(0, k, "bigjump")
-    big = np.stack(
-        [sample_big_jumps(spec.measure, cfg.eps, hs, gb, M) for _ in range(sub)], axis=1
-    )
-    return dw, small, big
+    big = sample_big_jumps(spec.measure, cfg.eps, hs, rng.child(0, k, "bigjump"), M * sub)
+    return dw, small, big.reshape(M, sub, q)
 
 
 def _euler(spec: SdeSpec, x: np.ndarray, dz: np.ndarray) -> np.ndarray:

@@ -3,6 +3,8 @@
 import csv
 import hashlib
 import io
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -33,16 +35,25 @@ TINY = {
 }
 
 
-#: sha256 of the --no-timestamp output at --seed 9 (TINY with 2 replicates,
-#: and edgeworth-build of the centered exponential at r = 3).  A change
-#: that reorders random draws changes these on purpose, and CHANGES.md
-#: says so.
+#: sha256 of the --no-timestamp output at --seed 9 of each GOLDEN_CASES
+#: config.  A change that reorders random draws changes these on purpose,
+#: and CHANGES.md says so.
 GOLDEN = {
-    "jump-coupling": "76093a8c7d0f5e49f0ea4f12be1a96e083fa68adf6ba42575fc50dc305ce5fd4",
-    "sde-convergence": "5f6d90d865e0b82bdaaba91f6c9ed5abf18e545a20b207f8b8541c526626b9da",
+    "jump-coupling": "155def89cc2206ba40e10d2cd6d9192999fdfde9904b5be441fd093a77478f0a",
+    "sde-convergence": "4d393912231189f7a4c250a9f41cafbf82858ceaa57253bdf53ebd0deefadec3",
+    "clt-rate-perturbed": "0fa2072a26a189d321842f8cf2323f53630ffe6a9f9ccb42cd64172bcda1f5bb",
     "edgeworth-build": "cd0e17870c960713cdce6f29f280cda43952a733f8dfab1d3b20dfa66451a489",
 }
 EDGEWORTH_R3 = "law = centered-exponential\nr = 3\n"
+#: (experiment, config) of each golden case: TINY with 2 replicates, the
+#: exact-quantile clt-rate path, and edgeworth-build of the centered
+#: exponential at r = 3
+GOLDEN_CASES = {
+    "jump-coupling": ("jump-coupling", TINY["jump-coupling"].format(reps=2)),
+    "sde-convergence": ("sde-convergence", TINY["sde-convergence"].format(reps=2)),
+    "clt-rate-perturbed": ("clt-rate", TINY["clt-rate"].format(reps=2) + "mode = perturbed\n"),
+    "edgeworth-build": ("edgeworth-build", EDGEWORTH_R3),
+}
 
 
 class TestConfigParsing:
@@ -140,15 +151,15 @@ class TestOutputs:
             ) == 0
         assert open(o1).read() == open(o2).read()
 
-    @pytest.mark.parametrize("experiment", list(GOLDEN))
-    def test_golden_bytes(self, tmp_path, experiment):
-        text = TINY[experiment].format(reps=2) if experiment in TINY else EDGEWORTH_R3
+    @pytest.mark.parametrize("case", list(GOLDEN))
+    def test_golden_bytes(self, tmp_path, case):
+        experiment, text = GOLDEN_CASES[case]
         cfg = write(tmp_path, "tiny.cfg", text)
         out = tmp_path / "out"
         assert cli.main(
             [experiment, "--config", cfg, "--seed", "9", "--out", str(out), "--no-timestamp"]
         ) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[experiment]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[case]
 
     def test_edgeworth_build_computes_each_s_tilde_once(self, tmp_path, monkeypatch):
         # S~_2 and S~_3 come from invert_S_map; the residual report reuses them
@@ -265,6 +276,16 @@ def config_values(valid):
     """A valid value half of the time, otherwise a wrong one."""
     return st.one_of(st.sampled_from(valid),
                      st.sampled_from(["0", "-1", "-4", "x", "1.5", "", "99", "1e3"]))
+
+
+class TestImport:
+    def test_cli_import_skips_scipy_stats(self):
+        # scipy.stats alone adds about half a second to every CLI start
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = "import sys, levyedge.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"
 
 
 class TestExitCodeFuzz:

@@ -60,6 +60,25 @@ class TestCenteredExponential:
             assert qf(t) == pytest.approx(emp, abs=0.02)
 
 
+class TestQuantiles:
+    T = np.concatenate([np.linspace(0.0, 1.0, 1001)[1:-1], [1e-300, 1e-12, 1 - 1e-12]])
+
+    @pytest.mark.parametrize("m", [1, 16, 1024])
+    def test_gamma_quantile_equals_stats_ppf(self, m):
+        # the same special function scipy.stats' ppf calls, bit for bit
+        from scipy import stats
+
+        qf = centered_exponential().sum_quantile(m)
+        got = np.array([qf(t) for t in self.T])
+        assert np.array_equal(got, (stats.gamma.ppf(self.T, m) - m) / math.sqrt(m))
+
+    def test_normal_quantile_equals_stats_ppf(self):
+        from scipy import stats
+
+        qf = gaussian_law().sum_quantile(16)
+        assert np.array_equal([qf(t) for t in self.T], stats.norm.ppf(self.T))
+
+
 class TestProductExponential:
     def test_cross_cumulants_vanish(self):
         c = product_exponential(4).cumulants

@@ -119,9 +119,9 @@ class TestCompoundPoisson:
         assert out.var() == pytest.approx(t * lam * (s * s + mu * mu), rel=0.02)
 
     def test_chunking_consistency(self, monkeypatch):
-        # the planned slicing and bincount scatter reproduce the row-by-row
-        # loop with np.add.at bit for bit (same sampler calls, same sums),
-        # over dimensions, jump budgets and mean counts per replicate
+        # the planned slicing and reduceat scatter reproduce the row-by-row
+        # loop bit for bit (same sampler calls, same sums), over
+        # dimensions, jump budgets and mean counts per replicate
         for q, mean_count, budget in itertools.product([1, 2, 3], [0.3, 4.0, 30.0], [1, 5, 64]):
             meas = StableLikeMeasure(q, 1.5, 1.0)
             blocks = {"kernel": [], "reference": []}
@@ -164,8 +164,8 @@ class TestCompoundPoisson:
 
 
 def compound_poisson_row_loop(intensity, jump_sampler, mean_jump, t, g, n, budget):
-    """The earlier kernel: plan runs of rows one row at a time, scatter
-    each run with np.add.at."""
+    """Reference kernel: plan runs of rows one row at a time, then sum each
+    row's own slice of the run's jumps on its own."""
     q = mean_jump.shape[0]
     out = np.zeros((n, q))
     counts = g.poisson(t * intensity, size=n)
@@ -178,11 +178,60 @@ def compound_poisson_row_loop(intensity, jump_sampler, mean_jump, t, g, n, budge
             stop += 1
         if block:
             jumps = np.asarray(jump_sampler(int(block), g), dtype=float).reshape(int(block), q)
-            idx = np.repeat(np.arange(start, stop), counts[start:stop])
-            np.add.at(out, idx, jumps)
+            first = 0
+            for row in range(start, stop):
+                if counts[row]:
+                    row_jumps = jumps[first:first + counts[row]]
+                    out[row] = np.add.reduceat(row_jumps, [0], axis=0)[0]
+                    first += counts[row]
         start = stop
     out -= t * intensity * mean_jump
     return out
+
+
+def _gapped_measure():
+    """q = 2 power law with zero density on [1/16, 1/8]: that dyadic band
+    carries no mass, so the decomposition drops it."""
+    radii = 2.0 ** (np.arange(-32, 1) / 4)
+    density = np.where((radii >= 1 / 16) & (radii <= 1 / 8), 0.0, radii ** -3.5)
+    return CustomRadialMeasure(2, radii, density)
+
+
+class TestSmallJumpLaw:
+    @pytest.mark.parametrize("meas", [
+        StableLikeMeasure(1, 1.5, 1.0), StableLikeMeasure(2, 1.5, 1.0), _gapped_measure(),
+    ], ids=["q1", "q2", "zero-mass-band"])
+    def test_one_draw_spreads_jumps_over_bands(self, meas, monkeypatch):
+        # one compound-Poisson draw over (inner, eps] puts a share
+        # mass_b / intensity of its jumps in each band b, as the sum of
+        # one draw per band would
+        dec = AnnulusDecomposition(meas, 0.5)
+        radii, calls = [], []
+        draw = meas.sample_interval
+
+        def recorded(a, b, c, g):
+            z = draw(a, b, c, g)
+            radii.append(np.linalg.norm(z, axis=1))
+            return z
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return sample_compound_poisson(*args, **kwargs)
+
+        monkeypatch.setattr(meas, "sample_interval", recorded)
+        monkeypatch.setattr(sampling, "sample_compound_poisson", counted)
+        for seed in range(3):
+            sample_small_jumps(meas, dec, 0.5, RngStream(11, seed), 200)
+        assert calls == [dec.intensity] * 3
+        rho = np.concatenate(radii)
+        lo = np.array([b[0] for b in dec.bands])
+        hi = np.array([b[1] for b in dec.bands])
+        inside = (rho[:, None] > lo) & (rho[:, None] <= hi)
+        assert (inside.sum(axis=1) == 1).all()  # no jump outside the bands
+        share = np.array([b[2] for b in dec.bands]) / dec.intensity
+        counts = inside.sum(axis=0)
+        bound = 5 * np.sqrt(rho.size * share * (1 - share))
+        assert (np.abs(counts - rho.size * share) <= bound).all(), (counts, rho.size * share)
 
 
 class TestLevyIncrement:
