@@ -43,6 +43,39 @@ def _sphere_char(q: int, u: np.ndarray) -> np.ndarray:
     return out
 
 
+#: most jumps one pass of sample_interval draws, so that its temporaries
+#: stay in cache; the passes fix the draw order
+_PASS = 1 << 13
+
+#: share of the cube [-1/2, 1/2)^q inside the ball |x| < 1/2, by q
+_BALL_ACCEPT = {1: 1.0, 2: math.pi / 4, 3: math.pi / 6}
+
+
+def _ball_points(q: int, k: int, rng) -> Tuple[np.ndarray, np.ndarray]:
+    """k uniform points of the ball 0 < |x| < 1/2 as a (q, k) array, and
+    their |x|^2: cube candidates, drawn coordinate-major, are kept in draw
+    order, and more are drawn until k are kept."""
+    p = _BALL_ACCEPT[q]
+    xs, r2s, kept = [], [], 0
+    while kept < k:
+        need = k - kept
+        # four standard deviations of the kept count over need: a top-up
+        # is rare
+        m = int((need + 4.0 * math.sqrt(need * (1.0 - p))) / p) + 16
+        c = rng.random((q, m))
+        c -= 0.5
+        d = c[0] * c[0]
+        for j in range(1, q):
+            d += c[j] * c[j]
+        idx = np.flatnonzero((d < 0.25) & (d > 0.0))[:need]
+        xs.append(np.take(c, idx, axis=1))
+        r2s.append(np.take(d, idx))
+        kept += idx.size
+    if len(xs) == 1:
+        return xs[0], r2s[0]
+    return np.concatenate(xs, axis=1), np.concatenate(r2s)
+
+
 class LevyMeasureSpec:
     """Isotropic Levy measure nu(dz) = g(|z|) dz supported on 0 < |z| <= tau.
 
@@ -63,7 +96,8 @@ class LevyMeasureSpec:
         """integral of rho^2 over nu restricted to a < |z| <= b."""
         raise NotImplementedError
 
-    def sample_radius(self, a: float, b: float, n: int, rng) -> np.ndarray:
+    def sample_radius(self, a: float, b: float, u: np.ndarray) -> np.ndarray:
+        """The radial inverse CDF on (a, b] of the uniforms u, in place."""
         raise NotImplementedError
 
     # -- derived -------------------------------------------------------
@@ -103,21 +137,40 @@ class LevyMeasureSpec:
         return self.interval_covariance(0.0, eps)
 
     def sample_interval(self, a: float, b: float, n: int, rng) -> np.ndarray:
-        """n jumps conditioned on a < |z| <= b: exact radius, uniform direction."""
+        """n jumps conditioned on a < |z| <= b: exact radius, uniform direction.
+
+        For q <= 3 one uniform point x of the ball |x| < 1/2 gives both:
+        x / |x| is uniform on the sphere and independent of |x|, and
+        (2|x|)^q is U(0, 1), so its radial inverse CDF rho makes the jump
+        x * rho / |x|.  The points come in passes of at most _PASS jumps,
+        written coordinate-major; the result is the (n, q) transpose.
+        """
         q = self.dimension
-        rho = self.sample_radius(a, b, n, rng)
-        if q == 1:
-            sign = np.where(rng.random(n) < 0.5, -1.0, 1.0)
-            return (rho * sign)[:, None]
-        g = rng.standard_normal((n, q))
-        # |g| summed coordinate by coordinate, the order np.linalg.norm
-        # uses, then g / |g| * rho: the same bytes without its temporaries
-        norm = g[:, 0] * g[:, 0]
-        for j in range(1, q):
-            norm += g[:, j] * g[:, j]
-        g /= np.sqrt(norm, out=norm)[:, None]
-        g *= rho[:, None]
-        return g
+        if q > 3:
+            # the ball's acceptance falls fast with q: a radial uniform,
+            # then a Gaussian direction normalised coordinate by
+            # coordinate, the order np.linalg.norm uses
+            rho = self.sample_radius(a, b, rng.random(n))
+            g = rng.standard_normal((n, q))
+            norm = g[:, 0] * g[:, 0]
+            for j in range(1, q):
+                norm += g[:, j] * g[:, j]
+            g /= np.sqrt(norm, out=norm)[:, None]
+            g *= rho[:, None]
+            return g
+        out = np.empty((q, n))
+        done = 0
+        while done < n:
+            k = min(_PASS, n - done)
+            x, r2 = _ball_points(q, k, rng)
+            s = np.sqrt(r2)
+            # w = (2|x|)^q is uniform on (0, 1)
+            w = 2.0 * s if q == 1 else (4.0 * r2 if q == 2 else 8.0 * r2 * s)
+            rho = self.sample_radius(a, b, w)
+            rho /= s
+            np.multiply(x, rho, out=out[:, done:done + k])
+            done += k
+        return out.T
 
     def conditional_char(self, r: int, s_mags: np.ndarray) -> np.ndarray:
         """|xi_r(s)| on the rescaled annulus law, by radial quadrature.
@@ -169,10 +222,9 @@ class StableLikeMeasure(LevyMeasureSpec):
     def radial_mass_density(self, rho: np.ndarray) -> np.ndarray:
         return self.surface * np.asarray(rho, dtype=float) ** (-1 - self.alpha)
 
-    def sample_radius(self, a: float, b: float, n: int, rng) -> np.ndarray:
+    def sample_radius(self, a: float, b: float, u: np.ndarray) -> np.ndarray:
         # inverse CDF of the density ~ rho^(-1-alpha) on (a, b]
         al = self.alpha
-        u = rng.random(n)
         u *= a ** -al - b ** -al
         np.subtract(a ** -al, u, out=u)
         return np.power(u, -1.0 / al, out=u)
@@ -209,19 +261,24 @@ class CustomRadialMeasure(LevyMeasureSpec):
         return self._cdf_at(b) - self._cdf_at(a)
 
     def interval_radial_second_moment(self, a: float, b: float) -> float:
-        grid = np.linspace(max(a, self.radii[0]), min(b, self.tau), 2001)
+        lo, hi = max(a, self.radii[0]), min(b, self.tau)
+        if lo >= hi:
+            return 0.0  # the interval misses the table
+        grid = np.linspace(lo, hi, 2001)
         md = np.interp(grid, self.radii, self._mass_density)
         return float(np.trapezoid(grid ** 2 * md, grid))
 
     def radial_mass_density(self, rho: np.ndarray) -> np.ndarray:
         return np.interp(rho, self.radii, self._mass_density)
 
-    def sample_radius(self, a: float, b: float, n: int, rng) -> np.ndarray:
+    def sample_radius(self, a: float, b: float, u: np.ndarray) -> np.ndarray:
         lo, hi = self._cdf_at(a), self._cdf_at(b)
         if hi <= lo:
             raise LevyError("interval carries no mass")
-        u = lo + rng.random(n) * (hi - lo)
-        return np.interp(u, self._cdf, self.radii)
+        u *= hi - lo
+        u += lo
+        u[...] = np.interp(u, self._cdf, self.radii)
+        return u
 
 
 #: tail handling for the annulus decomposition

@@ -104,6 +104,12 @@ def sample_perturbed_normal(
 _JUMP_BUDGET = 1 << 16
 
 
+def _run_sums(jump_sampler, block: int, q: int, g, first) -> np.ndarray:
+    """Draw one run of block jumps; sum the segments that start at first."""
+    jumps = np.asarray(jump_sampler(block, g), dtype=float).reshape(block, q)
+    return np.add.reduceat(jumps, first, axis=0)
+
+
 def sample_compound_poisson(
     intensity: float, jump_sampler, mean_jump, t: float, rng, n: int = 1
 ) -> np.ndarray:
@@ -112,8 +118,9 @@ def sample_compound_poisson(
     jump_sampler(count, rng) returns (count, q) jumps; mean_jump is the
     jump-law mean used for the compensator t * intensity * E X.  The
     Poisson counts come first; the jumps are then drawn in runs of whole
-    replicates of at most _JUMP_BUDGET jumps each (a replicate over the
-    budget is a run of its own), which bounds memory.
+    replicates of at most _JUMP_BUDGET jumps each.  A replicate over the
+    budget is drawn in pieces of _JUMP_BUDGET jumps whose sums are added
+    in draw order, so memory stays bounded.
     """
     if intensity < 0:
         raise SamplingError("intensity must be nonnegative")
@@ -133,12 +140,17 @@ def sample_compound_poisson(
             if stop < n and ends[stop] == ends[start]:
                 stop += 1  # zero-count rows, then one row over the budget
             block = int(ends[stop] - ends[start])
-            if block:
-                jumps = np.asarray(jump_sampler(block, g), dtype=float).reshape(block, q)
+            if block > _JUMP_BUDGET:
+                # one replicate over the budget: the sums of its pieces,
+                # added in draw order
+                for done in range(0, block, _JUMP_BUDGET):
+                    piece = min(_JUMP_BUDGET, block - done)
+                    out[stop - 1] += _run_sums(jump_sampler, piece, q, g, [0])[0]
+            elif block:
                 # each row's jumps are one contiguous segment of the run
                 nonempty = np.flatnonzero(counts[start:stop])
                 first = ends[start:stop][nonempty] - ends[start]
-                out[start + nonempty] = np.add.reduceat(jumps, first, axis=0)
+                out[start + nonempty] = _run_sums(jump_sampler, block, q, g, first)
             start = stop
         out -= t * intensity * mean_jump
     return out

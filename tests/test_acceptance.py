@@ -216,6 +216,7 @@ class TestCriterion7JumpCouplingRate:
     value at t = eps and its Gaussian surrogate scales like eps
     (slope 1.0 +/- 0.3 over eps in {2^-3 .. 2^-6}, n=2000, 20 reps)."""
 
+    @pytest.mark.slow
     def test_slope(self):
         with timed(600.0):
             meas = StableLikeMeasure(2, 1.5, 1.0)
@@ -240,6 +241,7 @@ class TestCriterion8SdeStrongError:
     """Coupled Euler pair, q=d=2, alpha=1.5, eps=h over h in {2^-4..2^-7}:
     RMS sup-error slope 0.5 +/- 0.2 under the radial coupling."""
 
+    @pytest.mark.slow
     def test_slope(self):
         with timed(600.0):
             def sigma_fn(xs):

@@ -39,8 +39,8 @@ TINY = {
 #: config.  A change that reorders random draws changes these on purpose,
 #: and CHANGES.md says so.
 GOLDEN = {
-    "jump-coupling": "155def89cc2206ba40e10d2cd6d9192999fdfde9904b5be441fd093a77478f0a",
-    "sde-convergence": "4d393912231189f7a4c250a9f41cafbf82858ceaa57253bdf53ebd0deefadec3",
+    "jump-coupling": "476548feda56aee83dc8ce70b18fa0c04e2ea73fece228c9e8967acac1a4275b",
+    "sde-convergence": "432f48517aa8de125383ee475d31876bb97bfae1f5c85337e3222fd42e0f120a",
     "clt-rate-perturbed": "0fa2072a26a189d321842f8cf2323f53630ffe6a9f9ccb42cd64172bcda1f5bb",
     "edgeworth-build": "cd0e17870c960713cdce6f29f280cda43952a733f8dfab1d3b20dfa66451a489",
 }

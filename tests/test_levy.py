@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from levyedge.levy import (
     AnnulusDecomposition,
@@ -99,6 +100,85 @@ class TestSampling:
         assert got == pytest.approx(want, rel=1e-5)
 
 
+def _ks_uniform(u):
+    """KS distance of the sample u to U(0, 1)."""
+    return stats.kstest(u, "uniform").statistic
+
+
+def _ks_critical(n):
+    """The 1% critical value of the one-sample KS distance at n draws."""
+    return stats.kstwo.ppf(0.99, n)
+
+
+def _ks2_critical(n1, n2):
+    """The asymptotic 1% critical value of the two-sample KS distance."""
+    return 1.6276 * math.sqrt((n1 + n2) / (n1 * n2))
+
+
+def _custom_measure(q):
+    # tabulated and not a power law: sampling inverts its
+    # piecewise-linear radial CDF
+    radii = np.geomspace(0.05, 1.0, 200)
+    return CustomRadialMeasure(q, radii, np.exp(-3.0 * radii) * radii ** (-q - 0.5))
+
+
+def _radial_cdf(m, a, b, rho):
+    """The exact radial CDF of m restricted to (a, b]: closed form for the
+    power law, the interpolated table for the custom measure."""
+    if isinstance(m, StableLikeMeasure):
+        al = m.alpha
+        return (a ** -al - rho ** -al) / (a ** -al - b ** -al)
+    lo, hi = m._cdf_at(a), m._cdf_at(b)
+    return (np.interp(rho, m.radii, m._cdf) - lo) / (hi - lo)
+
+
+class TestIntervalLaw:
+    """The exact law of sample_interval, at fixed seeds and 1% critical
+    values: q <= 3 takes the ball route, q = 4 the Gaussian-direction one."""
+
+    N = 20_000
+    A, B = 0.1, 0.4
+
+    @pytest.fixture(params=[(k, q) for k in ("stable", "custom") for q in (1, 2, 3, 4)],
+                    ids=lambda p: f"{p[0]}-q{p[1]}")
+    def draw(self, request):
+        kind, q = request.param
+        m = StableLikeMeasure(q, ALPHA, 1.0) if kind == "stable" else _custom_measure(q)
+        z = m.sample_interval(self.A, self.B, self.N, np.random.default_rng(2026 + q))
+        rho = np.linalg.norm(z, axis=1)
+        return q, z / rho[:, None], rho, _radial_cdf(m, self.A, self.B, rho)
+
+    def test_radii(self, draw):
+        _, _, rho, F = draw
+        assert rho.min() > self.A and rho.max() <= self.B
+        assert _ks_uniform(F) < _ks_critical(self.N)
+
+    def test_directions(self, draw):
+        q, u, _, _ = draw
+        if q == 1:
+            # sign balance: |#positive - n/2| within the two-sided 1% value
+            assert abs((u[:, 0] > 0).sum() - self.N / 2) < 2.5758 * math.sqrt(self.N) / 2
+            return
+        if q == 2:
+            v = (np.arctan2(u[:, 1], u[:, 0]) + math.pi) / (2 * math.pi)  # uniform angle
+        elif q == 3:
+            v = (u[:, 0] + 1) / 2  # Archimedes: u_1 uniform on (-1, 1)
+        else:
+            v = u[:, 0] ** 2 + u[:, 1] ** 2  # Beta(1, 1) on the 3-sphere
+        assert _ks_uniform(v) < _ks_critical(self.N)
+
+    def test_radius_independent_of_direction(self, draw):
+        # the radius CDF values of the two direction halves: by sign at
+        # q = 1, else by |u_1| against its median
+        q, u, _, F = draw
+        if q == 1:
+            half = u[:, 0] > 0
+        else:
+            half = np.abs(u[:, 0]) < np.median(np.abs(u[:, 0]))
+        d = stats.ks_2samp(F[half], F[~half]).statistic
+        assert d < _ks2_critical(half.sum(), (~half).sum())
+
+
 class TestDecomposition:
     def test_band_structure(self, meas):
         dec = AnnulusDecomposition(meas, 0.25, depth=6)
@@ -124,6 +204,16 @@ class TestDecomposition:
         assert band_var + dec.tail_covariance[0, 0] == pytest.approx(
             meas.small_jump_covariance(eps)[0, 0], rel=1e-12
         )
+
+    def test_custom_tail_below_table_is_empty(self):
+        # the table starts at 0.01, above inner = 2^-7 of eps = 1/2: the
+        # sub-resolution tail (0, 2^-7] carries no variance
+        radii = np.linspace(0.01, 1.0, 50)
+        cm = CustomRadialMeasure(2, radii, radii ** -3.5)
+        assert cm.interval_radial_second_moment(0.0, 2.0 ** -7) == 0.0
+        dec = AnnulusDecomposition(cm, 0.5)
+        assert not dec.tail_covariance.any()
+        assert dec.truncated_variance == 0.0
 
     def test_drop_policy_intensity_guard(self, meas):
         # resolving mass down to a 1e-6 drop tolerance for this measure

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -121,7 +122,8 @@ class TestCompoundPoisson:
     def test_chunking_consistency(self, monkeypatch):
         # the planned slicing and reduceat scatter reproduce the row-by-row
         # loop bit for bit (same sampler calls, same sums), over
-        # dimensions, jump budgets and mean counts per replicate
+        # dimensions, jump budgets and mean counts per replicate; no
+        # sampler call draws more than the budget
         for q, mean_count, budget in itertools.product([1, 2, 3], [0.3, 4.0, 30.0], [1, 5, 64]):
             meas = StableLikeMeasure(q, 1.5, 1.0)
             blocks = {"kernel": [], "reference": []}
@@ -140,10 +142,31 @@ class TestCompoundPoisson:
                                           RngStream(7, q).generator, 300, budget)
             assert np.array_equal(a, b), (q, mean_count, budget)
             assert blocks["kernel"] == blocks["reference"]
+            assert max(blocks["kernel"]) <= budget  # memory stays bounded
             if mean_count > 1:
                 assert len(blocks["kernel"]) > 1
             else:
                 assert (a == -(1.0 * mean_count * mean)).all(axis=1).any()  # jump-free rows
+
+    def test_long_replicate_memory_bounded(self):
+        # one replicate of about 2^22 jumps is drawn in budget-sized
+        # pieces: the peak stays far below its (n, q) jump array
+        meas = StableLikeMeasure(2, 1.5, 1.0)
+        calls = []
+
+        def draw(c, g):
+            calls.append(c)
+            return meas.sample_interval(0.25, 0.5, c, g)
+
+        tracemalloc.start()
+        try:
+            out = sample_compound_poisson(float(1 << 22), draw, np.zeros(2), 1.0, RngStream(3, 0), 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(calls) > 4_000_000 and max(calls) <= sampling._JUMP_BUDGET
+        assert peak < (1 << 22) * 2 * 8 / 16, peak
+        assert np.isfinite(out).all()
 
     @pytest.mark.parametrize("draw", ["compound", "small", "small-no-bands", "big"])
     def test_negative_time_rejected(self, draw):
@@ -165,7 +188,8 @@ class TestCompoundPoisson:
 
 def compound_poisson_row_loop(intensity, jump_sampler, mean_jump, t, g, n, budget):
     """Reference kernel: plan runs of rows one row at a time, then sum each
-    row's own slice of the run's jumps on its own."""
+    row's own slice of the run's jumps on its own; a row over the budget
+    is drawn and summed in pieces of the budget."""
     q = mean_jump.shape[0]
     out = np.zeros((n, q))
     counts = g.poisson(t * intensity, size=n)
@@ -176,7 +200,13 @@ def compound_poisson_row_loop(intensity, jump_sampler, mean_jump, t, g, n, budge
         while stop < n and (block == 0 or block + counts[stop] <= budget):
             block += counts[stop]
             stop += 1
-        if block:
+        if block > budget:
+            # one row over the budget: the sums of its pieces, in draw order
+            for done in range(0, int(block), budget):
+                piece = min(budget, int(block) - done)
+                jumps = np.asarray(jump_sampler(piece, g), dtype=float).reshape(piece, q)
+                out[stop - 1] += np.add.reduceat(jumps, [0], axis=0)[0]
+        elif block:
             jumps = np.asarray(jump_sampler(int(block), g), dtype=float).reshape(int(block), q)
             first = 0
             for row in range(start, stop):
