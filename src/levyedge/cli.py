@@ -452,7 +452,7 @@ def run_edgeworth_build(cfg: Dict[str, str], seed: int, threads: int) -> List[st
         raise ConfigError("m_probe must be a positive perfect square")
     eps = Fraction(1, math.isqrt(m_probe))
     order = min(cset.order, r + 2)
-    left = edgeworth_signed_moments(cset, r, eps, order)
+    left = edgeworth_signed_moments(cset, Q, eps, order)
     right = scaled_sum_moments(cset, m_probe, order)
     lines.append(f"moment match at m = {m_probe} up to order {order}:")
     ok = True

@@ -29,8 +29,8 @@ import numpy as np
 from .polycore import (
     Coeff,
     EpsSeries,
+    GaussianMoments,
     Polynomial,
-    gaussian_expectation,
     grlex_key,
     hermite_sigma,
     rational_inverse,
@@ -380,23 +380,23 @@ def _extend(c: CumulantSet, order: int) -> CumulantSet:
     return CumulantSet(c.dimension, order, dict(c.mu))
 
 
-def edgeworth_signed_moments(c: CumulantSet, r: int, eps, max_order: int) -> Dict[tuple, Coeff]:
+def edgeworth_signed_moments(c: CumulantSet, qs: list, eps, max_order: int) -> Dict[tuple, Coeff]:
     """Moments of the signed density phi_Sigma (1 + sum eps^k Q_k), exact.
 
+    qs is Q_1..Q_r as build_Q(c, r) gives them (empty for the Gaussian
+    alone).  Each E[x^alpha Q_k] is read off one moment table for Sigma.
     Rational for rational cumulants and a Fraction eps (e.g. the
     reciprocal square root of a perfect-square m).
     """
-    qs = build_Q(c, r) if r >= 1 else []
-    sigma = c.covariance
+    moment = GaussianMoments(c.covariance, c.dimension)
+    epspow = eps if not isinstance(eps, int) else Fraction(eps)
     out = {}
     for d in range(1, max_order + 1):
         for alpha in multi_indices(c.dimension, d):
-            base = Polynomial(c.dimension, {alpha: Fraction(1)})
-            total = gaussian_expectation(base, sigma)
-            epspow = eps if not isinstance(eps, int) else Fraction(eps)
+            total = moment(alpha)
             power = epspow
             for qk in qs:
-                total = total + power * gaussian_expectation(base * qk, sigma)
+                total = total + power * moment.expectation(qk, alpha)
                 power = power * epspow
             out[alpha] = total
     return out

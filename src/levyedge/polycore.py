@@ -5,9 +5,9 @@ Coefficients are `fractions.Fraction` in exact mode or `float` in numeric
 mode; the two modes mix freely (Fraction*float -> float).  On top of the
 carrier type this module provides probabilists' Hermite polynomials and
 their counterparts H^Sigma_alpha for a general covariance, small linear
-solves (Gauss-Jordan), Gaussian moment integration (Isserlis pairing) and
-truncated formal power series in an auxiliary small parameter, with
-polynomial coefficients.
+solves (Gauss-Jordan), Gaussian moments (one memoised table per
+covariance) and truncated formal power series in an auxiliary small
+parameter, with polynomial coefficients.
 
 All values are treated as immutable after construction; every operation
 returns a fresh object.
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -73,6 +74,17 @@ class Polynomial:
     def __setattr__(self, *a):
         raise AttributeError("Polynomial is immutable")
 
+    @staticmethod
+    def _of(dimension: int, terms: dict) -> "Polynomial":
+        """Wrap terms that this class's own arithmetic made from checked
+        polynomials: the exponent tuples and coefficient types are already
+        valid, so only zero coefficients are dropped.  The dict order is
+        kept, as __call__ sums in that order."""
+        p = object.__new__(Polynomial)
+        object.__setattr__(p, "dimension", dimension)
+        object.__setattr__(p, "terms", {a: c for a, c in terms.items() if c})
+        return p
+
     # -- constructors -------------------------------------------------
 
     @staticmethod
@@ -127,12 +139,12 @@ class Polynomial:
         terms = dict(self.terms)
         for alpha, c in other.terms.items():
             terms[alpha] = terms.get(alpha, 0) + c
-        return Polynomial(self.dimension, terms)
+        return Polynomial._of(self.dimension, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.dimension, {a: -c for a, c in self.terms.items()})
+        return Polynomial._of(self.dimension, {a: -c for a, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -147,16 +159,16 @@ class Polynomial:
             c = _as_coeff(other)
             if c == 0:
                 return Polynomial.zero(self.dimension)
-            return Polynomial(self.dimension, {a: v * c for a, v in self.terms.items()})
+            return Polynomial._of(self.dimension, {a: v * c for a, v in self.terms.items()})
         self._check_dim(other)
         if self.degree() + other.degree() > MAX_DEGREE:
             raise PolynomialError(f"product degree exceeds cap {MAX_DEGREE}")
         terms: dict = {}
         for a1, c1 in self.terms.items():
             for a2, c2 in other.terms.items():
-                key = tuple(x + y for x, y in zip(a1, a2))
+                key = tuple(map(add, a1, a2))
                 terms[key] = terms.get(key, 0) + c1 * c2
-        return Polynomial(self.dimension, terms)
+        return Polynomial._of(self.dimension, terms)
 
     __rmul__ = __mul__
 
@@ -186,7 +198,7 @@ class Polynomial:
             a[j] -= 1
             key = tuple(a)
             terms[key] = terms.get(key, 0) + c * k
-        return Polynomial(self.dimension, terms)
+        return Polynomial._of(self.dimension, terms)
 
     def gradient(self) -> list:
         return [self.partial(j) for j in range(self.dimension)]
@@ -383,43 +395,65 @@ def rational_inverse(mat: Sequence[Sequence]) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Gaussian moments (Isserlis pairing)
+# Gaussian moments
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _isserlis(indices: tuple, sigma_key: tuple) -> Coeff:
-    if not indices:
-        return Fraction(1)
-    if len(indices) % 2:
-        return Fraction(0)
-    sigma = sigma_key  # tuple of row tuples
-    first, rest = indices[0], indices[1:]
-    total: Coeff = Fraction(0)
-    for pos in range(len(rest)):
-        cov = sigma[first][rest[pos]]
-        if cov != 0:
-            remaining = rest[:pos] + rest[pos + 1:]
-            total = total + cov * _isserlis(remaining, sigma_key)
-    return total
+class GaussianMoments:
+    """The moments E[x^gamma] under N(0, sigma), for one sigma.
 
+    sigma may hold Fractions (exact mode) or floats.  It is checked once,
+    when the table is made: symmetric, and positive semi-definite by a
+    numeric eigenvalue test.  Calling the table with an exponent tuple
+    gives its moment, memoised for the life of the table and built by
+    Gaussian integration by parts,
 
-def _sigma_key(sigma, q: int) -> tuple:
-    """sigma as a tuple of q row tuples, checked symmetric and positive
-    semi-definite (numeric eigenvalue test)."""
-    sigma_key = tuple(tuple(_as_coeff(sigma[i][j]) for j in range(q)) for i in range(q))
-    for i in range(q):
-        for j in range(i):
-            if sigma_key[i][j] != sigma_key[j][i]:
-                raise PolynomialError("sigma must be symmetric")
-    w = np.linalg.eigvalsh(np.array([[float(c) for c in r] for r in sigma_key]))
-    if w.min() < -1e-12 * max(1.0, w.max()):
-        raise PolynomialError("sigma must be positive semi-definite")
-    return sigma_key
+        E[x_i x^gamma] = sum_j sigma_ij gamma_j E[x^(gamma - e_j)].
+    """
+
+    __slots__ = ("sigma", "_memo")
+
+    def __init__(self, sigma, q: int):
+        self.sigma = tuple(tuple(_as_coeff(sigma[i][j]) for j in range(q)) for i in range(q))
+        for i in range(q):
+            for j in range(i):
+                if self.sigma[i][j] != self.sigma[j][i]:
+                    raise PolynomialError("sigma must be symmetric")
+        w = np.linalg.eigvalsh(np.array([[float(c) for c in r] for r in self.sigma]))
+        if w.min() < -1e-12 * max(1.0, w.max()):
+            raise PolynomialError("sigma must be positive semi-definite")
+        self._memo = {(0,) * q: Fraction(1)}
+
+    def __call__(self, gamma: tuple) -> Coeff:
+        m = self._memo.get(gamma)
+        if m is None:
+            m = Fraction(0)
+            if sum(gamma) % 2 == 0:
+                i = next(i for i, g in enumerate(gamma) if g)
+                low = list(gamma)
+                low[i] -= 1
+                for j, s in enumerate(self.sigma[i]):
+                    g = low[j]
+                    if g and s != 0:
+                        low[j] -= 1
+                        m = m + s * g * self(tuple(low))
+                        low[j] += 1
+            self._memo[gamma] = m
+        return m
+
+    def expectation(self, p: Polynomial, alpha: tuple) -> Coeff:
+        """E[x^alpha p(x)] = sum_beta p_beta E[x^(alpha+beta)] over the
+        terms p_beta x^beta of p."""
+        total: Coeff = Fraction(0)
+        for beta, c in p.terms.items():
+            m = self(tuple(map(add, alpha, beta)))
+            if m != 0:
+                total = total + c * m
+        return total
 
 
 def gaussian_moment(alpha: Sequence[int], sigma) -> Coeff:
-    """E[x^alpha] under N(0, sigma), exact via recursive pairing.
+    """E[x^alpha] under N(0, sigma), exact when sigma is.
 
     sigma may hold Fractions (exact mode) or floats.  It must be
     symmetric and positive semi-definite (numeric eigenvalue test).
@@ -430,14 +464,7 @@ def gaussian_moment(alpha: Sequence[int], sigma) -> Coeff:
 def gaussian_expectation(p: Polynomial, sigma) -> Coeff:
     """Integral of p against the N(0, sigma) density; sigma is checked
     as in gaussian_moment, once per call."""
-    sigma_key = _sigma_key(sigma, p.dimension)
-    total: Coeff = Fraction(0)
-    for alpha, c in p.terms.items():
-        indices = tuple(j for j, a in enumerate(alpha) for _ in range(a))
-        m = _isserlis(indices, sigma_key)
-        if m != 0:
-            total = total + c * m
-    return total
+    return GaussianMoments(sigma, p.dimension).expectation(p, (0,) * p.dimension)
 
 
 # ---------------------------------------------------------------------------

@@ -134,7 +134,7 @@ class TestCriterion3MomentMatching:
                 for n in (3, 4, 5):
                     c = random_cumulant_set(rng, q, n)
                     m = 9  # perfect square so eps = 1/3 is rational
-                    left = edgeworth_signed_moments(c, n - 2, Fraction(1, 3), n)
+                    left = edgeworth_signed_moments(c, build_Q(c, n - 2), Fraction(1, 3), n)
                     right = scaled_sum_moments(c, m, n)
                     for alpha in left:
                         assert left[alpha] == right[alpha], (q, n, alpha)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from levyedge import cli, perturbation, polycore
+from levyedge import cli, edgeworth, perturbation, polycore
 from levyedge.edgeworth import multi_indices
 
 
@@ -178,6 +178,24 @@ class TestOutputs:
         assert cli.main(["edgeworth-build", "--config", cfg, "--out", out, "--no-timestamp"]) == 0
         assert calls == [1, 2]
         assert "residual check: all zero (exact)" in open(out).read().splitlines()
+
+    def test_edgeworth_build_builds_Q_once(self, tmp_path, monkeypatch):
+        # the moment check takes the Q that the build printed and inverted
+        calls = []
+        real = edgeworth.build_Q
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        for mod in list(sys.modules.values()):  # every binding, as `from ... import` makes
+            if mod.__name__.startswith("levyedge") and vars(mod).get("build_Q") is real:
+                monkeypatch.setattr(mod, "build_Q", counted)
+        cfg = write(tmp_path, "eb.cfg", EDGEWORTH_R3)
+        out = str(tmp_path / "out.txt")
+        assert cli.main(["edgeworth-build", "--config", cfg, "--out", out, "--no-timestamp"]) == 0
+        assert calls == [3]
+        assert "moment check: all equal (exact)" in open(out).read().splitlines()
 
     @pytest.mark.parametrize("experiment", list(TINY))
     def test_threads_do_not_change_results(self, tmp_path, experiment):

@@ -141,7 +141,7 @@ class TestBuilders:
         # through order n exactly (m a perfect square so sqrt(m) is rational)
         m = 9
         eps = Fraction(1, 3)
-        left = edgeworth_signed_moments(c, 2, eps, 4)
+        left = edgeworth_signed_moments(c, build_Q(c, 2), eps, 4)
         right = scaled_sum_moments(c, m, 4)
         for alpha in left:
             assert left[alpha] == right[alpha]

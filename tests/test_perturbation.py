@@ -210,7 +210,7 @@ class TestGeneralCovariance:
             s_tilde = compute_S_tilde(pmap.potentials[:k], Q[:k], sig) if k else 0
             assert (apply_L(u, sig) + Q[k] - s_tilde).is_zero()
         eps = Fraction(1, 3)
-        assert edgeworth_signed_moments(c, r, eps, r + 2) == scaled_sum_moments(c, 9, r + 2)
+        assert edgeworth_signed_moments(c, Q, eps, r + 2) == scaled_sum_moments(c, 9, r + 2)
 
 
 class TestPushforward:

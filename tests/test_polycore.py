@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from levyedge.polycore import (
     EpsSeries,
+    GaussianMoments,
     Polynomial,
     PolynomialError,
     gaussian_expectation,
@@ -24,6 +25,41 @@ from levyedge.polycore import (
 
 def x(j, q=2):
     return Polynomial.variable(q, j)
+
+
+def isserlis(indices: tuple, sigma) -> Fraction:
+    """Reference E[x_i1 ... x_in] under N(0, sigma) by recursive pairing:
+    the first index pairs with each other one in turn (Isserlis)."""
+    if not indices:
+        return Fraction(1)
+    if len(indices) % 2:
+        return Fraction(0)
+    first, rest = indices[0], indices[1:]
+    total = Fraction(0)
+    for pos in range(len(rest)):
+        cov = sigma[first][rest[pos]]
+        if cov != 0:
+            total = total + cov * isserlis(rest[:pos] + rest[pos + 1:], sigma)
+    return total
+
+
+@st.composite
+def ldl_moment_case(draw):
+    """A rational Sigma = L D L^T (L unit lower-triangular, D positive
+    diagonal), q <= 4, and a few exponent tuples with |gamma| <= 8."""
+    q = draw(st.integers(1, 4))
+    small = st.fractions(-2, 2, max_denominator=3)
+    L = [[Fraction(int(i == j)) if j >= i else draw(small) for j in range(q)] for i in range(q)]
+    D = [draw(st.fractions(Fraction(1, 2), 3, max_denominator=4)) for _ in range(q)]
+    sigma = [[sum(L[i][k] * D[k] * L[j][k] for k in range(q)) for j in range(q)] for i in range(q)]
+    gammas = []
+    for _ in range(draw(st.integers(1, 4))):
+        left, gamma = draw(st.integers(0, 8)), []
+        for _ in range(q):
+            gamma.append(draw(st.integers(0, left)))
+            left -= gamma[-1]
+        gammas.append(tuple(gamma))
+    return sigma, gammas
 
 
 class TestPolynomial:
@@ -49,6 +85,19 @@ class TestPolynomial:
         p = x(0) ** 2 - x(1)
         A = [[0, -1], [1, 0]]
         assert p.compose_affine(A) == x(1) ** 2 - x(0)
+
+    def test_public_constructor_checks(self):
+        for dim, terms in [(2, {(1,): 1}), (2, {(1, -1): 1}), (1, {(1,): "a"})]:
+            with pytest.raises(PolynomialError):
+                Polynomial(dim, terms)
+        assert Polynomial(2, {(1, 0): 0, (0, 1): Fraction(0), (1, 1): 0.0, (2, 0): 5}).terms == {
+            (2, 0): 5
+        }
+        p = Polynomial(1, {(np.int64(2),): np.int64(3), (1,): np.float32(0.5)})
+        assert list(p.terms) == [(2,), (1,)]
+        assert all(type(e) is int for alpha in p.terms for e in alpha)
+        assert type(p.terms[(2,)]) is Fraction and p.terms[(2,)] == 3
+        assert type(p.terms[(1,)]) is float and p.terms[(1,)] == 0.5
 
     @given(st.integers(-5, 5), st.integers(-5, 5))
     def test_evaluate_exact_matches_float(self, a, b):
@@ -160,6 +209,18 @@ class TestGaussianMoments:
         z = rng.multivariate_normal([0, 0], sig, size=2_000_000)
         mc = float(np.mean(z[:, 0] ** 4 * z[:, 1] ** 2))
         assert mc == pytest.approx(exact, rel=0.02)
+
+    @given(ldl_moment_case())
+    @settings(deadline=None, max_examples=60)
+    def test_table_equals_isserlis_pairing(self, case):
+        sigma, gammas = case
+        table = GaussianMoments(sigma, len(sigma))
+        for gamma in gammas:
+            m = table(gamma)
+            indices = tuple(j for j, a in enumerate(gamma) for _ in range(a))
+            assert type(m) is Fraction and m == isserlis(indices, sigma)
+            if sum(gamma) % 2:
+                assert m == 0
 
     def test_expectation_checks_sigma_once(self, monkeypatch):
         # one symmetry and eigenvalue check per call, not one per monomial

@@ -96,9 +96,8 @@ class TestPerturbedNormal:
         pmap = self.pmap()
         eps = 0.1
         y = sample_perturbed_normal(pmap, eps, 1, RngStream(5, 2), 400_000)
-        want = float(edgeworth_signed_moments(
-            CumulantSet(1, 3, {(2,): Fraction(1), (3,): Fraction(2)}),
-            1, Fraction(1, 10), 3)[(3,)])
+        c = CumulantSet(1, 3, {(2,): Fraction(1), (3,): Fraction(2)})
+        want = float(edgeworth_signed_moments(c, build_Q(c, 1), Fraction(1, 10), 3)[(3,)])
         assert np.mean(y ** 3) == pytest.approx(want, abs=0.02)
 
 
