@@ -10,7 +10,6 @@ from .edgeworth import (
     build_Q,
     cumulants_to_moments,
     edgeworth_density,
-    min_m_heuristic,
     moments_to_cumulants,
 )
 from .perturbation import (
@@ -26,7 +25,6 @@ from .levy import (
     CustomRadialMeasure,
     StableLikeMeasure,
     cramer_probe,
-    sufficient_condition_check,
 )
 from .sampling import (
     RngStream,
@@ -34,7 +32,7 @@ from .sampling import (
     sample_perturbed_normal,
     sample_small_jumps,
 )
-from .wasserstein import rate_fit, wp_1d_exact, wp_density_bound, wp_empirical
+from .wasserstein import rate_fit, wp_1d_exact, wp_empirical
 from .sde import CoupledResult, SchemeConfig, SdeSpec, coupled_paths, euler_path
 from .laws import TestLaw, make_law
 

@@ -30,7 +30,6 @@ from .edgeworth import (
     EdgeworthError,
     build_P,
     build_Q,
-    cumulants_to_moments,
     edgeworth_signed_moments,
     scaled_sum_moments,
 )
@@ -302,11 +301,13 @@ def run_jump_coupling(cfg: Dict[str, str], seed: int, threads: int) -> List[list
     if any(not 0 < e <= meas.tau for e in eps_list):
         raise ConfigError("eps_list must lie in (0, tau]")
 
+    # a decomposition draws nothing: an eps over the intensity budget
+    # fails before any sampling
+    decs = [AnnulusDecomposition(meas, eps) for eps in eps_list]
     root = RngStream(seed, 1)
     rows: List[list] = [["eps", "t", "p", "distance", "replicate"]]
     per_eps = []
-    for ei, eps in enumerate(eps_list):
-        dec = AnnulusDecomposition(meas, eps)
+    for ei, (eps, dec) in enumerate(zip(eps_list, decs)):
         sig = meas.small_jump_covariance(eps)
         t = t_factor * eps
 

@@ -2,8 +2,8 @@
 
 Converts moments of a mean-zero law to cumulants (and back), builds the
 characteristic-function correction polynomials and their position-space
-counterparts, evaluates the corrected Gaussian density, and provides the
-moment diagnostics used to size the number of summands.
+counterparts, evaluates the corrected Gaussian density, and gives the
+exact moments of the expansion and of the normalized sum.
 
 Conventions.  The correction polynomial of order k is stored with real
 coefficients against the basis (i z)^alpha; its position-space partner
@@ -311,73 +311,6 @@ def edgeworth_density(c: CumulantSet, r: int, eps: float, x) -> np.ndarray:
     for k, qk in enumerate(qs, start=1):
         corr = corr + eps ** k * qk(x)
     return base * corr
-
-
-def kappa_from_moments(m: MomentSet, M: int) -> Coeff:
-    """max(1, E|X|^M) from raw moments; M must be even."""
-    if M % 2 or M <= 0:
-        raise EdgeworthError("moment-based kappa needs even positive M")
-    if M > m.order:
-        raise EdgeworthError("moment order too low for requested kappa")
-    q = m.dimension
-    half = M // 2
-    total: Coeff = Fraction(0)
-    # |x|^M = (sum_j x_j^2)^(M/2), expanded multinomially
-    for beta in multi_indices(q, half):
-        coef = Fraction(math.factorial(half), _factorial_alpha(beta))
-        alpha = tuple(2 * b for b in beta)
-        total = total + coef * m.values[alpha]
-    return max(Fraction(1), total) if isinstance(total, Fraction) else max(1.0, total)
-
-
-#: frozen diagnostic parameters for the sufficient-size heuristic
-HEURISTIC_BETA = 1.0 / 6.0
-HEURISTIC_TAU = 0.5
-
-
-def min_m_heuristic(c: CumulantSet, n: int, gamma_bar: float, kappa_fn=None) -> int:
-    """Smallest m passing both sufficient-size criteria.
-
-    Criterion A: m > kappa_{n+tau}^max(4, 6/(n(1-3 beta))) with the frozen
-    beta = 1/6, tau = 1/2.  Criterion B: the tail term is absorbed,
-    gamma_bar^m m^((q+1)(n+1)/2) <= det(Sigma)^(-1/2) lam1^(-3(n-1)/2)
-    kappa_{n+tau}^(n-2).
-
-    kappa_fn(M) -> float may be supplied; by default the fractional moment
-    is interpolated from the order-n even moment through the monotonicity
-    of kappa_M^(1/M) (diagnostic accuracy only).
-    """
-    if not 0 < gamma_bar < 1:
-        raise EdgeworthError("gamma_bar must lie in (0,1)")
-    q = c.dimension
-    lams = c.eigenvalues()
-    det_sigma = float(np.prod(lams))
-    if kappa_fn is not None:
-        kap = float(kappa_fn(n + HEURISTIC_TAU))
-    else:
-        n_even = n if n % 2 == 0 else n + 1
-        mom = cumulants_to_moments(_extend(c, n_even))
-        kap_n = float(kappa_from_moments(mom, n_even))
-        kap = max(1.0, kap_n ** ((n + HEURISTIC_TAU) / n_even))
-    expo_a = max(4.0, 6.0 / (n * (1 - 3 * HEURISTIC_BETA)))
-    thresh_a = kap ** expo_a
-    rhs_b = det_sigma ** -0.5 * lams[0] ** (-1.5 * (n - 1)) * kap ** (n - 2)
-    pw = 0.5 * (q + 1) * (n + 1)
-    m = 2
-    while m < 10 ** 7:
-        ok_a = m > thresh_a
-        ok_b = gamma_bar ** m * m ** pw <= rhs_b
-        if ok_a and ok_b:
-            return m
-        m += 1
-    raise EdgeworthError("no sufficient m below 1e7")
-
-
-def _extend(c: CumulantSet, order: int) -> CumulantSet:
-    """Zero-pad cumulants up to the requested order."""
-    if order <= c.order:
-        return c
-    return CumulantSet(c.dimension, order, dict(c.mu))
 
 
 def edgeworth_signed_moments(c: CumulantSet, qs: list, eps, max_order: int) -> Dict[tuple, Coeff]:

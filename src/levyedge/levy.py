@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 from scipy import special
@@ -281,68 +281,42 @@ class CustomRadialMeasure(LevyMeasureSpec):
         return u
 
 
-#: tail handling for the annulus decomposition
-TAIL_GAUSSIANIZE = "gaussianize"
-TAIL_DROP = "drop"
+#: dyadic annuli, from r0 = ceil(-log2 eps) down, that AnnulusDecomposition
+#: resolves into jumps; the variance below them is a matched Gaussian
+_TAIL_DEPTH = 6
+
+#: largest expected jump intensity AnnulusDecomposition accepts
+_MAX_INTENSITY = 5e8
 
 
 class AnnulusDecomposition:
     """Finite working set of annuli for sampling Z_t^eps.
 
-    Bands cover (inner, eps] by the dyadic boundaries; the remaining
-    variance below `inner` is either replaced by a matched Gaussian
-    (default) or dropped when its relative contribution is below the
-    tolerance.  Dropping to very small tolerances is rejected when the
-    implied jump intensity is computationally absurd.
+    Bands cover (inner, eps] by the dyadic boundaries, _TAIL_DEPTH annuli
+    deep; the remaining variance below `inner` is replaced by a matched
+    Gaussian.  An eps whose bands carry a computationally absurd jump
+    intensity is rejected.
     """
 
-    def __init__(
-        self,
-        spec: LevyMeasureSpec,
-        eps: float,
-        policy: str = TAIL_GAUSSIANIZE,
-        depth: int = 6,
-        drop_tol: float = 1e-6,
-        max_intensity: float = 5e8,
-    ):
+    def __init__(self, spec: LevyMeasureSpec, eps: float):
         if not 0 < eps <= spec.tau:
             raise LevyError("eps must lie in (0, tau]")
-        if policy not in (TAIL_GAUSSIANIZE, TAIL_DROP):
-            raise LevyError(f"unknown tail policy {policy!r}")
         self.spec = spec
         self.eps = eps
-        self.policy = policy
         self.r0 = math.ceil(-math.log2(eps))
-        total_var = float(np.trace(spec.small_jump_covariance(eps)))
-        if policy == TAIL_GAUSSIANIZE:
-            self.R_max = self.r0 + depth - 1
-        else:
-            # deepest annulus whose residual variance fraction exceeds drop_tol
-            R = self.r0
-            while True:
-                inner = 2.0 ** (-R - 1)
-                resid = float(np.trace(spec.interval_covariance(0.0, inner)))
-                if total_var == 0 or resid / total_var <= drop_tol:
-                    break
-                R += 1
-                if R - self.r0 > 200:
-                    raise LevyError("drop tolerance unreachable")
-            self.R_max = R
+        self.R_max = self.r0 + _TAIL_DEPTH - 1
         self.bands = self._build_bands()
         intensity = sum(m for _, _, m in self.bands)
-        if intensity > max_intensity:
+        if intensity > _MAX_INTENSITY:
             raise LevyError(
-                f"expected jump intensity {intensity:.3g} exceeds budget; "
-                "raise max_intensity or use the gaussianize policy"
+                f"eps = {eps!r} needs an expected jump intensity of {intensity:.3g}, "
+                f"over the budget of {_MAX_INTENSITY:.3g}; a larger eps is needed"
             )
         self.intensity = intensity
         inner = 2.0 ** (-self.R_max - 1)
-        if policy == TAIL_GAUSSIANIZE:
-            self.tail_covariance: Optional[np.ndarray] = spec.interval_covariance(0.0, inner)
-        else:
-            self.tail_covariance = None
-        self.truncated_variance = float(np.trace(spec.interval_covariance(0.0, inner)))
-        self.total_variance = total_var
+        self.tail_covariance = spec.interval_covariance(0.0, inner)
+        self.truncated_variance = float(np.trace(self.tail_covariance))
+        self.total_variance = float(np.trace(spec.small_jump_covariance(eps)))
 
     def _build_bands(self) -> List[Tuple[float, float, float]]:
         """(lo, hi, mass) intervals from eps down to 2^(-R_max-1)."""
@@ -382,46 +356,6 @@ def cramer_amplify(rho: float, gamma: float, delta: float) -> float:
     if not 0 < delta < min(rho, 1.0):
         raise LevyError("delta must lie in (0, min(rho,1))")
     return 1.0 - (1.0 - gamma) * delta ** 2 / (rho + 1.0) ** 2
-
-
-def sufficient_condition_check(
-    spec: LevyMeasureSpec,
-    r: int,
-    a: float,
-    b: float,
-    n_cells: int = 64,
-    rng=None,
-    trials: int = 200,
-) -> bool:
-    """Falsification test: Lebesgue fraction >= a forces nu fraction >= b?
-
-    Partitions the annulus into n_cells radial shells of equal Lebesgue
-    volume and tests cell unions: the exact adversarial union (smallest
-    nu mass at the required Lebesgue fraction) plus random unions.
-    Returns False the moment any union violates the implication.
-    """
-    if not (0 < a < 1 and 0 < b < 1):
-        raise LevyError("a, b must lie in (0,1)")
-    lo, hi = spec.annulus_bounds(r)
-    if lo >= hi:
-        raise LevyError("empty annulus")
-    q = spec.dimension
-    # equal-Lebesgue-volume radial boundaries
-    bounds = (lo ** q + (np.arange(n_cells + 1) / n_cells) * (hi ** q - lo ** q)) ** (1.0 / q)
-    masses = np.array([spec.interval_mass(x, y) for x, y in zip(bounds, bounds[1:])])
-    total = masses.sum()
-    need = math.ceil(a * n_cells)
-    worst = np.sort(masses)[:need].sum() / total
-    if worst < b:
-        return False
-    if rng is None:
-        rng = np.random.default_rng(0)
-    for _ in range(trials):
-        k = rng.integers(need, n_cells + 1)
-        pick = rng.choice(n_cells, size=k, replace=False)
-        if masses[pick].sum() / total < b:
-            return False
-    return True
 
 
 def measure_from_config(cfg: dict) -> LevyMeasureSpec:

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .levy import AnnulusDecomposition, LevyMeasureSpec, TAIL_GAUSSIANIZE
+from .levy import AnnulusDecomposition, LevyMeasureSpec
 from .perturbation import GradientPolyMap
 
 
@@ -165,7 +165,7 @@ def sample_small_jumps(
     their independent compound-Poisson sums add up to one compound-Poisson
     sum with the total intensity and jumps from nu restricted to
     (inner, eps]; that one sum is drawn.  The sub-resolution tail is a
-    matched Gaussian or dropped per the policy.
+    matched Gaussian.
     """
     if t < 0:
         raise SamplingError("t must be nonnegative")
@@ -184,10 +184,9 @@ def sample_small_jumps(
         )
     else:
         out = np.zeros((n, q))
-    if decomposition.policy == TAIL_GAUSSIANIZE and t > 0:
-        tail = decomposition.tail_covariance
-        if np.trace(tail) > 0:
-            out += sample_gaussian(t * tail, g, n)
+    tail = decomposition.tail_covariance
+    if t > 0 and np.trace(tail) > 0:
+        out += sample_gaussian(t * tail, g, n)
     return out
 
 

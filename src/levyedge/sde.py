@@ -4,17 +4,15 @@ The driving noise is Z_t = a t + B W_t + compensated jumps; the state
 follows dX = sigma(X) dZ.  One noise source (_step_noise) draws each
 coarse step's Brownian, small-jump and big-jump blocks, and one stepper
 (_euler) moves the state through them.  On top of these sit the plain
-explicit Euler iteration in each increment mode, the fine-grid Gaussian
-limit path, and coupled pairs of paths (exact fine-grid proxy vs
-Gaussian-substituted coarse scheme) sharing their drift, Brownian, and
-big-jump randomness, with the small-jump block matched to its Gaussian
-surrogate per step by the radial rank coupling (optimal for spherically
-symmetric laws).
+explicit Euler iteration in each increment mode and coupled pairs of
+paths (exact fine-grid proxy vs Gaussian-substituted coarse scheme)
+sharing their drift, Brownian, and big-jump randomness, with the
+small-jump block matched to its Gaussian surrogate per step by the
+radial rank coupling (optimal for spherically symmetric laws).
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -50,8 +48,6 @@ class SdeSpec:
     x0: np.ndarray
     T: float
     measure: Optional[LevyMeasureSpec] = None
-    sigma_bound: float = math.inf
-    lipschitz_bound: float = math.inf
 
     def __post_init__(self):
         self.a = np.atleast_1d(np.asarray(self.a, dtype=float))
@@ -78,7 +74,6 @@ class SchemeConfig:
     eps: float
     mode: str = MODE_GAUSSIANIZED
     fine_substeps: int = 16
-    tail_depth: int = 6
 
     def __post_init__(self):
         if not (0 < self.h < 1 and 0 < self.eps < 1):
@@ -94,7 +89,7 @@ def _jump_parts(spec: SdeSpec, cfg: SchemeConfig):
     """The annulus decomposition and Sigma_eps^(1/2) of the measure at cfg.eps."""
     if spec.measure is None:
         return None, np.zeros((spec.q, spec.q))
-    dec = AnnulusDecomposition(spec.measure, cfg.eps, depth=cfg.tail_depth)
+    dec = AnnulusDecomposition(spec.measure, cfg.eps)
     return dec, sym_sqrt(spec.measure.small_jump_covariance(cfg.eps))
 
 
@@ -143,17 +138,17 @@ def _euler(spec: SdeSpec, x: np.ndarray, dz: np.ndarray) -> np.ndarray:
     return x
 
 
-def _iterate(spec: SdeSpec, cfg: SchemeConfig, rng: RngStream, n_paths: int, sub: int,
+def _iterate(spec: SdeSpec, cfg: SchemeConfig, rng: RngStream, n_paths: int,
              mode: str, pert=None) -> np.ndarray:
-    """Euler iterates on sub substeps per coarse step, kept on the coarse grid."""
+    """Euler iterates, one step per coarse step."""
     dec, root = _jump_parts(spec, cfg)
     n = cfg.n_steps(spec.T)
     out = np.empty((n_paths, n + 1, spec.d))
     out[:, 0] = spec.x0
     x = np.tile(spec.x0, (n_paths, 1))
     for k in range(n):
-        dw, small, big = _step_noise(spec, cfg, rng, k, n_paths, sub, mode, dec, root, pert)
-        x = _euler(spec, x, spec.a * (cfg.h / sub) + dw @ spec.B.T + small + big)
+        dw, small, big = _step_noise(spec, cfg, rng, k, n_paths, 1, mode, dec, root, pert)
+        x = _euler(spec, x, spec.a * cfg.h + dw @ spec.B.T + small + big)
         out[:, k + 1] = x
     return out
 
@@ -170,10 +165,10 @@ def euler_path(spec: SdeSpec, cfg: SchemeConfig, rng: RngStream, n_paths: int = 
     evaluated at the left endpoint.
     """
     if cfg.mode != MODE_PERTURBED:
-        return _iterate(spec, cfg, rng, n_paths, 1, cfg.mode)
+        return _iterate(spec, cfg, rng, n_paths, cfg.mode)
     if pert_map is None:
         raise SdeError("perturbed mode needs a gradient map")
-    return _iterate(spec, cfg, rng, n_paths, 1, cfg.mode, (pert_map, pert_eps, pert_order))
+    return _iterate(spec, cfg, rng, n_paths, cfg.mode, (pert_map, pert_eps, pert_order))
 
 
 def _radial_rank_match(z: np.ndarray, gvec: np.ndarray) -> np.ndarray:
@@ -254,37 +249,3 @@ def coupled_paths(spec: SdeSpec, cfg: SchemeConfig, M: int, rng: RngStream) -> C
     sup = np.max(np.linalg.norm(exact - approx, axis=2), axis=1)
     times = np.arange(n + 1) * cfg.h
     return CoupledResult(exact, approx, sup, times)
-
-
-def continuous_gaussian_limit_path(
-    spec: SdeSpec, cfg: SchemeConfig, rng: RngStream, n_paths: int = 1
-) -> np.ndarray:
-    """Fine-grid Euler for the all-Gaussian limiting SDE, coarse-grid output.
-
-    The driving noise is a t + B W_t + Sigma_eps^(1/2) W'_t, the
-    gaussianized noise of the scheme; requires the measure to carry no
-    mass beyond eps.  W is drawn from the same "bw" stream children as in
-    coupled_paths, so a caller holding the same root stream shares the
-    Brownian motion.
-    """
-    if spec.measure is not None and spec.measure.big_jump_mass(cfg.eps) * spec.T > 1e-9:
-        raise SdeError("limit path requires no jumps beyond eps")
-    return _iterate(spec, cfg, rng, n_paths, max(1, cfg.fine_substeps), MODE_GAUSSIANIZED)
-
-
-def dump_paths_csv(fh, result: CoupledResult) -> None:
-    """RFC-4180 rows (replicate, k, t, X_1..X_d, Xbar_1..Xbar_d)."""
-    d = result.exact.shape[2]
-    w = csv.writer(fh, lineterminator="\n")
-    w.writerow(
-        ["replicate", "k", "t"]
-        + [f"X_{j+1}" for j in range(d)]
-        + [f"Xbar_{j+1}" for j in range(d)]
-    )
-    for m in range(result.exact.shape[0]):
-        for k, t in enumerate(result.times):
-            w.writerow(
-                [m, k, repr(float(t))]
-                + [repr(float(v)) for v in result.exact[m, k]]
-                + [repr(float(v)) for v in result.approx[m, k]]
-            )

@@ -2,15 +2,11 @@
 
 One-dimensional distances use the quantile formula (exact on sorted
 samples, adaptive quadrature on quantile functions).  Multivariate
-empirical distances solve the minimum-cost assignment exactly; a crude
-density-difference upper bound and a sliced diagnostic round things out.
+empirical distances solve the minimum-cost assignment exactly.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -26,23 +22,14 @@ class WassersteinError(ValueError):
 MAX_ASSIGNMENT_SIZE = 4096
 
 
-class EmpiricalDistribution:
-    """n equal-weight points in R^q."""
-
-    def __init__(self, points: np.ndarray):
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        if pts.ndim != 2 or pts.shape[0] < 1 or not np.all(np.isfinite(pts)):
-            raise WassersteinError("points must be a finite (n, q) array")
-        self.points = pts
-        self.size, self.dimension = pts.shape
-
-
 def _points(x) -> np.ndarray:
-    if isinstance(x, EmpiricalDistribution):
-        return x.points
-    return EmpiricalDistribution(x).points
+    """x as n equal-weight points in R^q: a finite (n, q) array, 1-D read as (n, 1)."""
+    pts = np.asarray(x, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    if pts.ndim != 2 or pts.shape[0] < 1 or not np.all(np.isfinite(pts)):
+        raise WassersteinError("points must be a finite (n, q) array")
+    return pts
 
 
 def wp_1d_exact(
@@ -118,49 +105,6 @@ def _dual_certificate(cost: np.ndarray, cols: np.ndarray, tol: float = 1e-9) -> 
     return False
 
 
-@dataclass
-class DensityBound:
-    bound: float
-    raw_integral: float
-    coverage_f: float
-    coverage_g: float
-    constant: float
-    constant_is_nominal: bool = True  # the theory pins no explicit C_p
-
-
-def wp_density_bound(
-    f: Callable[[np.ndarray], np.ndarray],
-    g: Callable[[np.ndarray], np.ndarray],
-    p: float,
-    box: Sequence[Tuple[float, float]],
-    grid: int = 201,
-) -> DensityBound:
-    """Upper-bound proxy C_p (integral |x|^p |f-g| dx)^(1/p) on a box grid.
-
-    The constant C_p = 2^((p-1)/p) is nominal (flagged); the raw integral
-    is reported so callers can apply their own constant.  Both densities
-    must put at least 1 - 1e-6 of their mass inside the box.
-    """
-    axes = [np.linspace(lo, hi, grid) for lo, hi in box]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    fx = np.asarray(f(mesh), dtype=float)
-    gx = np.asarray(g(mesh), dtype=float)
-
-    def _integrate(vals):
-        out = vals
-        for ax in reversed(axes):
-            out = np.trapezoid(out, ax, axis=-1)
-        return float(out)
-
-    cov_f, cov_g = _integrate(np.abs(fx)), _integrate(np.abs(gx))
-    if cov_f < 1 - 1e-6 or cov_g < 1 - 1e-6:
-        raise WassersteinError("box does not cover the densities")
-    weight = np.linalg.norm(mesh, axis=-1) ** p
-    raw = _integrate(weight * np.abs(fx - gx))
-    const = 2.0 ** ((p - 1.0) / p)
-    return DensityBound(const * raw ** (1.0 / p), raw, cov_f, cov_g, const)
-
-
 def rate_fit(
     xs: Sequence[float],
     ys: Sequence[float],
@@ -204,25 +148,3 @@ def rate_fit(
         raise WassersteinError("no bootstrap resample has positive means")
     lo, hi = np.percentile(slopes, [2.5, 97.5])
     return slope, (float(lo), float(hi))
-
-
-def sliced_wasserstein(a, b, p: float = 2.0, n_directions: int = 64) -> float:
-    """DIAGNOSTIC average of 1D distances over fixed directions.
-
-    Not the W_p metric; never used for acceptance checks.  Directions
-    are deterministic: golden-angle on the circle, seeded Gaussian
-    normalization in higher dimension.
-    """
-    x, y = _points(a), _points(b)
-    q = x.shape[1]
-    if q == 1:
-        return wp_1d_exact(x[:, 0], y[:, 0], p)
-    if q == 2:
-        ang = np.pi * (3 - math.sqrt(5)) * np.arange(n_directions)
-        dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    else:
-        g = np.random.Generator(np.random.Philox(key=[17, 29]))
-        dirs = g.standard_normal((n_directions, q))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    vals = [wp_1d_exact(x @ d, y @ d, p) ** p for d in dirs]
-    return float(np.mean(vals) ** (1.0 / p))

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from levyedge import cli, edgeworth, perturbation, polycore
+from levyedge import cli, edgeworth, perturbation, polycore, sampling
 from levyedge.edgeworth import multi_indices
 
 
@@ -54,6 +54,11 @@ GOLDEN_CASES = {
     "clt-rate-perturbed": ("clt-rate", TINY["clt-rate"].format(reps=2) + "mode = perturbed\n"),
     "edgeworth-build": ("edgeworth-build", EDGEWORTH_R3),
 }
+
+#: jump-coupling whose last eps, 2^-14, is over the jump-intensity budget
+OVER_BUDGET = MEASURE + (
+    "eps_list = 0.125, 0.0625, 0.03125, 0.00006103515625\nn_samples = 64\nreplicates = 2\n"
+)
 
 
 class TestConfigParsing:
@@ -112,6 +117,31 @@ class TestExitCodes:
         cfg = write(tmp_path, "eb.cfg", "law = centered-exponential\nr = 1\n")
         assert cli.main(["edgeworth-build", "--config", cfg]) == 3
         assert "exceeds cap 2" in capsys.readouterr().err
+
+    def test_jump_intensity_budget_is_3(self, tmp_path, capsys):
+        # eps = 2^-14 needs ~4.5e9 jumps per unit time, over the budget
+        cfg = write(tmp_path, "jc.cfg", OVER_BUDGET)
+        assert cli.main(["jump-coupling", "--config", cfg, "--no-timestamp"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and "larger eps" in err
+        assert "Traceback" not in err
+        assert "policy" not in err and "max_intensity" not in err
+
+    def test_jump_intensity_budget_fails_before_sampling(self, tmp_path, monkeypatch):
+        # the last eps is over the budget: no eps before it is sampled
+        calls = []
+        real = sampling.sample_small_jumps
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].eps)
+            return real(*args, **kwargs)
+
+        for mod in list(sys.modules.values()):  # every binding, as `from ... import` makes
+            if mod.__name__.startswith("levyedge") and vars(mod).get("sample_small_jumps") is real:
+                monkeypatch.setattr(mod, "sample_small_jumps", counted)
+        cfg = write(tmp_path, "jc.cfg", OVER_BUDGET)
+        assert cli.main(["jump-coupling", "--config", cfg, "--no-timestamp"]) == 3
+        assert calls == []
 
     def test_correlated_covariance_builds_exactly(self, tmp_path):
         # off-diagonal covariance 1/2: the build, residuals and moment

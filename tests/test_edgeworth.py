@@ -16,8 +16,6 @@ from levyedge.edgeworth import (
     cumulants_to_moments,
     edgeworth_density,
     edgeworth_signed_moments,
-    kappa_from_moments,
-    min_m_heuristic,
     moments_to_cumulants,
     multi_indices,
     scaled_sum_moments,
@@ -145,20 +143,6 @@ class TestBuilders:
         right = scaled_sum_moments(c, m, 4)
         for alpha in left:
             assert left[alpha] == right[alpha]
-
-
-class TestKappa:
-    def test_kappa_gaussian(self):
-        # kappa_4 of N(0,1) = max over |t|=1 of E|<t,Z>|^4 = 3
-        m = MomentSet(1, 4, {(1,): 0, (2,): 1, (3,): 0, (4,): 3})
-        assert kappa_from_moments(m, 4) == 3
-
-    def test_min_m_heuristic_monotone(self):
-        # weaker characteristic-function decay demands more summands
-        c = exp_cumulants(6)
-        m_strong = min_m_heuristic(c, 4, gamma_bar=0.5)
-        m_weak = min_m_heuristic(c, 4, gamma_bar=0.99)
-        assert m_strong <= m_weak
 
 
 class TestValidation:

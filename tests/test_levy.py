@@ -16,7 +16,6 @@ from levyedge.levy import (
     cramer_amplify,
     cramer_probe,
     measure_from_config,
-    sufficient_condition_check,
 )
 
 Q, ALPHA = 2, 1.5
@@ -181,14 +180,14 @@ class TestIntervalLaw:
 
 class TestDecomposition:
     def test_band_structure(self, meas):
-        dec = AnnulusDecomposition(meas, 0.25, depth=6)
+        dec = AnnulusDecomposition(meas, 0.25)
         los = [b[0] for b in dec.bands]
         his = [b[1] for b in dec.bands]
         assert his[0] == 0.25
         assert all(h == l for l, h in zip(los[:-1], his[1:]))  # contiguous
 
     def test_non_dyadic_eps_partial_band(self, meas):
-        dec = AnnulusDecomposition(meas, 0.2, depth=6)
+        dec = AnnulusDecomposition(meas, 0.2)
         assert dec.bands[0][1] == 0.2
         total = sum(m for _, _, m in dec.bands)
         assert total == pytest.approx(
@@ -197,7 +196,7 @@ class TestDecomposition:
 
     def test_gaussianize_tail_variance_matched(self, meas):
         eps = 0.25
-        dec = AnnulusDecomposition(meas, eps, policy="gaussianize", depth=6)
+        dec = AnnulusDecomposition(meas, eps)
         band_var = sum(
             meas.interval_radial_second_moment(lo, hi) / Q for lo, hi, _ in dec.bands
         )
@@ -215,11 +214,16 @@ class TestDecomposition:
         assert not dec.tail_covariance.any()
         assert dec.truncated_variance == 0.0
 
-    def test_drop_policy_intensity_guard(self, meas):
-        # resolving mass down to a 1e-6 drop tolerance for this measure
-        # needs ~1e21 jumps per unit time; must refuse, not hang
+    def test_intensity_guard(self, meas):
+        # eps = 2^-14 needs ~4.5e9 jumps per unit time: refuse, not hang
+        with pytest.raises(LevyError, match="larger eps") as info:
+            AnnulusDecomposition(meas, 2.0 ** -14)
+        assert "4.49e+09" in str(info.value)
+        assert "6.103515625e-05" in str(info.value)
+        # 2^-12 is just over the budget (5.61e8), 2^-11 within it
         with pytest.raises(LevyError):
-            AnnulusDecomposition(meas, 0.015625, policy="drop", drop_tol=1e-6)
+            AnnulusDecomposition(meas, 2.0 ** -12)
+        assert AnnulusDecomposition(meas, 2.0 ** -11).intensity < 5e8
 
 
 class TestCharacteristicProbe:
@@ -243,10 +247,6 @@ class TestCharacteristicProbe:
         g = cramer_amplify(rho, gamma, delta)
         assert gamma < 1 and 0 < g < 1
         assert g >= gamma  # covering dilations can only weaken the rate
-
-    def test_sufficient_condition_holds(self, meas):
-        rng = np.random.default_rng(3)
-        assert sufficient_condition_check(meas, 3, 0.5, 0.1, rng=rng)
 
 
 class TestConfig:

@@ -1,6 +1,5 @@
 """Coupled Euler schemes for jump-driven dynamics."""
 
-import io
 import math
 from fractions import Fraction
 
@@ -20,8 +19,6 @@ from levyedge.sde import (
     SdeSpec,
     _radial_rank_match,
     coupled_paths,
-    continuous_gaussian_limit_path,
-    dump_paths_csv,
     euler_path,
 )
 
@@ -172,38 +169,3 @@ class TestCoupledPaths:
         spec2 = make_spec(contractive_sigma)
         with pytest.raises(SdeError):
             coupled_paths(spec2, SchemeConfig(h=0.25, eps=0.25), 1, RngStream(0, 0))
-
-
-class TestLimitPath:
-    def test_rejects_live_big_jumps(self):
-        spec = make_spec(contractive_sigma)
-        with pytest.raises(SdeError):
-            continuous_gaussian_limit_path(spec, SchemeConfig(h=0.25, eps=0.25), RngStream(0, 0))
-
-    def test_no_jump_measure_runs(self):
-        spec = make_spec(diag_sigma(0.5), measure=null_measure())
-        out = continuous_gaussian_limit_path(
-            spec, SchemeConfig(h=0.25, eps=0.25, fine_substeps=4), RngStream(7, 0), 3
-        )
-        assert out.shape == (3, 5, 2)
-
-    def test_shares_brownian_motion_with_coupled_paths(self):
-        # without jumps the limit noise is the coupled exact side's noise:
-        # the same "bw" stream children drive both fine-grid schemes
-        spec = make_spec(contractive_sigma, measure=null_measure())
-        cfg = SchemeConfig(h=0.25, eps=0.25, fine_substeps=4)
-        limit = continuous_gaussian_limit_path(spec, cfg, RngStream(11, 0), 8)
-        coupled = coupled_paths(spec, cfg, 8, RngStream(11, 0))
-        assert np.allclose(limit, coupled.exact, rtol=1e-12, atol=0)
-
-
-class TestCsvDump:
-    def test_header_and_row_count(self):
-        spec = make_spec(contractive_sigma)
-        cfg = SchemeConfig(h=0.5, eps=0.5, fine_substeps=2)
-        res = coupled_paths(spec, cfg, 3, RngStream(8, 0))
-        buf = io.StringIO()
-        dump_paths_csv(buf, res)
-        lines = buf.getvalue().strip().split("\n")
-        assert lines[0] == "replicate,k,t,X_1,X_2,Xbar_1,Xbar_2"
-        assert len(lines) == 1 + 3 * 3  # header + M * (N+1)
