@@ -28,6 +28,7 @@ from scipy import special
 from .edgeworth import (
     CumulantSet,
     EdgeworthError,
+    _hermite_form,
     build_P,
     build_Q,
     edgeworth_signed_moments,
@@ -421,7 +422,7 @@ def run_edgeworth_build(cfg: Dict[str, str], seed: int, threads: int) -> List[st
 
     lines = [f"dimension {cset.dimension}  order {cset.order}  r {r}", ""]
     P = build_P(cset, r)
-    Q = build_Q(cset, r)
+    Q = _hermite_form(cset, P)
     for k in range(1, r + 1):
         lines.append(f"P_{k}(y) = {P[k - 1].to_text()}")
     lines.append("")

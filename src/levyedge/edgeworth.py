@@ -276,11 +276,16 @@ def build_Q(c: CumulantSet, r: int) -> list:
     Q_k sums b_alpha H^Sigma_alpha over the terms b_alpha (i z)^alpha of
     P_k; exact (rational) for rational cumulants.
     """
+    return _hermite_form(c, build_P(c, r))
+
+
+def _hermite_form(c: CumulantSet, ps: list) -> list:
+    """Q_1..Q_r from P_1..P_r = build_P(c, r), for a caller that keeps P."""
     c.check_nonsingular()
     sigma_inv = rational_inverse(c.covariance)
     memo: dict = {}
     qs = []
-    for p in build_P(c, r):
+    for p in ps:
         qk = Polynomial.zero(c.dimension)
         for alpha, b in p.terms.items():
             qk = qk + hermite_sigma(alpha, sigma_inv, memo) * b

@@ -316,7 +316,6 @@ class AnnulusDecomposition:
         inner = 2.0 ** (-self.R_max - 1)
         self.tail_covariance = spec.interval_covariance(0.0, inner)
         self.truncated_variance = float(np.trace(self.tail_covariance))
-        self.total_variance = float(np.trace(spec.small_jump_covariance(eps)))
 
     def _build_bands(self) -> List[Tuple[float, float, float]]:
         """(lo, hi, mass) intervals from eps down to 2^(-R_max-1)."""

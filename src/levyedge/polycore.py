@@ -15,9 +15,10 @@ returns a fresh object.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
+from operator import add, sub
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -45,6 +46,16 @@ def _as_coeff(c) -> Coeff:
 def grlex_key(alpha: tuple) -> tuple:
     """Graded-lexicographic sort key for exponent tuples."""
     return (sum(alpha), tuple(-a for a in alpha))
+
+
+def _all_fractions(terms: dict) -> bool:
+    return all(type(c) is Fraction for c in terms.values())
+
+
+def _integer_numerators(terms: dict):
+    """([(alpha, c * l)], l) for l the lcm of the coefficient denominators."""
+    l = math.lcm(*(c.denominator for c in terms.values()))
+    return [(a, c.numerator * (l // c.denominator)) for a, c in terms.items()], l
 
 
 class Polynomial:
@@ -163,6 +174,18 @@ class Polynomial:
         self._check_dim(other)
         if self.degree() + other.degree() > MAX_DEGREE:
             raise PolynomialError(f"product degree exceeds cap {MAX_DEGREE}")
+        if _all_fractions(self.terms) and _all_fractions(other.terms):
+            # exact: convolve integer numerators over the two denominator
+            # lcms, then make one Fraction per output term
+            n1, l1 = _integer_numerators(self.terms)
+            n2, l2 = _integer_numerators(other.terms)
+            acc: dict = {}
+            for a1, c1 in n1:
+                for a2, c2 in n2:
+                    key = tuple(map(add, a1, a2))
+                    acc[key] = acc.get(key, 0) + c1 * c2
+            den = l1 * l2
+            return Polynomial._of(self.dimension, {a: Fraction(n, den) for a, n in acc.items()})
         terms: dict = {}
         for a1, c1 in self.terms.items():
             for a2, c2 in other.terms.items():
@@ -238,7 +261,20 @@ class Polynomial:
 
     def substitute(self, coords: Sequence) -> "Polynomial":
         """Substitute each variable by a polynomial (same dimension)."""
-        return _substitute(self, coords, Polynomial.constant(coords[0].dimension, Fraction(1)))
+        if len(coords) != self.dimension:
+            raise PolynomialError("substitution arity mismatch")
+        one = Polynomial.constant(coords[0].dimension, Fraction(1))
+        powers = [[one, u] for u in coords]  # powers[j][e] = coords[j]^e
+        out = one * 0
+        for alpha, c in self.terms.items():
+            term = one * c
+            for j, e in enumerate(alpha):
+                if e:
+                    while len(powers[j]) <= e:
+                        powers[j].append(powers[j][-1] * coords[j])
+                    term = term * powers[j][e]
+            out = out + term
+        return out
 
     def compose_affine(self, A) -> "Polynomial":
         """Return self(A x) for a square matrix A (rows index the old variables)."""
@@ -277,39 +313,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self.dimension}, {self.to_text()})"
-
-
-def _substitute(S: Polynomial, coords: Sequence, one):
-    """Evaluate S with the given objects as coordinates.
-
-    Works for any coordinate type supporting +, * and scalar
-    multiplication (Polynomial, EpsSeries).
-    """
-    if len(coords) != S.dimension:
-        raise PolynomialError("substitution arity mismatch")
-    out = None
-    pow_cache = [{} for _ in coords]
-
-    def cpow(j, e):
-        cache = pow_cache[j]
-        if e not in cache:
-            if e == 0:
-                cache[e] = one
-            elif e == 1:
-                cache[e] = coords[j]
-            else:
-                cache[e] = cpow(j, e - 1) * coords[j]
-        return cache[e]
-
-    for alpha, c in S.terms.items():
-        term = one * c
-        for j, e in enumerate(alpha):
-            if e:
-                term = term * cpow(j, e)
-        out = term if out is None else out + term
-    if out is None:
-        out = one * 0
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -561,30 +564,41 @@ class EpsSeries:
         return EpsSeries(coeffs, self.order)
 
     def exp(self) -> "EpsSeries":
-        """Series exponential; requires zero order-0 coefficient."""
+        """Series exponential; requires zero order-0 coefficient.
+
+        E = exp(A) solves E' = A' E, so n E_n = sum_(i=1..n) i A_i E_(n-i)
+        with E_0 = 1: O(order^2) polynomial products.
+        """
         if not self.coeffs[0].is_zero():
             raise PolynomialError("exp needs zero constant-in-eps part")
-        one = Polynomial.constant(self.dimension, Fraction(1))
-        out = EpsSeries([one], self.order)
-        term = EpsSeries([one], self.order)
-        for k in range(1, self.order + 1):
-            term = term * self * Fraction(1, k)
-            out = out + term
-        return out
+        ia = [c * i for i, c in enumerate(self.coeffs)]
+        out = [Polynomial.constant(self.dimension, Fraction(1))]
+        for n in range(1, self.order + 1):
+            acc = Polynomial.zero(self.dimension)
+            for i in range(1, n + 1):
+                if not ia[i].is_zero():
+                    acc = acc + ia[i] * out[n - i]
+            out.append(acc * Fraction(1, n))
+        return EpsSeries(out, self.order)
 
     def reciprocal(self) -> "EpsSeries":
-        """Series 1/self; requires order-0 coefficient exactly 1."""
+        """Series 1/self; requires order-0 coefficient exactly 1.
+
+        R = 1/D solves D R = 1, so R_n = -sum_(i=1..n) D_i R_(n-i) with
+        R_0 = 1: O(order^2) polynomial products.
+        """
         c0 = self.coeffs[0]
         if c0 != Polynomial.constant(self.dimension, Fraction(1)):
             raise PolynomialError("reciprocal needs order-0 coefficient 1")
-        v = self - 1  # strictly positive eps-order
-        one = Polynomial.constant(self.dimension, Fraction(1))
-        out = EpsSeries([one], self.order)
-        term = EpsSeries([one], self.order)
-        for _ in range(1, self.order + 1):
-            term = term * (-1) * v
-            out = out + term
-        return out
+        d = self.coeffs
+        out = [c0]
+        for n in range(1, self.order + 1):
+            acc = Polynomial.zero(self.dimension)
+            for i in range(1, n + 1):
+                if not d[i].is_zero():
+                    acc = acc + d[i] * out[n - i]
+            out.append(-acc)
+        return EpsSeries(out, self.order)
 
     def at(self, eps) -> Polynomial:
         """Collapse the series at a numeric eps value."""
@@ -602,21 +616,52 @@ class EpsSeries:
         return "EpsSeries[" + " + ".join(parts) + "]"
 
 
+def _exponents_up_to(q: int, top: int):
+    """Exponent tuples of length q and total degree <= top."""
+    if q == 0:
+        yield ()
+        return
+    for first in range(top + 1):
+        for rest in _exponents_up_to(q - 1, top - first):
+            yield (first,) + rest
+
+
 def taylor_shift(S: Polynomial, displacement: Sequence[Sequence[Polynomial]], order: int) -> EpsSeries:
     """Expand S(x + sum_k eps^k U_k(x)) as a truncated series in eps.
 
     displacement[k-1] is the vector polynomial U_k; the result is exact
-    up to the requested truncation order.
+    up to the requested truncation order.  With d = sum_k eps^k U_k this
+    is the Taylor sum S(x + d) = sum_beta (d^beta S / beta!)(x) d^beta;
+    d starts at eps^1, so d^beta starts at eps^|beta| and only the terms
+    with |beta| <= order survive truncation.
     """
     q = S.dimension
     for U in displacement:
         if len(U) != q or any(u.dimension != q for u in U):
             raise PolynomialError("displacement entries must match dimension")
-    coords = []
-    for j in range(q):
-        coeffs = [Polynomial.variable(q, j)]
-        for U in displacement:
-            coeffs.append(U[j])
-        coords.append(EpsSeries(coeffs, order))
-    one = EpsSeries.constant(q, Fraction(1), order)
-    return _substitute(S, coords, one)
+    zero = Polynomial.zero(q)
+    d = [EpsSeries([zero] + [U[j] for U in displacement], order) for j in range(q)]
+    powers = {(0,) * q: EpsSeries.constant(q, Fraction(1), order)}
+
+    def dpow(beta):
+        # d^beta = d^(beta - e_j) d_j for the first j with beta_j > 0
+        if beta not in powers:
+            j = next(i for i, b in enumerate(beta) if b)
+            powers[beta] = dpow(beta[:j] + (beta[j] - 1,) + beta[j + 1:]) * d[j]
+        return powers[beta]
+
+    out = [zero] * (order + 1)
+    top = min(order, S.degree())
+    for beta in _exponents_up_to(q, top):
+        m = sum(beta)
+        coeff = {}  # d^beta S / beta!: c_alpha prod_j C(alpha_j, beta_j) x^(alpha - beta)
+        for alpha, c in S.terms.items():
+            if all(a >= b for a, b in zip(alpha, beta)):
+                coeff[tuple(map(sub, alpha, beta))] = c * math.prod(map(math.comb, alpha, beta))
+        if not coeff:
+            continue
+        coeff = Polynomial._of(q, coeff)
+        dp = dpow(beta)
+        for k in range(m, order + 1):
+            out[k] = out[k] + dp[k] * coeff
+    return EpsSeries(out, order)

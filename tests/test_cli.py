@@ -210,22 +210,41 @@ class TestOutputs:
         assert "residual check: all zero (exact)" in open(out).read().splitlines()
 
     def test_edgeworth_build_builds_Q_once(self, tmp_path, monkeypatch):
-        # the moment check takes the Q that the build printed and inverted
+        # the moment check takes the Q that the build printed and inverted;
+        # build_Q goes through the same P -> Q step, so this counts it too
         calls = []
-        real = edgeworth.build_Q
+        real = edgeworth._hermite_form
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[1]))
+            return real(*args, **kwargs)
+
+        for mod in list(sys.modules.values()):  # every binding, as `from ... import` makes
+            if mod.__name__.startswith("levyedge") and vars(mod).get("_hermite_form") is real:
+                monkeypatch.setattr(mod, "_hermite_form", counted)
+        cfg = write(tmp_path, "eb.cfg", EDGEWORTH_R3)
+        out = str(tmp_path / "out.txt")
+        assert cli.main(["edgeworth-build", "--config", cfg, "--out", out, "--no-timestamp"]) == 0
+        assert calls == [3]
+        assert "moment check: all equal (exact)" in open(out).read().splitlines()
+
+    def test_edgeworth_build_builds_P_once(self, tmp_path, monkeypatch):
+        # the printed P_k are the ones the Hermite form of Q is made from
+        calls = []
+        real = edgeworth.build_P
 
         def counted(*args, **kwargs):
             calls.append(args[1])
             return real(*args, **kwargs)
 
         for mod in list(sys.modules.values()):  # every binding, as `from ... import` makes
-            if mod.__name__.startswith("levyedge") and vars(mod).get("build_Q") is real:
-                monkeypatch.setattr(mod, "build_Q", counted)
+            if mod.__name__.startswith("levyedge") and vars(mod).get("build_P") is real:
+                monkeypatch.setattr(mod, "build_P", counted)
         cfg = write(tmp_path, "eb.cfg", EDGEWORTH_R3)
         out = str(tmp_path / "out.txt")
         assert cli.main(["edgeworth-build", "--config", cfg, "--out", out, "--no-timestamp"]) == 0
         assert calls == [3]
-        assert "moment check: all equal (exact)" in open(out).read().splitlines()
+        assert "residual check: all zero (exact)" in open(out).read().splitlines()
 
     @pytest.mark.parametrize("experiment", list(TINY))
     def test_threads_do_not_change_results(self, tmp_path, experiment):

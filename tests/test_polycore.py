@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from levyedge.polycore import (
+    MAX_DEGREE,
     EpsSeries,
     GaussianMoments,
     Polynomial,
@@ -41,6 +42,104 @@ def isserlis(indices: tuple, sigma) -> Fraction:
         if cov != 0:
             total = total + cov * isserlis(rest[:pos] + rest[pos + 1:], sigma)
     return total
+
+
+def pairwise_product(p: Polynomial, r: Polynomial) -> dict:
+    """Reference product terms: one coefficient product per pair of
+    terms, summed in pair order, zero sums dropped."""
+    terms = {}
+    for a1, c1 in p.terms.items():
+        for a2, c2 in r.terms.items():
+            key = tuple(e1 + e2 for e1, e2 in zip(a1, a2))
+            terms[key] = terms.get(key, 0) + c1 * c2
+    return {a: c for a, c in terms.items() if c}
+
+
+def substitution_shift(S: Polynomial, displacement, order: int) -> EpsSeries:
+    """Reference taylor_shift: substitute the series x_j + sum_k eps^k U_k[j]
+    for x_j in every monomial of S, with truncated series products."""
+    q = S.dimension
+    coords = [
+        EpsSeries([Polynomial.variable(q, j)] + [U[j] for U in displacement], order)
+        for j in range(q)
+    ]
+    out = EpsSeries.constant(q, Fraction(0), order)
+    for alpha, c in S.terms.items():
+        term = EpsSeries.constant(q, c, order)
+        for j, e in enumerate(alpha):
+            for _ in range(e):
+                term = term * coords[j]
+        out = out + term
+    return out
+
+
+def series_exp_by_powers(s: EpsSeries) -> EpsSeries:
+    """Reference exp: sum_k s^k / k! by repeated series products."""
+    one = EpsSeries.constant(s.dimension, Fraction(1), s.order)
+    out, term = one, one
+    for k in range(1, s.order + 1):
+        term = term * s * Fraction(1, k)
+        out = out + term
+    return out
+
+
+def series_reciprocal_by_powers(s: EpsSeries) -> EpsSeries:
+    """Reference 1/s: sum_k (1 - s)^k by repeated series products."""
+    one = EpsSeries.constant(s.dimension, Fraction(1), s.order)
+    v = one - s
+    out, term = one, one
+    for _ in range(1, s.order + 1):
+        term = term * v
+        out = out + term
+    return out
+
+
+RATIONALS = st.fractions(-5, 5, max_denominator=12)
+FLOATS = st.floats(-5, 5, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def polynomials(draw, q, max_degree, coeffs=RATIONALS, max_terms=6):
+    """A polynomial in q variables with up to max_terms terms of total
+    degree <= max_degree."""
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        left, alpha = draw(st.integers(0, max_degree)), []
+        for _ in range(q):
+            alpha.append(draw(st.integers(0, left)))
+            left -= alpha[-1]
+        terms[tuple(alpha)] = draw(coeffs)
+    return Polynomial(q, terms)
+
+
+@st.composite
+def product_case(draw):
+    """Two polynomials in q <= 3 variables: rational, float or mixed."""
+    q = draw(st.integers(1, 3))
+    kinds = draw(st.sampled_from([(RATIONALS, RATIONALS), (FLOATS, FLOATS),
+                                  (RATIONALS, FLOATS), (FLOATS, RATIONALS),
+                                  (RATIONALS, st.one_of(RATIONALS, FLOATS))]))
+    return draw(polynomials(q, 6, kinds[0])), draw(polynomials(q, 6, kinds[1]))
+
+
+@st.composite
+def shift_case(draw):
+    """A rational S (q 1-3, degree <= 6), 1-3 displacement levels of small
+    vector polynomials, and a truncation order 0-5."""
+    q = draw(st.integers(1, 3))
+    S = draw(polynomials(q, 6))
+    levels = draw(st.integers(1, 3))
+    displacement = [[draw(polynomials(q, 2, max_terms=3)) for _ in range(q)] for _ in range(levels)]
+    return S, displacement, draw(st.integers(0, 5))
+
+
+@st.composite
+def series_case(draw):
+    """A rational series in q <= 2 variables with zero order-0 coefficient."""
+    q = draw(st.integers(1, 2))
+    order = draw(st.integers(0, 4))
+    coeffs = [Polynomial.zero(q)] + [draw(polynomials(q, 2, max_terms=3)) for _ in range(order)]
+    return EpsSeries(coeffs, order)
 
 
 @st.composite
@@ -104,6 +203,37 @@ class TestPolynomial:
         p = 3 * x(0) ** 2 * x(1) - Fraction(1, 2) * x(1) ** 3 + 7
         exact = p.evaluate_exact([a, b])
         assert float(exact) == pytest.approx(p(np.array([a, b], dtype=float)))
+
+
+    @given(product_case())
+    @settings(deadline=None, max_examples=200)
+    def test_product_equals_pairwise_reference(self, case):
+        p, r = case
+        got = p * r
+        want = pairwise_product(p, r)
+        assert got.terms == want
+        assert list(got.terms.items()) == list(want.items())  # same dict order
+        assert all(type(c) is type(want[a]) for a, c in got.terms.items())
+
+    def test_product_cancellation_and_zero(self):
+        p = (x(0) + x(1)) * (x(0) - x(1))  # the x1 x2 terms cancel
+        assert list(p.terms.items()) == [((2, 0), 1), ((0, 2), -1)]
+        assert list(p.terms) == list(pairwise_product(x(0) + x(1), x(0) - x(1)))
+        half = Fraction(1, 2) * x(0) - Fraction(1, 3) * x(1)
+        assert (half * (3 * x(0) + 2 * x(1))).terms == {(2, 0): Fraction(3, 2), (0, 2): Fraction(-2, 3)}
+        for zero in (Polynomial.zero(2), x(0) * 0, x(0) * 0.0):
+            assert (zero * half).is_zero() and (half * zero).is_zero()
+        mixed = (0.5 * x(0) + x(1)) * (x(0) - 2 * x(1))
+        assert mixed.terms == pairwise_product(0.5 * x(0) + x(1), x(0) - 2 * x(1))
+
+    def test_product_degree_cap_and_dimension(self):
+        low = x(0) ** (MAX_DEGREE // 2)
+        assert (low * low).degree() == MAX_DEGREE
+        for a, b in [(low * x(0), low), (low * 0.5 * x(1), low * x(0))]:
+            with pytest.raises(PolynomialError, match="degree exceeds cap"):
+                a * b
+        with pytest.raises(PolynomialError, match="dimension mismatch"):
+            x(0) * x(0, q=3)
 
 
 class TestHermite:
@@ -274,3 +404,33 @@ class TestEpsSeries:
         assert out[1] == 2 * x(0)
         assert out[2] == Polynomial.constant(2, 1)
         assert out[3].is_zero()
+
+    @given(shift_case())
+    @settings(deadline=None, max_examples=60)
+    def test_taylor_shift_equals_substitution(self, case):
+        S, displacement, order = case
+        assert taylor_shift(S, displacement, order) == substitution_shift(S, displacement, order)
+
+    def test_taylor_shift_checks_dimension(self):
+        with pytest.raises(PolynomialError):
+            taylor_shift(x(0), [[x(0)]], 2)
+        with pytest.raises(PolynomialError):
+            taylor_shift(x(0), [[x(0), x(0, q=3)]], 2)
+
+    @given(series_case())
+    @settings(deadline=None, max_examples=60)
+    def test_exp_and_reciprocal_equal_power_sums(self, s):
+        e = s.exp()
+        assert e == series_exp_by_powers(s)
+        assert e.reciprocal() == series_reciprocal_by_powers(e)
+        one = s + 1
+        assert one.reciprocal() == series_reciprocal_by_powers(one)
+        assert e * (-s).exp() == EpsSeries.constant(s.dimension, Fraction(1), s.order)
+
+    def test_exp_and_reciprocal_check_input(self):
+        s = EpsSeries([x(0), x(1)], 2)
+        with pytest.raises(PolynomialError, match="exp needs"):
+            s.exp()
+        for c0 in (x(0), Polynomial.constant(2, 2), Polynomial.constant(2, 1.0) + x(0)):
+            with pytest.raises(PolynomialError, match="reciprocal needs"):
+                EpsSeries([c0, x(1)], 2).reciprocal()
