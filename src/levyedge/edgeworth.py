@@ -34,6 +34,7 @@ from .polycore import (
     grlex_key,
     hermite_sigma,
     rational_inverse,
+    sum_of_products,
 )
 
 
@@ -284,13 +285,11 @@ def _hermite_form(c: CumulantSet, ps: list) -> list:
     c.check_nonsingular()
     sigma_inv = rational_inverse(c.covariance)
     memo: dict = {}
-    qs = []
-    for p in ps:
-        qk = Polynomial.zero(c.dimension)
-        for alpha, b in p.terms.items():
-            qk = qk + hermite_sigma(alpha, sigma_inv, memo) * b
-        qs.append(qk)
-    return qs
+    return [
+        sum_of_products(c.dimension, [(hermite_sigma(alpha, sigma_inv, memo), b)
+                                      for alpha, b in p.terms.items()])
+        for p in ps
+    ]
 
 
 def gaussian_density(sigma: np.ndarray, x: np.ndarray) -> np.ndarray:

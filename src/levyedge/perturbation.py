@@ -9,25 +9,33 @@ polynomials Q_k): each level solves
 
 one degree at a time (x . Sigma^{-1} grad keeps the degree, -Lap lowers
 it by two), after subtracting the inter-level correction S~ produced by
-the series expansion of the pushforward density.  All arithmetic stays
-in exact rationals when the inputs and Sigma are rational.
+the series expansion of the pushforward density.  The expansion is one
+pass: each eps-coefficient of the balance depends on u_k linearly and on
+no later potential, so every level adds the new potential's term,
+checks its own balance and makes only the next coefficients, from which
+S~ of the next level follows; nothing lower is expanded again.  All
+arithmetic stays in exact rationals when the inputs and Sigma are
+rational.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import ge, sub
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .edgeworth import multi_indices
 from .polycore import (
-    EpsSeries,
+    GaussianMoments,
     Polynomial,
+    exp_coefficient,
     gaussian_expectation,
     rational_inverse,
     solve_linear,
-    taylor_shift,
+    sum_of_products,
 )
 
 
@@ -125,9 +133,7 @@ def solve_hermite_pde(rhs: Polynomial, sigma) -> Polynomial:
         monos = list(multi_indices(q, d))
         b = [[rhs.coefficient(a) + lap.coefficient(a)] for a in monos]
         if any(row[0] != 0 for row in b):
-            # column beta holds x . Sigma^{-1} grad x^beta, again of degree d
-            cols = [_x_dot_inv_grad(Polynomial(q, {beta: 1}), inv) for beta in monos]
-            sol = solve_linear([[col.coefficient(a) for col in cols] for a in monos], b)
+            sol = solve_linear(_operator_matrix(monos, inv), b)
             parts[d] = Polynomial(q, {a: row[0] for a, row in zip(monos, sol)})
     mean = rhs.constant_term() + parts[2].laplacian().constant_term()
     if (mean != 0) if exact else (abs(float(mean)) > 1e-9):
@@ -146,17 +152,173 @@ def solve_hermite_pde(rhs: Polynomial, sigma) -> Polynomial:
     return u
 
 
+def _operator_matrix(monos: list, inv) -> list:
+    """x . Sigma^{-1} grad on the span of the monomials `monos` of one
+    degree: column beta holds the coefficients of
+    x . Sigma^{-1} grad x^beta = sum_ij (Sigma^{-1})_ij beta_j x^(beta - e_j + e_i)."""
+    q = len(inv)
+    row = {a: n for n, a in enumerate(monos)}
+    mat = [[Fraction(0)] * len(monos) for _ in monos]
+    for col, beta in enumerate(monos):
+        for i in range(q):
+            for j in range(q):
+                if beta[j] and inv[i][j] != 0:
+                    a = list(beta)
+                    a[j] -= 1
+                    a[i] += 1
+                    mat[row[tuple(a)]][col] += inv[i][j] * beta[j]
+    return mat
+
+
 def _x_dot_inv_grad(u: Polynomial, inv) -> Polynomial:
-    """x . Sigma^{-1} grad u, given inv = Sigma^{-1}."""
+    """x . Sigma^{-1} grad u, given inv = Sigma^{-1}, in closed form:
+    x . Sigma^{-1} grad x^beta = sum_ij (Sigma^{-1})_ij beta_j x^(beta - e_j + e_i)."""
     q = u.dimension
-    grad = u.gradient()
-    out = Polynomial.zero(q)
+    terms: dict = {}
     for i in range(q):
-        xi = Polynomial.variable(q, i)
         for j in range(q):
-            if inv[i][j] != 0:
-                out = out + xi * grad[j] * inv[i][j]
+            s = inv[i][j]
+            if s != 0:
+                for beta, c in u.terms.items():
+                    if beta[j]:
+                        a = list(beta)
+                        a[j] -= 1
+                        a[i] += 1
+                        a = tuple(a)
+                        terms[a] = terms.get(a, 0) + c * beta[j] * s
+    return Polynomial._of(q, terms)
+
+
+def _taylor_terms(S: Polynomial, top: int) -> list:
+    """(beta, d^beta S / beta!) for 1 <= |beta| <= top, nonzero ones only:
+    the coefficient of S(x + d) on d^beta.  d^beta S / beta! has the terms
+    c_alpha prod_j C(alpha_j, beta_j) x^(alpha - beta)."""
+    q = S.dimension
+    out = []
+    for m in range(1, min(top, S.degree()) + 1):
+        for beta in multi_indices(q, m):
+            terms = {
+                tuple(map(sub, alpha, beta)): c * math.prod(map(math.comb, alpha, beta))
+                for alpha, c in S.terms.items()
+                if all(map(ge, alpha, beta))
+            }
+            if terms:
+                out.append((beta, Polynomial._of(q, terms)))
     return out
+
+
+class _Recursion:
+    """The eps-series of the pushforward balance, kept across levels.
+
+    With d = sum_j eps^j p_j, p_j = grad u_j, and y = x + d, the density
+    balance phi(x) / [phi(y) det DY] = sum_j eps^j S_j(y) (S_0 = 1) reads
+
+        exp(G) = sum_j eps^j sum_beta (d^beta S_j / beta!)(x) d^beta,
+        G = x . Sigma^{-1} d + |d|^2_{Sigma^{-1}} / 2 - log det(I + A),
+        A = sum_j eps^j Hess u_j.
+
+    The eps^m coefficient of each series depends on u_1..u_m only, and
+    on u_m only through x . Sigma^{-1} grad u_m - Lap u_m.  So level k
+    adds that term of u_k to the eps^k coefficients made at level k - 1,
+    checks the level-k balance, and makes the eps^(k+1) coefficients
+    without u_(k+1): their difference is S~_(k+1).  Nothing is
+    recomputed.  The state: G_m (as m G_m) and F_m = exp(G)_m; the
+    coefficients B_m of (I + A)^{-1} (log det(I + A) has
+    n L_n = sum_i i tr(A_i B_(n-i))); the eps-coefficients of every d^beta,
+    one column per level; and d^beta S_j / beta! for |beta| <= order - j.
+    `exact` holds while Sigma and every input so far are rational; the
+    checks are then exact, and within 1e-7 (balance) or 1e-8 (mean)
+    otherwise.
+    """
+
+    def __init__(self, sig: list, order: int, exact: bool):
+        q = len(sig)
+        self.q, self.order, self.exact = q, order, exact
+        self.inv = rational_inverse(sig)
+        self.moments = GaussianMoments(sig, q)
+        zero, one = Polynomial.zero(q), Polynomial.constant(q, Fraction(1))
+        self.zero = zero
+        self.grads: list = []  # p_j
+        self.inv_grads: list = []  # Sigma^{-1} p_j
+        self.hess: list = []  # A_j = Hess u_j
+        self.b = [[[one if a == c else zero for c in range(q)] for a in range(q)]]  # B_0 = I
+        self.ig = [zero, zero]  # m G_m; the eps^1 coefficients before u_1 are zero
+        self.f = [one, zero]
+        self.dpow = {(0,) * q: [one]}  # beta -> [(d^beta)_0, (d^beta)_1, ...]
+        self.taylor: list = []  # per target j: _taylor_terms(S_j, order - j)
+        self.s_tilde = zero  # S~ of the next level
+
+    def level(self, u: Polynomial, target: Polynomial) -> None:
+        """Take u_k and S_k, check the level-k balance, and, below the
+        order, make S~_(k+1)."""
+        q, k = self.q, len(self.grads) + 1
+        self.exact = self.exact and all(
+            isinstance(c, Fraction) for p in (u, target) for c in p.terms.values()
+        )
+        lin = _x_dot_inv_grad(u, self.inv) - u.laplacian()
+        diff = self.s_tilde + lin - target
+        if self.exact:
+            if not diff.is_zero():
+                raise PerturbationError(f"inconsistent inputs at level {k}")
+        elif any(abs(float(c)) > 1e-7 for c in diff.terms.values()):
+            raise PerturbationError(f"inconsistent inputs at level {k}")
+        self.f[k] = self.f[k] + lin
+        self.ig[k] = self.ig[k] + lin * k
+        grad = u.gradient()
+        hess = [[None] * q for _ in range(q)]
+        for a in range(q):
+            for c in range(a, q):
+                hess[a][c] = hess[c][a] = grad[a].partial(c)
+        self.grads.append(grad)
+        self.inv_grads.append([
+            sum_of_products(q, [(grad[c], self.inv[a][c]) for c in range(q)]) for a in range(q)
+        ])
+        self.hess.append(hess)
+        self.taylor.append(_taylor_terms(target, self.order - k))
+        if k < self.order:
+            self._next(k + 1)
+
+    def _next(self, n: int) -> None:
+        """The eps^n coefficients without u_n, from u_1..u_(n-1)."""
+        q, k = self.q, n - 1
+        grads, hess, b = self.grads, self.hess, self.b
+        # B_k = -sum_(i=1..k) A_i B_(k-i); symmetric
+        bk = [[None] * q for _ in range(q)]
+        for a in range(q):
+            for c in range(a, q):
+                bk[a][c] = bk[c][a] = sum_of_products(
+                    q, [(hess[i - 1][a][j], b[k - i][j][c])
+                        for i in range(1, k + 1) for j in range(q)], -1)
+        b.append(bk)
+        # column k of the d^beta table: (d^beta)_k = sum_i p_i[j] (d^(beta - e_j))_(k-i)
+        # for the first j with beta_j > 0
+        dpow = self.dpow
+        dpow[(0,) * q].append(self.zero)
+        for m in range(1, k + 1):
+            for beta in multi_indices(q, m):
+                j = next(i for i, e in enumerate(beta) if e)
+                low = dpow[beta[:j] + (beta[j] - 1,) + beta[j + 1:]]
+                row = dpow.setdefault(beta, [self.zero] * m)
+                row.append(sum_of_products(
+                    q, [(grads[i - 1][j], low[k - i]) for i in range(1, k - m + 2)]))
+        # n G_n without u_n: n/2 sum_(i+j=n) p_i . Sigma^{-1} p_j - n L_n
+        half = sum_of_products(
+            q, [(grads[i - 1][a], self.inv_grads[n - i - 1][a])
+                for i in range(1, n) for a in range(q)], Fraction(n, 2))
+        logdet = sum_of_products(
+            q, [(hess[i - 1][a][c] * i, b[n - i][c][a])
+                for i in range(1, n) for a in range(q) for c in range(q)])
+        self.ig.append(half - logdet)
+        self.f.append(exp_coefficient(self.ig, self.f, n))
+        shifted = sum_of_products(
+            q, [(t, dpow[beta][n - j])
+                for j, terms in enumerate(self.taylor, start=1)
+                for beta, t in terms if sum(beta) <= n - j])
+        out = self.f[n] - shifted
+        mean = self.moments.expectation(out, (0,) * q)
+        if (mean != 0) if self.exact else (abs(float(mean)) > 1e-8):
+            raise AssertionError("correction polynomial must have zero Gaussian mean")
+        self.s_tilde = out
 
 
 def compute_S_tilde(
@@ -171,7 +333,7 @@ def compute_S_tilde(
     as 1 + eps T_1 + ... and Taylor-shifts each S_j(y) back to x; the
     eps^(k+1) balance yields S~_{k+1} = T_{k+1} - sum_{j+l=k+1} w_{j,l}.
     Verifies the lower-level balances exactly and the zero-Gaussian-mean
-    property of the output.
+    property of the output.  The same recursion as invert_S_map's.
     """
     sig = _as_matrix(sigma)
     k = len(potentials)
@@ -179,101 +341,32 @@ def compute_S_tilde(
         raise PerturbationError("need one target per potential")
     if k == 0:
         raise PerturbationError("empty input; the first correction is identically zero")
-    q = len(sig)
-    order = k + 1
-    inv = rational_inverse(sig)
-    grads = [u.gradient() for u in potentials]
     exact = all(
         isinstance(c, Fraction)
         for u in list(potentials) + list(targets)
         for c in u.terms.values()
     ) and all(not isinstance(x, float) for row in sig for x in row)
-
-    # exponent: sum_j eps^j x.Sigma^{-1} grad u_j
-    #         + (1/2) sum eps^{j1+j2} grad u_{j1} . Sigma^{-1} grad u_{j2}
-    expo = [Polynomial.zero(q) for _ in range(order + 1)]
-    for j, u in enumerate(potentials, start=1):
-        expo[j] = expo[j] + _x_dot_inv_grad(u, inv)
-    for j1 in range(1, k + 1):
-        for j2 in range(1, k + 1):
-            if j1 + j2 > order:
-                continue
-            cross = Polynomial.zero(q)
-            for a in range(q):
-                for b in range(q):
-                    if inv[a][b] != 0:
-                        cross = cross + grads[j1 - 1][a] * grads[j2 - 1][b] * inv[a][b]
-            expo[j1 + j2] = expo[j1 + j2] + cross * Fraction(1, 2)
-    numer = EpsSeries(expo, order).exp()
-
-    # det(I + sum_j eps^j Hess u_j) as an eps-series, cofactor expansion
-    hess = [
-        [
-            EpsSeries(
-                [Polynomial.constant(q, Fraction(1) if a == b else Fraction(0))]
-                + [grads[j][a].partial(b) for j in range(k)],
-                order,
-            )
-            for b in range(q)
-        ]
-        for a in range(q)
-    ]
-    det = _series_det(hess, q, order)
-    series = numer * det.reciprocal()
-
-    # Taylor shifts of the targets along the displacement field
-    displacement = [grads[j] for j in range(k)]
-    w = [taylor_shift(s, displacement, order - j) for j, s in enumerate(targets, start=1)]
-    for l in range(1, k + 1):
-        level = series[l]
-        for j in range(1, l + 1):
-            level = level - w[j - 1][l - j]
-        diff = level
-        if exact:
-            if not diff.is_zero():
-                raise PerturbationError(f"inconsistent inputs at level {l}")
-        elif any(abs(float(c)) > 1e-7 for c in diff.terms.values()):
-            raise PerturbationError(f"inconsistent inputs at level {l}")
-
-    out = series[order]
-    for j in range(1, k + 1):
-        out = out - w[j - 1][order - j]
-    mean = gaussian_expectation(out, sig)
-    if (mean != 0) if exact else (abs(float(mean)) > 1e-8):
-        raise AssertionError("correction polynomial must have zero Gaussian mean")
-    return out
-
-
-def _series_det(m, q: int, order: int) -> EpsSeries:
-    if q == 1:
-        return m[0][0]
-    total: Optional[EpsSeries] = None
-    for i in range(q):
-        minor = [[m[r][c] for c in range(q) if c != 0] for r in range(q) if r != i]
-        term = m[i][0] * _series_det(minor, q - 1, order)
-        if i % 2:
-            term = term * -1
-        total = term if total is None else total + term
-    return total
+    rec = _Recursion(sig, k + 1, exact)
+    for u, s in zip(potentials, targets):
+        rec.level(u, s)
+    return rec.s_tilde
 
 
 def invert_S_map(Q: Sequence[Polynomial], sigma) -> GradientPolyMap:
     """Potentials whose gradient perturbation realizes target corrections.
 
     Solves the level-by-level recursion S~_k - L_Sigma(grad u_k) = Q_k
-    with S~_1 = 0, and keeps each S~_k on the map; exact for rational Q
-    and Sigma.
+    with S~_1 = 0, in one pass of the balance recursion, and keeps each
+    S~_k on the map; exact for rational Q and Sigma.
     """
     sig = _as_matrix(sigma)
+    rec = _Recursion(sig, len(Q), all(not isinstance(x, float) for row in sig for x in row))
     pots: List[Polynomial] = []
     s_tilde: List[Polynomial] = []
-    for k, qk in enumerate(Q):
-        if k:
-            s_tilde.append(compute_S_tilde(pots, list(Q[:k]), sig))
-            qk = qk - s_tilde[k]
-        else:
-            s_tilde.append(Polynomial.zero(len(sig)))
-        pots.append(solve_hermite_pde(qk, sig))
+    for qk in Q:
+        s_tilde.append(rec.s_tilde)
+        pots.append(solve_hermite_pde(qk - rec.s_tilde, sig))
+        rec.level(pots[-1], qk)
     return GradientPolyMap(sig, pots, s_tilde)
 
 

@@ -2,8 +2,10 @@
 
 Polynomials are stored as a dict mapping exponent tuples to coefficients.
 Coefficients are `fractions.Fraction` in exact mode or `float` in numeric
-mode; the two modes mix freely (Fraction*float -> float).  On top of the
-carrier type this module provides probabilists' Hermite polynomials and
+mode; the two modes mix freely (Fraction*float -> float).  Products, and
+sums of products, go through one kernel that keeps exact arithmetic in
+integers until the last step.  On top of the carrier type this module
+provides probabilists' Hermite polynomials and
 their counterparts H^Sigma_alpha for a general covariance, small linear
 solves (Gauss-Jordan), Gaussian moments (one memoised table per
 covariance) and truncated formal power series in an auxiliary small
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, sub
+from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -172,26 +174,7 @@ class Polynomial:
                 return Polynomial.zero(self.dimension)
             return Polynomial._of(self.dimension, {a: v * c for a, v in self.terms.items()})
         self._check_dim(other)
-        if self.degree() + other.degree() > MAX_DEGREE:
-            raise PolynomialError(f"product degree exceeds cap {MAX_DEGREE}")
-        if _all_fractions(self.terms) and _all_fractions(other.terms):
-            # exact: convolve integer numerators over the two denominator
-            # lcms, then make one Fraction per output term
-            n1, l1 = _integer_numerators(self.terms)
-            n2, l2 = _integer_numerators(other.terms)
-            acc: dict = {}
-            for a1, c1 in n1:
-                for a2, c2 in n2:
-                    key = tuple(map(add, a1, a2))
-                    acc[key] = acc.get(key, 0) + c1 * c2
-            den = l1 * l2
-            return Polynomial._of(self.dimension, {a: Fraction(n, den) for a, n in acc.items()})
-        terms: dict = {}
-        for a1, c1 in self.terms.items():
-            for a2, c2 in other.terms.items():
-                key = tuple(map(add, a1, a2))
-                terms[key] = terms.get(key, 0) + c1 * c2
-        return Polynomial._of(self.dimension, terms)
+        return sum_of_products(self.dimension, [(self, other)])
 
     __rmul__ = __mul__
 
@@ -227,10 +210,15 @@ class Polynomial:
         return [self.partial(j) for j in range(self.dimension)]
 
     def laplacian(self) -> "Polynomial":
-        out = Polynomial.zero(self.dimension)
+        """sum_j d_j d_j, in closed form: x^alpha -> alpha_j (alpha_j - 1) x^(alpha - 2 e_j)."""
+        terms: dict = {}
         for j in range(self.dimension):
-            out = out + self.partial(j).partial(j)
-        return out
+            for alpha, c in self.terms.items():
+                k = alpha[j]
+                if k > 1:
+                    key = alpha[:j] + (k - 2,) + alpha[j + 1:]
+                    terms[key] = terms.get(key, 0) + c * k * (k - 1)
+        return Polynomial._of(self.dimension, terms)
 
     # -- evaluation / substitution ------------------------------------
 
@@ -315,6 +303,57 @@ class Polynomial:
         return f"Polynomial({self.dimension}, {self.to_text()})"
 
 
+def sum_of_products(dimension: int, pairs: Iterable, scale: Coeff = 1) -> Polynomial:
+    """scale * sum_i a_i b_i over the pairs (a_i, b_i), in `dimension`
+    variables; each a_i is a Polynomial, each b_i a Polynomial or a scalar.
+
+    Exact operands and scale: each pair's integer numerators are convolved
+    over one common denominator of all the pairs, and each output term
+    becomes one Fraction.  Float or mixed operands are summed term by term
+    in pair order.  A pair of polynomials whose degrees add up to more
+    than MAX_DEGREE raises PolynomialError.
+    """
+    const = (0,) * dimension
+    ops = []
+    for a, b in pairs:
+        if isinstance(b, Polynomial):
+            bt = b.terms
+            if a.terms and bt and max(map(sum, a.terms)) + max(map(sum, bt)) > MAX_DEGREE:
+                raise PolynomialError(f"product degree exceeds cap {MAX_DEGREE}")
+        else:
+            b = _as_coeff(b)
+            bt = {const: b} if b != 0 else {}
+        if a.terms and bt:
+            ops.append((a.terms, bt))
+    scale = _as_coeff(scale)
+    if type(scale) is Fraction and all(_all_fractions(t1) and _all_fractions(t2) for t1, t2 in ops):
+        nums, den = [], 1
+        for t1, t2 in ops:
+            n1, l1 = _integer_numerators(t1)
+            n2, l2 = _integer_numerators(t2)
+            nums.append((n1, n2, l1 * l2))
+            den = math.lcm(den, l1 * l2)
+        acc: dict = {}
+        for n1, n2, l in nums:
+            f = den // l
+            for a1, c1 in n1:
+                c1 *= f
+                for a2, c2 in n2:
+                    key = tuple(map(add, a1, a2))
+                    acc[key] = acc.get(key, 0) + c1 * c2
+        num, den = scale.numerator, den * scale.denominator
+        return Polynomial._of(dimension, {a: Fraction(n * num, den) for a, n in acc.items() if n})
+    terms: dict = {}
+    for t1, t2 in ops:
+        for a1, c1 in t1.items():
+            for a2, c2 in t2.items():
+                key = tuple(map(add, a1, a2))
+                terms[key] = terms.get(key, 0) + c1 * c2
+    if scale != 1:
+        terms = {a: c * scale for a, c in terms.items()}
+    return Polynomial._of(dimension, terms)
+
+
 # ---------------------------------------------------------------------------
 # Hermite polynomials
 # ---------------------------------------------------------------------------
@@ -381,13 +420,13 @@ def solve_linear(a: Sequence[Sequence], b: Sequence[Sequence]) -> list:
             raise PolynomialError("singular matrix")
         a[col], a[piv] = a[piv], a[col]
         x[col], x[piv] = x[piv], x[col]
-        a[col] = [v / p for v in a[col]]
-        x[col] = [v / p for v in x[col]]
+        a[col] = [v / p if v else v for v in a[col]]
+        x[col] = [v / p if v else v for v in x[col]]
         for r in range(n):
             f = a[r][col]
             if r != col and f != 0:
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-                x[r] = [v - f * w for v, w in zip(x[r], x[col])]
+                a[r] = [v - f * w if w else v for v, w in zip(a[r], a[col])]
+                x[r] = [v - f * w if w else v for v, w in zip(x[r], x[col])]
     return x
 
 
@@ -479,8 +518,8 @@ class EpsSeries:
     """Polynomial-coefficient power series, truncated at a fixed order.
 
     coeffs[k] is the polynomial coefficient of eps^k; all coefficients
-    share one ambient dimension.  Binary operations truncate to the
-    smaller of the two orders.
+    share one ambient dimension.  A product truncates to the smaller of
+    the two orders.
     """
 
     __slots__ = ("dimension", "order", "coeffs")
@@ -504,14 +543,6 @@ class EpsSeries:
     def __setattr__(self, *a):
         raise AttributeError("EpsSeries is immutable")
 
-    @staticmethod
-    def constant(dimension: int, c, order: int) -> "EpsSeries":
-        return EpsSeries([Polynomial.constant(dimension, c)], order)
-
-    @staticmethod
-    def from_polynomial(p: Polynomial, order: int) -> "EpsSeries":
-        return EpsSeries([p], order)
-
     def __getitem__(self, k: int) -> Polynomial:
         return self.coeffs[k]
 
@@ -522,146 +553,39 @@ class EpsSeries:
             and self.coeffs == other.coeffs
         )
 
-    def __add__(self, other):
-        if not isinstance(other, EpsSeries):
-            other = EpsSeries.constant(self.dimension, other, self.order)
-        r = min(self.order, other.order)
-        return EpsSeries(
-            [self.coeffs[k] + other.coeffs[k] for k in range(r + 1)], r
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return EpsSeries([-c for c in self.coeffs], self.order)
-
-    def __sub__(self, other):
-        if not isinstance(other, EpsSeries):
-            other = EpsSeries.constant(self.dimension, other, self.order)
-        return self + (-other)
-
     def __mul__(self, other):
         if not isinstance(other, EpsSeries):
             # scalar or Polynomial multiplier
             return EpsSeries([c * other for c in self.coeffs], self.order)
         r = min(self.order, other.order)
-        out = [Polynomial.zero(self.dimension) for _ in range(r + 1)]
-        for i, a in enumerate(self.coeffs[: r + 1]):
-            if a.is_zero():
-                continue
-            for j in range(r + 1 - i):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return EpsSeries(out, r)
+        a, b = self.coeffs, other.coeffs
+        return EpsSeries(
+            [sum_of_products(self.dimension, [(a[i], b[n - i]) for i in range(n + 1)])
+             for n in range(r + 1)],
+            r,
+        )
 
     __rmul__ = __mul__
 
-    def shift(self, k: int) -> "EpsSeries":
-        """Multiply by eps^k (truncating)."""
-        dim = self.dimension
-        coeffs = [Polynomial.zero(dim)] * k + list(self.coeffs)
-        return EpsSeries(coeffs, self.order)
-
     def exp(self) -> "EpsSeries":
-        """Series exponential; requires zero order-0 coefficient.
-
-        E = exp(A) solves E' = A' E, so n E_n = sum_(i=1..n) i A_i E_(n-i)
-        with E_0 = 1: O(order^2) polynomial products.
-        """
+        """Series exponential; requires zero order-0 coefficient (see
+        exp_coefficient): O(order^2) polynomial products."""
         if not self.coeffs[0].is_zero():
             raise PolynomialError("exp needs zero constant-in-eps part")
         ia = [c * i for i, c in enumerate(self.coeffs)]
         out = [Polynomial.constant(self.dimension, Fraction(1))]
         for n in range(1, self.order + 1):
-            acc = Polynomial.zero(self.dimension)
-            for i in range(1, n + 1):
-                if not ia[i].is_zero():
-                    acc = acc + ia[i] * out[n - i]
-            out.append(acc * Fraction(1, n))
+            out.append(exp_coefficient(ia, out, n))
         return EpsSeries(out, self.order)
-
-    def reciprocal(self) -> "EpsSeries":
-        """Series 1/self; requires order-0 coefficient exactly 1.
-
-        R = 1/D solves D R = 1, so R_n = -sum_(i=1..n) D_i R_(n-i) with
-        R_0 = 1: O(order^2) polynomial products.
-        """
-        c0 = self.coeffs[0]
-        if c0 != Polynomial.constant(self.dimension, Fraction(1)):
-            raise PolynomialError("reciprocal needs order-0 coefficient 1")
-        d = self.coeffs
-        out = [c0]
-        for n in range(1, self.order + 1):
-            acc = Polynomial.zero(self.dimension)
-            for i in range(1, n + 1):
-                if not d[i].is_zero():
-                    acc = acc + d[i] * out[n - i]
-            out.append(-acc)
-        return EpsSeries(out, self.order)
-
-    def at(self, eps) -> Polynomial:
-        """Collapse the series at a numeric eps value."""
-        eps = _as_coeff(eps)
-        out = Polynomial.zero(self.dimension)
-        power: Coeff = Fraction(1) if isinstance(eps, Fraction) else 1.0
-        for k, c in enumerate(self.coeffs):
-            if k:
-                power = power * eps
-            out = out + c * power
-        return out
 
     def __repr__(self):
         parts = [f"eps^{k}*({c.to_text()})" for k, c in enumerate(self.coeffs)]
         return "EpsSeries[" + " + ".join(parts) + "]"
 
 
-def _exponents_up_to(q: int, top: int):
-    """Exponent tuples of length q and total degree <= top."""
-    if q == 0:
-        yield ()
-        return
-    for first in range(top + 1):
-        for rest in _exponents_up_to(q - 1, top - first):
-            yield (first,) + rest
-
-
-def taylor_shift(S: Polynomial, displacement: Sequence[Sequence[Polynomial]], order: int) -> EpsSeries:
-    """Expand S(x + sum_k eps^k U_k(x)) as a truncated series in eps.
-
-    displacement[k-1] is the vector polynomial U_k; the result is exact
-    up to the requested truncation order.  With d = sum_k eps^k U_k this
-    is the Taylor sum S(x + d) = sum_beta (d^beta S / beta!)(x) d^beta;
-    d starts at eps^1, so d^beta starts at eps^|beta| and only the terms
-    with |beta| <= order survive truncation.
-    """
-    q = S.dimension
-    for U in displacement:
-        if len(U) != q or any(u.dimension != q for u in U):
-            raise PolynomialError("displacement entries must match dimension")
-    zero = Polynomial.zero(q)
-    d = [EpsSeries([zero] + [U[j] for U in displacement], order) for j in range(q)]
-    powers = {(0,) * q: EpsSeries.constant(q, Fraction(1), order)}
-
-    def dpow(beta):
-        # d^beta = d^(beta - e_j) d_j for the first j with beta_j > 0
-        if beta not in powers:
-            j = next(i for i, b in enumerate(beta) if b)
-            powers[beta] = dpow(beta[:j] + (beta[j] - 1,) + beta[j + 1:]) * d[j]
-        return powers[beta]
-
-    out = [zero] * (order + 1)
-    top = min(order, S.degree())
-    for beta in _exponents_up_to(q, top):
-        m = sum(beta)
-        coeff = {}  # d^beta S / beta!: c_alpha prod_j C(alpha_j, beta_j) x^(alpha - beta)
-        for alpha, c in S.terms.items():
-            if all(a >= b for a, b in zip(alpha, beta)):
-                coeff[tuple(map(sub, alpha, beta))] = c * math.prod(map(math.comb, alpha, beta))
-        if not coeff:
-            continue
-        coeff = Polynomial._of(q, coeff)
-        dp = dpow(beta)
-        for k in range(m, order + 1):
-            out[k] = out[k] + dp[k] * coeff
-    return EpsSeries(out, order)
+def exp_coefficient(ia: Sequence[Polynomial], f: Sequence[Polynomial], n: int) -> Polynomial:
+    """The eps^n coefficient F_n of F = exp(G), given ia[i] = i G_i for
+    1 <= i <= n and F_0..F_(n-1): F' = G' F gives
+    n F_n = sum_(i=1..n) i G_i F_(n-i), with F_0 = 1 when G_0 = 0."""
+    return sum_of_products(f[0].dimension, [(ia[i], f[n - i]) for i in range(1, n + 1)],
+                           Fraction(1, n))

@@ -157,6 +157,34 @@ class TestExitCodes:
         assert "moment check: all equal (exact)" in lines
 
 
+class TestDecimalCumulants:
+    """A decimal cumulant file is read as floats and checked within the
+    solver's tolerance; its rational twin keeps the exact report."""
+
+    def build(self, tmp_path, text):
+        cum = write(tmp_path, "c.cum", text)
+        cfg = write(tmp_path, "eb.cfg", f"cumulants = {cum}\nr = 2\n")
+        out = tmp_path / "out.txt"
+        rc = cli.main(["edgeworth-build", "--config", cfg, "--out", str(out), "--no-timestamp"])
+        return rc, out.read_text().splitlines() if out.exists() else []
+
+    def test_decimal_file_passes_both_checks(self, tmp_path):
+        rc, lines = self.build(tmp_path, "2 1.5\n3 0.7\n4 0.3\n")
+        assert rc == 0
+        assert "residual check: all within 1e-08" in lines
+        assert "moment check: all equal within 1e-08 (relative)" in lines
+        assert sum(line.startswith("residual_") for line in lines) == 2
+        assert not any("MISMATCH" in line or "exact" in line for line in lines)
+
+    def test_rational_twin_stays_exact(self, tmp_path):
+        rc, lines = self.build(tmp_path, "2 3/2\n3 7/10\n4 3/10\n")
+        assert rc == 0
+        assert "residual_1: 0 (exact)" in lines and "residual_2: 0 (exact)" in lines
+        assert "residual check: all zero (exact)" in lines
+        assert "  alpha=(4,)  expansion=6753/1000  sum=6753/1000  ok" in lines
+        assert "moment check: all equal (exact)" in lines
+
+
 class TestOutputs:
     def test_small_run_and_summary(self, tmp_path):
         cfg = write(
@@ -192,21 +220,35 @@ class TestOutputs:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[case]
 
     def test_edgeworth_build_computes_each_s_tilde_once(self, tmp_path, monkeypatch):
-        # S~_2 and S~_3 come from invert_S_map; the residual report reuses them
-        calls = []
+        # one pass of the recursion makes S~_2 and S~_3 once each; the
+        # residual report reuses them and never calls compute_S_tilde
+        steps, made, calls = [], [], []
+        real_level, real_next = perturbation._Recursion.level, perturbation._Recursion._next
         real = perturbation.compute_S_tilde
+
+        def level(rec, *args):
+            steps.append(len(rec.grads) + 1)
+            return real_level(rec, *args)
+
+        def next_level(rec, n):
+            made.append(n)
+            return real_next(rec, n)
 
         def counted(*args, **kwargs):
             calls.append(len(args[0]))
             return real(*args, **kwargs)
 
+        monkeypatch.setattr(perturbation._Recursion, "level", level)
+        monkeypatch.setattr(perturbation._Recursion, "_next", next_level)
         for mod in list(sys.modules.values()):  # every binding, as `from ... import` makes
             if mod.__name__.startswith("levyedge") and vars(mod).get("compute_S_tilde") is real:
                 monkeypatch.setattr(mod, "compute_S_tilde", counted)
         cfg = write(tmp_path, "eb.cfg", EDGEWORTH_R3)
         out = str(tmp_path / "out.txt")
         assert cli.main(["edgeworth-build", "--config", cfg, "--out", out, "--no-timestamp"]) == 0
-        assert calls == [1, 2]
+        assert steps == [1, 2, 3]
+        assert made == [2, 3]
+        assert calls == []
         assert "residual check: all zero (exact)" in open(out).read().splitlines()
 
     def test_edgeworth_build_builds_Q_once(self, tmp_path, monkeypatch):

@@ -18,6 +18,8 @@ from levyedge.edgeworth import (
 from levyedge.perturbation import (
     GradientPolyMap,
     PerturbationError,
+    _operator_matrix,
+    _x_dot_inv_grad,
     apply_L,
     compute_S_tilde,
     invert_S_map,
@@ -26,6 +28,7 @@ from levyedge.perturbation import (
     solve_hermite_pde,
 )
 from levyedge.polycore import (
+    EpsSeries,
     Polynomial,
     gaussian_expectation,
     hermite_1d,
@@ -36,6 +39,102 @@ from levyedge.polycore import (
 
 def x(j, q=2):
     return Polynomial.variable(q, j)
+
+
+# -- the from-scratch expansion, kept as the reference for the recursion --
+
+
+def x_dot_inv_grad_products(u: Polynomial, inv) -> Polynomial:
+    """Reference x . Sigma^{-1} grad u: sum_ij (Sigma^{-1})_ij x_i d_j u by
+    polynomial products."""
+    q = u.dimension
+    out = Polynomial.zero(q)
+    for i in range(q):
+        for j in range(q):
+            if inv[i][j] != 0:
+                out = out + x(i, q) * u.partial(j) * inv[i][j]
+    return out
+
+
+def series_sum(a: EpsSeries, b: EpsSeries) -> EpsSeries:
+    return EpsSeries([u + v for u, v in zip(a.coeffs, b.coeffs)], min(a.order, b.order))
+
+
+def series_reciprocal(d: EpsSeries) -> EpsSeries:
+    """1/d for d_0 = 1: R_n = -sum_(i=1..n) d_i R_(n-i), R_0 = 1."""
+    out = [d[0]]
+    for n in range(1, d.order + 1):
+        acc = Polynomial.zero(d.dimension)
+        for i in range(1, n + 1):
+            acc = acc + d[i] * out[n - i]
+        out.append(-acc)
+    return EpsSeries(out, d.order)
+
+
+def series_det(m, q: int) -> EpsSeries:
+    """Cofactor expansion along the first column."""
+    if q == 1:
+        return m[0][0]
+    total = None
+    for i in range(q):
+        minor = [[m[r][c] for c in range(1, q)] for r in range(q) if r != i]
+        term = m[i][0] * series_det(minor, q - 1) * (-1) ** i
+        total = term if total is None else series_sum(total, term)
+    return total
+
+
+def substitution_shift(S: Polynomial, displacement, order: int) -> EpsSeries:
+    """S(x + sum_k eps^k U_k) by substituting the series x_j + sum_k eps^k U_k[j]
+    for x_j in every monomial of S, with truncated series products."""
+    q = S.dimension
+    coords = [
+        EpsSeries([x(j, q)] + [U[j] for U in displacement], order)
+        for j in range(q)
+    ]
+    out = EpsSeries([Polynomial.zero(q)], order)
+    for alpha, c in S.terms.items():
+        term = EpsSeries([Polynomial.constant(q, c)], order)
+        for j, e in enumerate(alpha):
+            for _ in range(e):
+                term = term * coords[j]
+        out = series_sum(out, term)
+    return out
+
+
+def reference_S_tilde(potentials, targets, sigma) -> Polynomial:
+    """S~_(k+1) from u_1..u_k and S_1..S_k by expanding
+    phi(x) / [phi(y) det DY], y = x + sum_j eps^j grad u_j, from scratch:
+    the exponential of the exponent, the cofactor determinant of
+    I + sum_j eps^j Hess u_j and its reciprocal, and each S_j(y) by
+    substitution; no lower level is checked."""
+    sig = [[v if isinstance(v, float) else Fraction(v) for v in row] for row in sigma]
+    q, k = len(sig), len(potentials)
+    order = k + 1
+    inv = rational_inverse(sig)
+    grads = [u.gradient() for u in potentials]
+    expo = [Polynomial.zero(q) for _ in range(order + 1)]
+    for j, u in enumerate(potentials, start=1):
+        expo[j] = expo[j] + x_dot_inv_grad_products(u, inv)
+    for j1 in range(1, k + 1):
+        for j2 in range(1, k + 1):
+            if j1 + j2 <= order:
+                for a in range(q):
+                    for b in range(q):
+                        cross = grads[j1 - 1][a] * grads[j2 - 1][b] * inv[a][b]
+                        expo[j1 + j2] = expo[j1 + j2] + cross * Fraction(1, 2)
+    hess = [
+        [
+            EpsSeries([Polynomial.constant(q, int(a == b))]
+                      + [grads[j][a].partial(b) for j in range(k)], order)
+            for b in range(q)
+        ]
+        for a in range(q)
+    ]
+    series = EpsSeries(expo, order).exp() * series_reciprocal(series_det(hess, q))
+    out = series[order]
+    for j, target in enumerate(targets, start=1):
+        out = out - substitution_shift(target, grads, order - j)[order - j]
+    return out
 
 
 class TestSolver:
@@ -175,12 +274,12 @@ class TestSeriesCorrection:
 
 
 @st.composite
-def ldl_cumulants(draw):
+def ldl_cumulants(draw, max_r=2):
     """Rational cumulants with Sigma = L D L^T: L unit lower-triangular,
     D positive diagonal, so Sigma is positive definite and, in general,
     not diagonal."""
     q = draw(st.integers(1, 3))
-    r = draw(st.integers(1, 2))
+    r = draw(st.integers(1, max_r))
     small = st.fractions(-2, 2, max_denominator=3)
     L = [[Fraction(int(i == j)) if j >= i else draw(small) for j in range(q)] for i in range(q)]
     D = [draw(st.fractions(Fraction(1, 2), 3, max_denominator=4)) for _ in range(q)]
@@ -211,6 +310,86 @@ class TestGeneralCovariance:
             assert (apply_L(u, sig) + Q[k] - s_tilde).is_zero()
         eps = Fraction(1, 3)
         assert edgeworth_signed_moments(c, Q, eps, r + 2) == scaled_sum_moments(c, 9, r + 2)
+
+
+class TestClosedFormOperator:
+    @given(ldl_cumulants())
+    @settings(deadline=None, max_examples=30)
+    def test_x_dot_inv_grad_equals_product_form(self, case):
+        c, _ = case
+        q = c.dimension
+        inv = rational_inverse(c.covariance)
+        u = Polynomial(q, {alpha: Fraction(len(alpha) + sum(alpha) * k, 7)
+                           for k, alpha in enumerate(
+                               a for d in range(5) for a in multi_indices(q, d))})
+        for p in (u, hermite_sigma((1,) * q, inv), Polynomial.zero(q)):
+            got = _x_dot_inv_grad(p, inv)
+            assert got == x_dot_inv_grad_products(p, inv)
+            assert all(type(v) is Fraction for v in got.terms.values())
+
+    def test_x_dot_inv_grad_float_inverse(self):
+        inv = [[0.75, -0.25], [-0.25, 0.5]]
+        u = x(0) ** 3 * x(1) + Fraction(1, 3) * x(1) ** 2 - x(0)
+        got, want = _x_dot_inv_grad(u, inv), x_dot_inv_grad_products(u, inv)
+        assert set(got.terms) == set(want.terms)
+        assert all(got.terms[a] == want.terms[a] for a in want.terms)
+
+    @given(ldl_cumulants(), st.integers(1, 5))
+    @settings(deadline=None, max_examples=30)
+    def test_operator_matrix_equals_per_monomial_build(self, case, d):
+        c, _ = case
+        q = c.dimension
+        inv = rational_inverse(c.covariance)
+        monos = list(multi_indices(q, d))
+        cols = [x_dot_inv_grad_products(Polynomial(q, {beta: 1}), inv) for beta in monos]
+        assert _operator_matrix(monos, inv) == [[col.coefficient(a) for col in cols] for a in monos]
+
+
+class TestRecursionReference:
+    """The one-pass recursion against the from-scratch expansion."""
+
+    @given(ldl_cumulants(max_r=3))
+    @settings(deadline=None, max_examples=25)
+    def test_s_tilde_equals_expansion(self, case):
+        c, r = case
+        sig = c.covariance
+        Q = build_Q(c, r)
+        pmap = invert_S_map(Q, sig)
+        assert pmap.s_tilde[0] == Polynomial.zero(c.dimension)
+        for k in range(1, r):
+            want = reference_S_tilde(pmap.potentials[:k], Q[:k], sig)
+            assert pmap.s_tilde[k] == want
+            assert compute_S_tilde(pmap.potentials[:k], Q[:k], sig) == want
+            assert all(type(v) is Fraction for v in want.terms.values())
+
+    def test_float_covariance_within_tolerance(self):
+        mu = {
+            (2, 0): 1.25, (1, 1): 0.4, (0, 2): 0.8,
+            (3, 0): 0.3, (2, 1): -0.2, (1, 2): 0.1, (0, 3): 0.5,
+            (4, 0): 0.2, (3, 1): 0.05, (2, 2): -0.1, (1, 3): 0.0, (0, 4): 0.3,
+            (5, 0): 0.1, (4, 1): 0.0, (3, 2): 0.02, (2, 3): -0.05, (1, 4): 0.0, (0, 5): 0.1,
+        }
+        c = CumulantSet(2, 5, mu)
+        sig = np.array(c.covariance_array())
+        Q = build_Q(c, 3)
+        pmap = invert_S_map(Q, sig)
+        for k in (1, 2):
+            want = reference_S_tilde(pmap.potentials[:k], Q[:k], sig)
+            for got in (pmap.s_tilde[k], compute_S_tilde(pmap.potentials[:k], Q[:k], sig)):
+                assert any(isinstance(v, float) for v in got.terms.values())
+                for alpha in set(got.terms) | set(want.terms):
+                    assert float(got.coefficient(alpha)) == pytest.approx(
+                        float(want.coefficient(alpha)), rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_perturbed_potential_names_its_level(self, level):
+        mu = {(2,): Fraction(1), (3,): Fraction(2), (4,): Fraction(-1), (5,): Fraction(1, 2)}
+        c = CumulantSet(1, 5, mu)
+        Q = build_Q(c, 3)
+        pots = list(invert_S_map(Q, [[1]]).potentials)
+        pots[level - 1] = pots[level - 1] + Fraction(1, 1000) * hermite_1d(2)
+        with pytest.raises(PerturbationError, match=f"inconsistent inputs at level {level}"):
+            compute_S_tilde(pots, Q, [[1]])
 
 
 class TestPushforward:

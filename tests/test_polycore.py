@@ -20,7 +20,7 @@ from levyedge.polycore import (
     hermite_sigma,
     rational_inverse,
     solve_linear,
-    taylor_shift,
+    sum_of_products,
 )
 
 
@@ -55,42 +55,34 @@ def pairwise_product(p: Polynomial, r: Polynomial) -> dict:
     return {a: c for a, c in terms.items() if c}
 
 
-def substitution_shift(S: Polynomial, displacement, order: int) -> EpsSeries:
-    """Reference taylor_shift: substitute the series x_j + sum_k eps^k U_k[j]
-    for x_j in every monomial of S, with truncated series products."""
-    q = S.dimension
-    coords = [
-        EpsSeries([Polynomial.variable(q, j)] + [U[j] for U in displacement], order)
-        for j in range(q)
-    ]
-    out = EpsSeries.constant(q, Fraction(0), order)
-    for alpha, c in S.terms.items():
-        term = EpsSeries.constant(q, c, order)
-        for j, e in enumerate(alpha):
-            for _ in range(e):
-                term = term * coords[j]
-        out = out + term
-    return out
+def series(q: int, coeffs, order: int) -> EpsSeries:
+    """The series sum_k eps^k c_k from scalars or polynomials c_k."""
+    return EpsSeries([c if isinstance(c, Polynomial) else Polynomial.constant(q, c)
+                      for c in coeffs], order)
+
+
+def series_sum(a: EpsSeries, b: EpsSeries) -> EpsSeries:
+    return EpsSeries([u + v for u, v in zip(a.coeffs, b.coeffs)], min(a.order, b.order))
 
 
 def series_exp_by_powers(s: EpsSeries) -> EpsSeries:
     """Reference exp: sum_k s^k / k! by repeated series products."""
-    one = EpsSeries.constant(s.dimension, Fraction(1), s.order)
+    one = series(s.dimension, [1], s.order)
     out, term = one, one
     for k in range(1, s.order + 1):
         term = term * s * Fraction(1, k)
-        out = out + term
+        out = series_sum(out, term)
     return out
 
 
 def series_reciprocal_by_powers(s: EpsSeries) -> EpsSeries:
     """Reference 1/s: sum_k (1 - s)^k by repeated series products."""
-    one = EpsSeries.constant(s.dimension, Fraction(1), s.order)
-    v = one - s
+    one = series(s.dimension, [1], s.order)
+    v = series_sum(one, s * -1)
     out, term = one, one
     for _ in range(1, s.order + 1):
         term = term * v
-        out = out + term
+        out = series_sum(out, term)
     return out
 
 
@@ -123,14 +115,13 @@ def product_case(draw):
 
 
 @st.composite
-def shift_case(draw):
-    """A rational S (q 1-3, degree <= 6), 1-3 displacement levels of small
-    vector polynomials, and a truncation order 0-5."""
+def sum_case(draw):
+    """q <= 3 and 0-4 pairs of polynomials in q variables, mostly rational."""
     q = draw(st.integers(1, 3))
-    S = draw(polynomials(q, 6))
-    levels = draw(st.integers(1, 3))
-    displacement = [[draw(polynomials(q, 2, max_terms=3)) for _ in range(q)] for _ in range(levels)]
-    return S, displacement, draw(st.integers(0, 5))
+    coeffs = st.sampled_from([RATIONALS, RATIONALS, RATIONALS, FLOATS])
+    pairs = [(draw(polynomials(q, 4, draw(coeffs))), draw(polynomials(q, 4, draw(coeffs))))
+             for _ in range(draw(st.integers(0, 4)))]
+    return q, pairs
 
 
 @st.composite
@@ -371,66 +362,93 @@ class TestGaussianMoments:
         assert gaussian_expectation(p, sig) == 3 + Fraction(1, 4) - 4
 
 
+class TestSumOfProducts:
+    @given(sum_case(), st.sampled_from([1, Fraction(-2, 3), 0.5]))
+    @settings(deadline=None, max_examples=150)
+    def test_equals_sum_of_products(self, case, scale):
+        q, cases = case
+        got = sum_of_products(q, cases, scale)
+        want = Polynomial.zero(q)
+        for a, b in cases:
+            want = want + a * b
+        want = want * scale
+        exact = type(scale) is not float and all(
+            type(c) is Fraction for a, b in cases for c in list(a.terms.values()) + list(b.terms.values()))
+        if exact:
+            assert got == want
+            assert all(type(c) is Fraction for c in got.terms.values())
+        else:
+            for alpha in set(got.terms) | set(want.terms):
+                assert float(got.coefficient(alpha)) == pytest.approx(
+                    float(want.coefficient(alpha)), rel=1e-9, abs=1e-9)
+
+    def test_one_fraction_per_term_in_lowest_terms(self):
+        a = Fraction(1, 6) * x(0) + Fraction(1, 4) * x(1)
+        b = Fraction(3, 10) * x(0) - Fraction(2, 9)
+        got = sum_of_products(2, [(a, b), (b, a), (x(1), Fraction(5, 12))])
+        assert got == a * b * 2 + x(1) * Fraction(5, 12)
+        assert all(type(c) is Fraction for c in got.terms.values())
+
+    def test_cancellation_and_empty_sum(self):
+        a, b = x(0) + Fraction(1, 3) * x(1), x(0) * x(1) - 2
+        assert sum_of_products(2, [(a, b), (a, b * -1)]).terms == {}
+        assert sum_of_products(2, [(a, b), (b * -1, a)]).is_zero()
+        assert sum_of_products(2, []) == Polynomial.zero(2)
+        assert sum_of_products(2, [(Polynomial.zero(2), a), (a, 0), (a, Fraction(0))]).is_zero()
+        # the x1 x2 terms cancel across the two pairs, the rest stays
+        got = sum_of_products(2, [(x(0), x(1)), (x(1), x(0) * -1 + x(1))])
+        assert got.terms == {(0, 2): 1}
+
+    def test_float_and_mixed_operands(self):
+        a, b = 0.5 * x(0) + x(1), x(0) - Fraction(1, 3)
+        got = sum_of_products(2, [(a, b), (b, b), (x(1), 0.25)], Fraction(1, 2))
+        want = (a * b + b * b + x(1) * 0.25) * Fraction(1, 2)
+        assert set(got.terms) == set(want.terms)
+        for alpha, c in want.terms.items():
+            assert got.terms[alpha] == pytest.approx(float(c), rel=1e-15)
+        assert type(got.terms[(2, 0)]) is float and type(got.terms[(0, 0)]) is Fraction
+
+    def test_degree_cap(self):
+        low = x(0) ** (MAX_DEGREE // 2)
+        assert sum_of_products(2, [(low, low), (x(1), x(0))]).degree() == MAX_DEGREE
+        with pytest.raises(PolynomialError, match="degree exceeds cap"):
+            sum_of_products(2, [(x(1), x(0)), (low * x(0), low)])
+        high = Polynomial(2, {(MAX_DEGREE + 1, 0): 1})
+        assert sum_of_products(2, [(high, 2)]) == high * 2
+        with pytest.raises(PolynomialError, match="degree exceeds cap"):
+            sum_of_products(2, [(high, x(1))])
+
+
 class TestEpsSeries:
     def test_exp_reciprocal_inverse(self):
+        # exp(-s) is the reciprocal of exp(s)
         p = x(0) + Fraction(1, 2) * x(1) ** 2
-        s = EpsSeries.from_polynomial(p, 4).shift(1)
+        s = series(2, [0, p], 4)
         e = s.exp()
-        assert (e * e.reciprocal())[0] == Polynomial.constant(2, 1)
-        for k in range(1, 5):
-            assert (e * e.reciprocal())[k].is_zero()
+        assert e * (s * -1).exp() == series(2, [1], 4)
 
     def test_exp_matches_scalar_exp(self):
         # constant-argument series reduces to the Maclaurin series of e^c
-        s = EpsSeries.constant(1, Fraction(1), 5).shift(1)
+        s = series(1, [0, 1], 5)
         e = s.exp()
         for k in range(6):
             assert e[k].constant_term() == Fraction(1, math.factorial(k))
 
-    def test_taylor_shift_first_order(self):
-        # S(x + eps v(x)) = S + eps v . grad S + O(eps^2)
-        S = x(0) ** 2 * x(1)
-        v = [[x(1), x(0)]]  # one displacement order, vector field (x2, x1)
-        out = taylor_shift(S, v, 3)
-        assert out[0] == S
-        assert out[1] == x(1) * S.partial(0) + x(0) * S.partial(1)
-
-    def test_taylor_shift_exact_polynomial_identity(self):
-        # for polynomial S the shifted series terminates and sums exactly
-        S = x(0) ** 2
-        v = [[Polynomial.constant(2, 1), Polynomial.zero(2)]]  # x1 -> x1 + eps
-        out = taylor_shift(S, v, 4)
-        # (x + eps)^2 = x^2 + 2 eps x + eps^2
-        assert out[1] == 2 * x(0)
-        assert out[2] == Polynomial.constant(2, 1)
-        assert out[3].is_zero()
-
-    @given(shift_case())
-    @settings(deadline=None, max_examples=60)
-    def test_taylor_shift_equals_substitution(self, case):
-        S, displacement, order = case
-        assert taylor_shift(S, displacement, order) == substitution_shift(S, displacement, order)
-
-    def test_taylor_shift_checks_dimension(self):
-        with pytest.raises(PolynomialError):
-            taylor_shift(x(0), [[x(0)]], 2)
-        with pytest.raises(PolynomialError):
-            taylor_shift(x(0), [[x(0), x(0, q=3)]], 2)
-
     @given(series_case())
     @settings(deadline=None, max_examples=60)
     def test_exp_and_reciprocal_equal_power_sums(self, s):
+        # exp(s) is its power sum, and exp(-s) the power-sum reciprocal of exp(s)
         e = s.exp()
         assert e == series_exp_by_powers(s)
-        assert e.reciprocal() == series_reciprocal_by_powers(e)
-        one = s + 1
-        assert one.reciprocal() == series_reciprocal_by_powers(one)
-        assert e * (-s).exp() == EpsSeries.constant(s.dimension, Fraction(1), s.order)
+        assert (s * -1).exp() == series_reciprocal_by_powers(e)
+        assert e * (s * -1).exp() == series(s.dimension, [1], s.order)
 
-    def test_exp_and_reciprocal_check_input(self):
+    def test_product_truncates_to_smaller_order(self):
+        a = series(2, [1, x(0), x(1)], 2)
+        b = series(2, [x(1), 2, x(0), x(0) * x(1)], 3)
+        assert a * b == series(2, [x(1), x(0) * x(1) + 2, x(1) ** 2 + 2 * x(0) + x(0)], 2)
+
+    def test_exp_checks_input(self):
         s = EpsSeries([x(0), x(1)], 2)
         with pytest.raises(PolynomialError, match="exp needs"):
             s.exp()
-        for c0 in (x(0), Polynomial.constant(2, 2), Polynomial.constant(2, 1.0) + x(0)):
-            with pytest.raises(PolynomialError, match="reciprocal needs"):
-                EpsSeries([c0, x(1)], 2).reciprocal()
