@@ -35,7 +35,7 @@ spec = SdeSpec(
 hs = [2.0 ** -4, 2.0 ** -5, 2.0 ** -6]
 rms = []
 for h in hs:
-    cfg = SchemeConfig(h=h, eps=h, fine_substeps=16)
+    cfg = SchemeConfig(h=h, fine_substeps=16)
     res = coupled_paths(spec, cfg, 128, RngStream(1, 0))
     r = float(np.sqrt(np.mean(res.sup_distance ** 2)))
     rms.append(r)

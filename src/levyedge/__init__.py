@@ -33,7 +33,7 @@ from .sampling import (
     sample_small_jumps,
 )
 from .wasserstein import rate_fit, wp_1d_exact, wp_empirical
-from .sde import CoupledResult, SchemeConfig, SdeSpec, coupled_paths, euler_path
+from .sde import CoupledResult, SchemeConfig, SdeSpec, coupled_paths
 from .laws import TestLaw, make_law
 
 __version__ = "0.1.0"

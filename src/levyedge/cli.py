@@ -379,6 +379,19 @@ def run_sde_convergence(cfg: Dict[str, str], seed: int, threads: int) -> List[li
     T = _get_float(cfg, "T", 1.0)
     drift = _get_float(cfg, "drift", 0.1)
     bscale = _get_float(cfg, "b_scale", 0.3)
+    if d < 1:
+        raise ConfigError("d must be >= 1")
+    if M < 2:
+        raise ConfigError("replicates must be >= 2 (the coupling pairs replicates)")
+    if not (math.isfinite(T) and T > 0):
+        raise ConfigError("T must be a positive number")
+    # every h is checked, sizes included, before the first one runs
+    try:
+        schemes = [SchemeConfig(h=h, fine_substeps=sub) for h in h_list]
+        for scfg in schemes:
+            scfg.check_size(T, M, d, q)
+    except SdeError as exc:
+        raise ConfigError(str(exc)) from exc
     a = drift * np.array([1.0, -1.0] * (q // 2) + [1.0] * (q % 2))[:q]
     spec = SdeSpec(
         d=d, q=q, a=a, B=bscale * np.eye(q), sigma_fn=_sigma_builtin(sigma_name, d, q),
@@ -386,8 +399,7 @@ def run_sde_convergence(cfg: Dict[str, str], seed: int, threads: int) -> List[li
     )
     rows: List[list] = [["h", "eps", "replicates", "rms_sup_error"]]
     rms = []
-    for hi, h in enumerate(h_list):
-        scfg = SchemeConfig(h=h, eps=h, fine_substeps=sub)
+    for hi, (h, scfg) in enumerate(zip(h_list, schemes)):
         rng = RngStream(seed, 100 + hi)
         res = coupled_paths(spec, scfg, M, rng)
         r = float(np.sqrt(np.mean(res.sup_distance ** 2)))

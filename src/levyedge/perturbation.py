@@ -94,15 +94,6 @@ class GradientPolyMap:
                 out[j] = out[j] + p[j] * (eps ** k)
         return out
 
-    def apply(self, eps: float, x: np.ndarray) -> np.ndarray:
-        """Evaluate x + sum_k eps^k p_k(x) along the last axis."""
-        x = np.asarray(x, dtype=float)
-        disp = self.displacement(eps)
-        out = x.copy()
-        for j in range(self.dimension):
-            out[..., j] += disp[j](x)
-        return out
-
 
 def apply_L(u: Polynomial, sigma) -> Polynomial:
     """The divergence-form operator U = grad u  ->  div U - x . Sigma^{-1} U."""

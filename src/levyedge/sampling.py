@@ -9,8 +9,6 @@ and timesteps be generated in any order or in parallel.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .levy import AnnulusDecomposition, LevyMeasureSpec
@@ -71,31 +69,24 @@ def sym_sqrt(sigma: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
 
 
-def sample_gaussian(sigma, rng, n: Optional[int] = None) -> np.ndarray:
-    """Draw from N(0, sigma) via the symmetric square root."""
+def sample_gaussian(sigma, rng, n: int) -> np.ndarray:
+    """n draws from N(0, sigma) via the symmetric square root, shape (n, q)."""
     g = _as_generator(rng)
     root = sym_sqrt(sigma)
-    q = root.shape[0]
-    if n is None:
-        return root @ g.standard_normal(q)
-    return g.standard_normal((n, q)) @ root.T
+    return g.standard_normal((n, root.shape[0])) @ root.T
 
 
-def sample_perturbed_normal(
-    pmap: GradientPolyMap, eps: float, r: int, rng, n: Optional[int] = None
-) -> np.ndarray:
-    """xi + sum_{k<=r} eps^k p_k(xi) for xi ~ N(0, Sigma of the map)."""
+def sample_perturbed_normal(pmap: GradientPolyMap, eps: float, r: int, rng, n: int) -> np.ndarray:
+    """n draws of xi + sum_{k<=r} eps^k p_k(xi) for xi ~ N(0, Sigma of the map)."""
     if r < 0 or r > pmap.order:
         raise SamplingError("r must lie in [0, map order]")
     sigma = np.array([[float(x) for x in row] for row in pmap.sigma])
     xi = sample_gaussian(sigma, rng, n)
     out = xi.copy()
-    x = xi if n is not None else xi[None, :]
-    o = out if n is not None else out[None, :]
     for k in range(1, r + 1):
         p = pmap.gradients[k - 1]
         for j in range(pmap.dimension):
-            o[:, j] += eps ** k * p[j](x)
+            out[:, j] += eps ** k * p[j](xi)
     return out
 
 

@@ -1,14 +1,14 @@
-"""Euler schemes for SDEs driven by a Levy process, with coupling.
+"""Coupled Euler schemes for SDEs driven by a Levy process.
 
 The driving noise is Z_t = a t + B W_t + compensated jumps; the state
-follows dX = sigma(X) dZ.  One noise source (_step_noise) draws each
-coarse step's Brownian, small-jump and big-jump blocks, and one stepper
-(_euler) moves the state through them.  On top of these sit the plain
-explicit Euler iteration in each increment mode and coupled pairs of
-paths (exact fine-grid proxy vs Gaussian-substituted coarse scheme)
-sharing their drift, Brownian, and big-jump randomness, with the
-small-jump block matched to its Gaussian surrogate per step by the
-radial rank coupling (optimal for spherically symmetric laws).
+follows dX = sigma(X) dZ, and the jump cutoff is the coarse step h.  One
+noise source (_step_noise) draws each coarse step's Brownian, small-jump
+and big-jump blocks, and one stepper (_euler) moves the state through
+them.  coupled_paths pairs a fine-grid proxy of the solution with a
+coarse scheme whose small-jump sum is replaced by its Gaussian surrogate;
+the two share their drift, Brownian and big-jump randomness, and the
+small-jump sum is matched to the surrogate per step by the radial rank
+coupling (optimal for spherically symmetric laws).
 """
 
 from __future__ import annotations
@@ -20,18 +20,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .levy import AnnulusDecomposition, LevyMeasureSpec
-from .perturbation import GradientPolyMap
-from .sampling import (
-    RngStream,
-    sample_big_jumps,
-    sample_perturbed_normal,
-    sample_small_jumps,
-    sym_sqrt,
-)
+from .sampling import RngStream, sample_big_jumps, sample_small_jumps, sym_sqrt
 
-MODE_EXACT = "exact"
-MODE_GAUSSIANIZED = "gaussianized"
-MODE_PERTURBED = "perturbed"
+#: cap on the elements of one path array, M * (N + 1) * d, and of one
+#: step's noise block, M * fine_substeps * q
+MAX_PATH_SIZE = 1 << 24
 
 
 class SdeError(ValueError):
@@ -71,63 +64,44 @@ class SdeSpec:
 @dataclass
 class SchemeConfig:
     h: float
-    eps: float
-    mode: str = MODE_GAUSSIANIZED
     fine_substeps: int = 16
 
     def __post_init__(self):
-        if not (0 < self.h < 1 and 0 < self.eps < 1):
-            raise SdeError("h and eps must lie in (0,1)")
-        if self.mode not in (MODE_EXACT, MODE_GAUSSIANIZED, MODE_PERTURBED):
-            raise SdeError(f"unknown mode {self.mode!r}")
+        if not 0 < self.h < 1:
+            raise SdeError("h must lie in (0,1)")
+        if self.fine_substeps < 1:
+            raise SdeError("fine_substeps must be >= 1")
 
     def n_steps(self, T: float) -> int:
         return int(math.floor(T / self.h + 1e-12))
 
-
-def _jump_parts(spec: SdeSpec, cfg: SchemeConfig):
-    """The annulus decomposition and Sigma_eps^(1/2) of the measure at cfg.eps."""
-    if spec.measure is None:
-        return None, np.zeros((spec.q, spec.q))
-    dec = AnnulusDecomposition(spec.measure, cfg.eps)
-    return dec, sym_sqrt(spec.measure.small_jump_covariance(cfg.eps))
-
-
-def _surrogate(g, shape, t: float, root: np.ndarray, pert=None) -> np.ndarray:
-    """sqrt(t) Sigma^(1/2) y for y standard normal, or perturbed normal when
-    pert = (map, eps, order); result has shape shape + (q,)."""
-    if pert is None:
-        y = g.standard_normal(shape + (root.shape[0],))
-    else:
-        pmap, pert_eps, pert_order = pert
-        y = sample_perturbed_normal(pmap, pert_eps, pert_order, g, math.prod(shape))
-        y = y.reshape(shape + (root.shape[0],))
-    return np.sqrt(t) * y @ root.T
+    def check_size(self, T: float, M: int, d: int, q: int) -> None:
+        """Raise SdeError when M paths of dimension d over [0, T], or one
+        step's noise block of dimension q, exceed MAX_PATH_SIZE elements."""
+        # T / h is tested as a float first: it may be too large for an int
+        if not T / self.h < MAX_PATH_SIZE or max(
+                M * (self.n_steps(T) + 1) * d, M * self.fine_substeps * q) > MAX_PATH_SIZE:
+            raise SdeError(f"h = {self.h} needs path arrays over {MAX_PATH_SIZE} elements; "
+                           "use fewer replicates, a shorter horizon or a larger h")
 
 
 def _step_noise(spec: SdeSpec, cfg: SchemeConfig, rng: RngStream, k: int, M: int,
-                sub: int, mode: str, dec, root: np.ndarray, pert=None):
-    """Driving noise of coarse step k on sub equal substeps, for M replicates.
+                dec: AnnulusDecomposition):
+    """Driving noise of coarse step k on cfg.fine_substeps equal substeps,
+    for M replicates.
 
     Returns the Brownian, small-jump and big-jump blocks, each (M, sub, .),
-    drawn from the step's "bw", "smalljump"/"surrogate" and "bigjump"
-    children of rng.  The small-jump block is the compensated jump sum
-    (exact), its Gaussian surrogate (gaussianized) or a perturbed
-    surrogate (perturbed); without a measure both jump blocks are zero.
+    drawn from the step's "bw", "smalljump" and "bigjump" children of rng;
+    the small-jump block is the exact compensated jump sum.
     """
+    sub = cfg.fine_substeps
     hs = cfg.h / sub
     q = spec.q
     dw = np.sqrt(hs) * rng.child(0, k, "bw").standard_normal((M, sub, spec.B.shape[1]))
-    if spec.measure is None:
-        return dw, np.zeros((M, sub, q)), np.zeros((M, sub, q))
     # the M * sub rows of one jump draw are i.i.d., one per (replicate, substep)
-    if mode == MODE_EXACT:
-        small = sample_small_jumps(spec.measure, dec, hs, rng.child(0, k, "smalljump"), M * sub)
-        small = small.reshape(M, sub, q)
-    else:
-        small = _surrogate(rng.child(0, k, "surrogate"), (M, sub), hs, root, pert)
-    big = sample_big_jumps(spec.measure, cfg.eps, hs, rng.child(0, k, "bigjump"), M * sub)
-    return dw, small, big.reshape(M, sub, q)
+    small = sample_small_jumps(spec.measure, dec, hs, rng.child(0, k, "smalljump"), M * sub)
+    big = sample_big_jumps(spec.measure, cfg.h, hs, rng.child(0, k, "bigjump"), M * sub)
+    return dw, small.reshape(M, sub, q), big.reshape(M, sub, q)
 
 
 def _euler(spec: SdeSpec, x: np.ndarray, dz: np.ndarray) -> np.ndarray:
@@ -136,39 +110,6 @@ def _euler(spec: SdeSpec, x: np.ndarray, dz: np.ndarray) -> np.ndarray:
     for j in range(dz.shape[1]):
         x = x + np.einsum("mdq,mq->md", spec.sigma(x), dz[:, j])
     return x
-
-
-def _iterate(spec: SdeSpec, cfg: SchemeConfig, rng: RngStream, n_paths: int,
-             mode: str, pert=None) -> np.ndarray:
-    """Euler iterates, one step per coarse step."""
-    dec, root = _jump_parts(spec, cfg)
-    n = cfg.n_steps(spec.T)
-    out = np.empty((n_paths, n + 1, spec.d))
-    out[:, 0] = spec.x0
-    x = np.tile(spec.x0, (n_paths, 1))
-    for k in range(n):
-        dw, small, big = _step_noise(spec, cfg, rng, k, n_paths, 1, mode, dec, root, pert)
-        x = _euler(spec, x, spec.a * cfg.h + dw @ spec.B.T + small + big)
-        out[:, k + 1] = x
-    return out
-
-
-def euler_path(spec: SdeSpec, cfg: SchemeConfig, rng: RngStream, n_paths: int = 1,
-               pert_map: Optional[GradientPolyMap] = None, pert_eps: float = 1.0,
-               pert_order: int = 1) -> np.ndarray:
-    """Explicit Euler iterates X_0..X_N, shape (n_paths, N+1, d).
-
-    Each step draws the driving increment a h + B W_h + small jumps + big
-    jumps with the small-jump block in cfg.mode: exact, gaussianized
-    (sqrt(h) Sigma_eps^(1/2) xi) or perturbed (xi replaced by a draw of
-    sample_perturbed_normal(pert_map, pert_eps, pert_order)).  Sigma is
-    evaluated at the left endpoint.
-    """
-    if cfg.mode != MODE_PERTURBED:
-        return _iterate(spec, cfg, rng, n_paths, cfg.mode)
-    if pert_map is None:
-        raise SdeError("perturbed mode needs a gradient map")
-    return _iterate(spec, cfg, rng, n_paths, cfg.mode, (pert_map, pert_eps, pert_order))
 
 
 def _radial_rank_match(z: np.ndarray, gvec: np.ndarray) -> np.ndarray:
@@ -216,17 +157,21 @@ def coupled_paths(spec: SdeSpec, cfg: SchemeConfig, M: int, rng: RngStream) -> C
     radii, keep directions), the distance-optimal map for spherically
     symmetric laws.  The exact side advances on a grid of
     cfg.fine_substeps sub-intervals per step (an Euler proxy for the
-    true solution); the approximate side takes one coarse step.
+    true solution); the approximate side takes one coarse step.  Jumps
+    up to the cutoff cfg.h are small.  Raises SdeError before any draw
+    when the arrays would exceed MAX_PATH_SIZE (SchemeConfig.check_size).
     """
     if M < 2:
         raise SdeError("coupling needs at least two replicates")
     if spec.measure is None:
         raise SdeError("coupling is about the jump substitution; need a measure")
-    dec, root = _jump_parts(spec, cfg)
+    cfg.check_size(spec.T, M, spec.d, max(spec.q, spec.B.shape[1]))
+    dec = AnnulusDecomposition(spec.measure, cfg.h)
+    root = sym_sqrt(spec.measure.small_jump_covariance(cfg.h))
     if not _is_isotropic(root):
         raise SdeError("radial coupling needs an isotropic small-jump covariance")
     n = cfg.n_steps(spec.T)
-    sub = max(1, cfg.fine_substeps)
+    sub = cfg.fine_substeps
 
     x = np.tile(spec.x0, (M, 1))
     xb = x.copy()
@@ -235,12 +180,13 @@ def coupled_paths(spec: SdeSpec, cfg: SchemeConfig, M: int, rng: RngStream) -> C
     exact[:, 0] = x
     approx[:, 0] = xb
     for k in range(n):
-        dw, small, big = _step_noise(spec, cfg, rng, k, M, sub, MODE_EXACT, dec, root)
+        dw, small, big = _step_noise(spec, cfg, rng, k, M, dec)
         # exact side: fine Euler through the substeps
         x = _euler(spec, x, spec.a * (cfg.h / sub) + dw @ spec.B.T + small + big)
         # approximate side: one coarse step with the small-jump sum
         # replaced by its matched Gaussian surrogate
-        surrogate = _surrogate(rng.child(0, k, "surrogate"), (M,), cfg.h, root)
+        y = rng.child(0, k, "surrogate").standard_normal((M, spec.q))
+        surrogate = np.sqrt(cfg.h) * y @ root.T
         matched = _radial_rank_match(small.sum(axis=1), surrogate)
         dzb = spec.a * cfg.h + dw.sum(axis=1) @ spec.B.T + matched + big.sum(axis=1)
         xb = _euler(spec, xb, dzb[:, None])

@@ -104,6 +104,20 @@ class TestExitCodes:
         assert cli.main(["sde-convergence", "--config", bad, "--out", out]) == 2
         assert cli.main(["sde-convergence", "--config", good, "--out", out]) == 0
 
+    @pytest.mark.parametrize("line", ["fine_substeps = 0", "fine_substeps = -3", "d = 0",
+                                      "replicates = 0", "T = 1e9"])
+    def test_sde_convergence_bad_value_is_2(self, tmp_path, monkeypatch, capsys, line):
+        # each is a config error found before any path is drawn; T = 1e9
+        # would need path arrays of about 10^10 elements
+        def no_paths(*args, **kwargs):
+            raise AssertionError("paths drawn before the config was checked")
+
+        monkeypatch.setattr(cli, "coupled_paths", no_paths)
+        cfg = write(tmp_path, "s.cfg", TINY["sde-convergence"].format(reps=2) + line + "\n")
+        assert cli.main(["sde-convergence", "--config", cfg, "--no-timestamp"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
     @pytest.mark.parametrize("line", ["3 abc", "a 2", "2 1/0"])
     def test_malformed_cumulant_file_is_2(self, tmp_path, capsys, line):
         cum = write(tmp_path, "bad.cum", line + "\n")
@@ -418,4 +432,22 @@ class TestExitCodeFuzz:
             (d / "e.cfg").write_text(cfg)
             rc = cli.main(["edgeworth-build", "--config", str(d / "e.cfg"),
                            "--out", str(d / "out.txt"), "--no-timestamp"])
+        assert rc in (0, 2, 3)
+
+    @given(
+        replicates=st.sampled_from(["2", "1", "0", "x"]),
+        fine_substeps=st.sampled_from(["1", "2", "0", "-3", "x"]),
+        d=st.sampled_from(["1", "2", "0", "x"]),
+        T=st.sampled_from(["0.25", "-1", "1e9", "x"]),
+        h_list=st.sampled_from(["0.25,0.125,0.0625", "2,0.5,0.25", "x"]),
+    )
+    @settings(deadline=None, max_examples=50)
+    def test_sde_convergence_exit_code(self, replicates, fine_substeps, d, T, h_list):
+        cfg = MEASURE + (f"replicates = {replicates}\nfine_substeps = {fine_substeps}\n"
+                         f"d = {d}\nT = {T}\nh_list = {h_list}\n")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "s.cfg"
+            path.write_text(cfg)
+            rc = cli.main(["sde-convergence", "--config", str(path),
+                           "--out", str(Path(tmp) / "out.csv"), "--no-timestamp"])
         assert rc in (0, 2, 3)

@@ -236,7 +236,8 @@ class TestGradientMap:
         pts = np.array([[0.5], [-1.2], [2.0]])
         eps = 0.1
         manual = pts[:, 0] + eps * (pts[:, 0] ** 2 - 1) / 3.0
-        assert np.allclose(pmap.apply(eps, pts)[:, 0], manual, rtol=1e-14)
+        mapped = pts[:, 0] + pmap.displacement(eps)[0](pts)
+        assert np.allclose(mapped, manual, rtol=1e-14)
 
     def test_degree_cap_enforced(self):
         with pytest.raises(PerturbationError):

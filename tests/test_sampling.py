@@ -24,16 +24,7 @@ from levyedge.sampling import (
     sample_small_jumps,
     sym_sqrt,
 )
-from levyedge.sde import MODE_EXACT, MODE_GAUSSIANIZED, SchemeConfig, SdeError, SdeSpec, euler_path
-
-
-def levy_increment(a, B, meas, eps, h, mode, rng, n):
-    """n draws of the one-step driving increment: one Euler step of
-    X = Z with X_0 = 0 (sigma = I, horizon h)."""
-    q = meas.dimension
-    spec = SdeSpec(d=q, q=q, a=a, B=B, x0=np.zeros(q), T=h, measure=meas,
-                   sigma_fn=lambda x: np.tile(np.eye(q), (x.shape[0], 1, 1)))
-    return euler_path(spec, SchemeConfig(h=h, eps=eps, mode=mode), rng, n)[:, 1]
+from levyedge.sde import SchemeConfig, SdeError, SdeSpec, coupled_paths
 
 
 class TestStreams:
@@ -275,25 +266,35 @@ class TestLevyIncrement:
         assert np.allclose(emp, want, rtol=0.08, atol=0.08)
 
     def test_gaussianized_matches_exact_moments(self):
+        # the driving increment a h + B W_h + small + big keeps its mean
+        # and covariance when the exact small-jump sum is replaced by its
+        # Gaussian surrogate sqrt(h) Sigma_eps^(1/2) xi
         a = np.array([0.2, -0.1])
         B = 0.4 * np.eye(2)
-        eps, h = 0.5, 0.5
-        ze = levy_increment(a, B, self.MEAS, eps, h, MODE_EXACT, RngStream(4, 1), 25_000)
-        zg = levy_increment(a, B, self.MEAS, eps, h, MODE_GAUSSIANIZED, RngStream(4, 2), 25_000)
+        eps, h, n = 0.5, 0.5, 25_000
+        dec = AnnulusDecomposition(self.MEAS, eps)
+        root = sym_sqrt(self.MEAS.small_jump_covariance(eps))
+
+        def increment(g, small):
+            bw = math.sqrt(h) * g.standard_normal((n, 2)) @ B.T
+            return a * h + bw + small + sample_big_jumps(self.MEAS, eps, h, g, n)
+
+        ge, gg = RngStream(4, 1), RngStream(4, 2)
+        ze = increment(ge, sample_small_jumps(self.MEAS, dec, h, ge, n))
+        zg = increment(gg, math.sqrt(h) * gg.standard_normal((n, 2)) @ root.T)
         assert np.allclose(ze.mean(axis=0), zg.mean(axis=0), atol=0.08)
         assert np.allclose(np.cov(ze.T), np.cov(zg.T), rtol=0.1, atol=0.1)
 
     def test_eps_beyond_tau_rejected(self):
+        # the cutoff is the step h, which must lie in (0, 1)
         with pytest.raises(SdeError):
-            levy_increment(
-                np.zeros(2), np.eye(2), self.MEAS, 2.0, 0.1, MODE_EXACT, RngStream(0, 0), 4
-            )
-        # eps inside (0, 1) but beyond a smaller support radius
+            SchemeConfig(h=2.0)
+        # h inside (0, 1) but beyond a smaller support radius
+        meas = StableLikeMeasure(2, 1.5, 0.25)
+        spec = SdeSpec(d=2, q=2, a=np.zeros(2), B=np.eye(2), x0=np.zeros(2), T=1.0,
+                       measure=meas, sigma_fn=lambda x: np.tile(np.eye(2), (x.shape[0], 1, 1)))
         with pytest.raises(LevyError):
-            levy_increment(
-                np.zeros(2), np.eye(2), StableLikeMeasure(2, 1.5, 0.25), 0.5, 0.1,
-                MODE_GAUSSIANIZED, RngStream(0, 0), 4,
-            )
+            coupled_paths(spec, SchemeConfig(h=0.5), 4, RngStream(0, 0))
 
     def test_big_jumps_mean_and_variance(self):
         # compound Poisson over eps < |z| <= tau: mean 0 (isotropy) and

@@ -1,25 +1,18 @@
 """Coupled Euler schemes for jump-driven dynamics."""
 
-import math
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
-from levyedge.edgeworth import CumulantSet, build_Q
+from levyedge import sde
 from levyedge.levy import CustomRadialMeasure, StableLikeMeasure
-from levyedge.perturbation import invert_S_map
 from levyedge.sampling import RngStream
 from levyedge.sde import (
-    MODE_GAUSSIANIZED,
-    MODE_PERTURBED,
-    CoupledResult,
+    MAX_PATH_SIZE,
     SchemeConfig,
     SdeError,
     SdeSpec,
     _radial_rank_match,
     coupled_paths,
-    euler_path,
 )
 
 MEAS = StableLikeMeasure(2, 1.5, 1.0)
@@ -55,47 +48,6 @@ def make_spec(sigma_fn, measure=MEAS, a=(0.1, -0.1), b=0.3):
         d=2, q=2, a=np.array(a), B=b * np.eye(2), sigma_fn=sigma_fn,
         x0=np.zeros(2), T=1.0, measure=measure,
     )
-
-
-class TestEulerPath:
-    def test_pure_drift(self):
-        # measure-free, B = 0: the scheme is the deterministic Euler map
-        spec = make_spec(diag_sigma(), measure=None, a=(1.0, 2.0), b=0.0)
-        cfg = SchemeConfig(h=0.25, eps=0.5)
-        out = euler_path(spec, cfg, RngStream(0, 0), n_paths=3)
-        want = np.array([1.0, 2.0])  # sigma = I, x_N = N h a
-        assert np.allclose(out[:, -1], want, rtol=1e-12)
-
-    def test_reproducible(self):
-        spec = make_spec(contractive_sigma)
-        cfg = SchemeConfig(h=0.125, eps=0.25)
-        a = euler_path(spec, cfg, RngStream(42, 0), n_paths=4)
-        b = euler_path(spec, cfg, RngStream(42, 0), n_paths=4)
-        assert np.array_equal(a, b)
-
-    def test_shapes(self):
-        spec = make_spec(contractive_sigma)
-        cfg = SchemeConfig(h=0.25, eps=0.25)
-        out = euler_path(spec, cfg, RngStream(1, 1), n_paths=5)
-        assert out.shape == (5, 5, 2)
-
-    def test_perturbed_mode_needs_map(self):
-        spec = make_spec(contractive_sigma)
-        cfg = SchemeConfig(h=0.25, eps=0.25, mode=MODE_PERTURBED)
-        with pytest.raises(SdeError):
-            euler_path(spec, cfg, RngStream(2, 0), n_paths=4)
-
-    def test_perturbed_order_zero_is_gaussianized(self):
-        # order 0 switches the perturbation off: the draw is the plain
-        # Gaussian surrogate from the same stream
-        c = CumulantSet(2, 3, {(2, 0): Fraction(1), (0, 2): Fraction(1), (3, 0): Fraction(1)})
-        pmap = invert_S_map(build_Q(c, 1), c.covariance)
-        spec = make_spec(contractive_sigma)
-        pert = euler_path(spec, SchemeConfig(h=0.25, eps=0.25, mode=MODE_PERTURBED),
-                          RngStream(3, 0), n_paths=6, pert_map=pmap, pert_eps=0.5, pert_order=0)
-        plain = euler_path(spec, SchemeConfig(h=0.25, eps=0.25, mode=MODE_GAUSSIANIZED),
-                           RngStream(3, 0), n_paths=6)
-        assert np.array_equal(pert, plain)
 
 
 class TestRadialRankMatch:
@@ -140,7 +92,7 @@ class TestRadialRankMatch:
 class TestCoupledPaths:
     def test_zero_sigma_zero_error(self):
         spec = make_spec(lambda x: np.zeros((x.shape[0], 2, 2)))
-        cfg = SchemeConfig(h=0.25, eps=0.25, fine_substeps=4)
+        cfg = SchemeConfig(h=0.25, fine_substeps=4)
         res = coupled_paths(spec, cfg, 8, RngStream(3, 0))
         assert np.all(res.sup_distance == 0)
 
@@ -148,13 +100,13 @@ class TestCoupledPaths:
         # additive noise without jumps: fine substeps telescope into the
         # coarse step, so the two schemes agree exactly
         spec = make_spec(diag_sigma(0.7), measure=null_measure())
-        cfg = SchemeConfig(h=0.25, eps=0.25, fine_substeps=8)
+        cfg = SchemeConfig(h=0.25, fine_substeps=8)
         res = coupled_paths(spec, cfg, 8, RngStream(4, 0))
         assert np.all(res.sup_distance < 1e-12)
 
     def test_reproducible_and_coupled(self):
         spec = make_spec(contractive_sigma)
-        cfg = SchemeConfig(h=0.25, eps=0.25, fine_substeps=4)
+        cfg = SchemeConfig(h=0.25, fine_substeps=4)
         r1 = coupled_paths(spec, cfg, 16, RngStream(5, 0))
         r2 = coupled_paths(spec, cfg, 16, RngStream(5, 0))
         assert np.array_equal(r1.exact, r2.exact)
@@ -165,7 +117,33 @@ class TestCoupledPaths:
     def test_needs_measure_and_replicates(self):
         spec = make_spec(contractive_sigma, measure=None)
         with pytest.raises(SdeError):
-            coupled_paths(spec, SchemeConfig(h=0.25, eps=0.25), 8, RngStream(0, 0))
+            coupled_paths(spec, SchemeConfig(h=0.25), 8, RngStream(0, 0))
         spec2 = make_spec(contractive_sigma)
         with pytest.raises(SdeError):
-            coupled_paths(spec2, SchemeConfig(h=0.25, eps=0.25), 1, RngStream(0, 0))
+            coupled_paths(spec2, SchemeConfig(h=0.25), 1, RngStream(0, 0))
+
+    def test_fine_substeps_must_be_positive(self):
+        # no clamp: a substep count below one is an error, not one substep
+        for sub in (0, -3):
+            with pytest.raises(SdeError, match="fine_substeps"):
+                SchemeConfig(h=0.25, fine_substeps=sub)
+
+    def test_size_cap_checked_before_any_draw(self, monkeypatch):
+        # a path array over MAX_PATH_SIZE elements is refused before the
+        # first noise block is drawn
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew noise past the size cap")
+
+        monkeypatch.setattr(sde, "_step_noise", no_draw)
+        cfg = SchemeConfig(h=0.25, fine_substeps=1)
+        for T in (1e9, 1e300):
+            spec = SdeSpec(d=2, q=2, a=np.zeros(2), B=0.3 * np.eye(2), sigma_fn=contractive_sigma,
+                           x0=np.zeros(2), T=T, measure=MEAS)
+            with pytest.raises(SdeError, match="path arrays"):
+                coupled_paths(spec, cfg, 2, RngStream(0, 0))
+        # the noise block M * fine_substeps * q counts too
+        wide = SchemeConfig(h=0.25, fine_substeps=MAX_PATH_SIZE // 4 + 1)
+        with pytest.raises(SdeError, match="path arrays"):
+            coupled_paths(make_spec(contractive_sigma), wide, 2, RngStream(0, 0))
+        # C8's largest array, 256 * 129 * 2, is far below the cap
+        SchemeConfig(h=2.0 ** -7).check_size(1.0, 256, 2, 2)
