@@ -2,8 +2,9 @@
 
 Decomposes a heavy-tailed radial jump measure into dyadic annuli, draws
 the compensated small-jump value, and measures its distance to the
-matched Gaussian surrogate as the cutoff shrinks; the distance decays
-roughly linearly in the cutoff.
+matched Gaussian surrogate as the cutoff shrinks.  At 2000 samples the
+measured distance is the finite-sample floor of the empirical estimate,
+which scales as eps^(3/4), not the substitution rate itself.
 
 Run:  python demos/jump_substitution.py
 """
@@ -29,13 +30,13 @@ dists = []
 for i, eps in enumerate(eps_list):
     dec = AnnulusDecomposition(meas, eps)
     print(f"\neps = {eps}: {len(dec.bands)} simulated bands, "
-          f"total intensity {sum(m for _, _, m in dec.bands):.3g} per unit time")
+          f"total intensity {dec.intensity:.3g} per unit time")
     g = rng.child(0, i, "demo").generator
-    z = sample_small_jumps(meas, dec, eps, g, 2000)
+    z = sample_small_jumps(dec, eps, g, 2000)
     ref = math.sqrt(eps) * sample_gaussian(meas.small_jump_covariance(eps), g, 2000)
     d = wp_empirical(z, ref)
     dists.append(d)
     print(f"  W2(small-jump value at t=eps, Gaussian surrogate) = {d:.5f}")
 
 slope, _ = rate_fit(eps_list, dists)
-print(f"\nfitted decay exponent: {slope:.3f} (theory: about 1)")
+print(f"\nfitted decay exponent: {slope:.3f} (finite-sample floor: about 3/4)")

@@ -28,7 +28,7 @@ def sigma_fn(x):
 
 meas = StableLikeMeasure(2, 1.5, 1.0)
 spec = SdeSpec(
-    d=2, q=2, a=np.array([0.1, -0.1]), B=0.3 * np.eye(2),
+    d=2, a=np.array([0.1, -0.1]), B=0.3 * np.eye(2),
     sigma_fn=sigma_fn, x0=np.zeros(2), T=1.0, measure=meas,
 )
 

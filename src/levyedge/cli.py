@@ -67,6 +67,10 @@ class NumericalFailure(RuntimeError):
 #: the tolerance of the float-mode checks, as in perturbation.solve_hermite_pde
 FLOAT_TOL = 1e-8
 
+#: most expected jumps one jump-coupling run may draw, summed over eps,
+#: samples and replicates; the default configuration needs about 1.75e9
+MAX_TOTAL_JUMPS = 2e10
+
 
 _NUMERIC_ERRORS = (
     EdgeworthError,
@@ -141,7 +145,7 @@ def _get_float(cfg, key, default):
 
 
 def _check_even_p(p: float) -> int:
-    if p != int(p) or int(p) <= 0 or int(p) % 2:
+    if not math.isfinite(p) or p != int(p) or int(p) <= 0 or int(p) % 2:
         raise ConfigError("p must be a positive even integer")
     return int(p)
 
@@ -218,7 +222,10 @@ def run_clt_rate(cfg: Dict[str, str], seed: int, threads: int) -> List[list]:
         law = make_law(law_name)
     except LawError as exc:
         raise ConfigError(str(exc)) from exc
-    m_list = [int(v) for v in _get_float_list(cfg, "m_list", "16,64,256,1024")]
+    m_vals = _get_float_list(cfg, "m_list", "16,64,256,1024")
+    if not all(map(math.isfinite, m_vals)):
+        raise ConfigError("m_list entries must be finite")
+    m_list = [int(v) for v in m_vals]
     if any(m < 1 for m in m_list):
         raise ConfigError("m_list entries must be positive")
     p = _check_even_p(_get_float(cfg, "p", 2))
@@ -277,11 +284,10 @@ def run_clt_rate(cfg: Dict[str, str], seed: int, threads: int) -> List[list]:
             for rep, v in enumerate(vals):
                 rows.append([m, p, mode, repr(float(v)), rep])
         per_m_reps.append(vals)
-    width = max(len(v) for v in per_m_reps)
-    mat = np.array([v * (width // len(v)) + v[: width % len(v)] for v in per_m_reps])
-    means = mat.mean(axis=1)
-    slope, ci = rate_fit(m_list, means, bootstrap_reps=200 if width > 1 else 0,
-                         replicates=mat if width > 1 else None, seed=seed)
+    mat = np.array(per_m_reps)
+    boot = mat.shape[1] > 1
+    slope, ci = rate_fit(m_list, mat.mean(axis=1), bootstrap_reps=200 if boot else 0,
+                         replicates=mat if boot else None, seed=seed)
     null_case = law_name == "gaussian" and mode == "gaussian"
     rows.append(["slope", repr(slope), "ci_lo", repr(ci[0]), "ci_hi", repr(ci[1]),
                  "null_case" if null_case else "rate"])
@@ -300,16 +306,22 @@ def run_jump_coupling(cfg: Dict[str, str], seed: int, threads: int) -> List[list
     n = _get_int(cfg, "n_samples", 2000)
     reps = _get_int(cfg, "replicates", 20)
     t_factor = _get_float(cfg, "t_factor", 1.0)  # t = t_factor * eps; theorem needs t >= eps
-    if t_factor < 1.0:
+    if not t_factor >= 1.0:
         raise ConfigError("t_factor must be >= 1 (coupling bound needs t >= eps)")
     if n > MAX_ASSIGNMENT_SIZE:
         raise ConfigError(f"n_samples exceeds the assignment cap {MAX_ASSIGNMENT_SIZE}")
     if any(not 0 < e <= meas.tau for e in eps_list):
         raise ConfigError("eps_list must lie in (0, tau]")
 
-    # a decomposition draws nothing: an eps over the intensity budget
-    # fails before any sampling
+    # a decomposition draws nothing: an eps over the intensity budget, or
+    # a run over the total jump budget, fails before any sampling
     decs = [AnnulusDecomposition(meas, eps) for eps in eps_list]
+    jumps = sum(t_factor * eps * dec.intensity for eps, dec in zip(eps_list, decs)) * n * reps
+    if not jumps <= MAX_TOTAL_JUMPS:
+        raise ConfigError(
+            f"the run needs about {jumps:.3g} jumps, over the budget of {MAX_TOTAL_JUMPS:.3g}; "
+            "use a smaller t_factor, fewer samples or replicates, or larger eps"
+        )
     root = RngStream(seed, 1)
     rows: List[list] = [["eps", "t", "p", "distance", "replicate"]]
     per_eps = []
@@ -319,7 +331,7 @@ def run_jump_coupling(cfg: Dict[str, str], seed: int, threads: int) -> List[list
 
         def one(rep, eps=eps, ei=ei, dec=dec, sig=sig, t=t):
             g = root.child(rep, ei, "jump").generator
-            z = sample_small_jumps(meas, dec, t, g, n)
+            z = sample_small_jumps(dec, t, g, n)
             ref = math.sqrt(t) * sample_gaussian(sig, g, n)
             if meas.dimension == 1:
                 return wp_1d_exact(z[:, 0], ref[:, 0], p)
@@ -379,6 +391,8 @@ def run_sde_convergence(cfg: Dict[str, str], seed: int, threads: int) -> List[li
     T = _get_float(cfg, "T", 1.0)
     drift = _get_float(cfg, "drift", 0.1)
     bscale = _get_float(cfg, "b_scale", 0.3)
+    if not (math.isfinite(drift) and math.isfinite(bscale)):
+        raise ConfigError("drift and b_scale must be finite numbers")
     if d < 1:
         raise ConfigError("d must be >= 1")
     if M < 2:
@@ -394,7 +408,7 @@ def run_sde_convergence(cfg: Dict[str, str], seed: int, threads: int) -> List[li
         raise ConfigError(str(exc)) from exc
     a = drift * np.array([1.0, -1.0] * (q // 2) + [1.0] * (q % 2))[:q]
     spec = SdeSpec(
-        d=d, q=q, a=a, B=bscale * np.eye(q), sigma_fn=_sigma_builtin(sigma_name, d, q),
+        d=d, a=a, B=bscale * np.eye(q), sigma_fn=_sigma_builtin(sigma_name, d, q),
         x0=np.zeros(d), T=T, measure=meas,
     )
     rows: List[list] = [["h", "eps", "replicates", "rms_sup_error"]]
@@ -405,6 +419,8 @@ def run_sde_convergence(cfg: Dict[str, str], seed: int, threads: int) -> List[li
         r = float(np.sqrt(np.mean(res.sup_distance ** 2)))
         rms.append(r)
         rows.append([h, h, M, repr(r)])
+    if not all(map(math.isfinite, rms)):
+        raise NumericalFailure("an RMS sup-error is not finite: the paths overflowed")
     if all(r > 0 for r in rms):
         slope, _ = rate_fit(h_list, rms)
         rows.append(["slope", repr(slope), "", "rate"])

@@ -12,7 +12,6 @@ condition the normal-approximation theorem requires.
 from __future__ import annotations
 
 import math
-import warnings
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -129,11 +128,8 @@ class LevyMeasureSpec:
         return self.interval_mass(a, b)
 
     def small_jump_covariance(self, eps: float) -> np.ndarray:
-        if eps <= 0:
-            raise LevyError("eps must be positive")
-        if eps > self.tau:
-            warnings.warn("eps beyond support; clamped to tau")
-            eps = self.tau
+        if not 0 < eps <= self.tau:
+            raise LevyError("eps must lie in (0, tau]")
         return self.interval_covariance(0.0, eps)
 
     def sample_interval(self, a: float, b: float, n: int, rng) -> np.ndarray:
@@ -293,7 +289,8 @@ class AnnulusDecomposition:
     """Finite working set of annuli for sampling Z_t^eps.
 
     Bands cover (inner, eps] by the dyadic boundaries, _TAIL_DEPTH annuli
-    deep; the remaining variance below `inner` is replaced by a matched
+    deep, and drop those without mass; (lo, hi] spans the bands that are
+    kept.  The remaining variance below `inner` is replaced by a matched
     Gaussian.  An eps whose bands carry a computationally absurd jump
     intensity is rejected.
     """
@@ -314,6 +311,9 @@ class AnnulusDecomposition:
             )
         self.intensity = intensity
         inner = 2.0 ** (-self.R_max - 1)
+        # the interval one jump draw covers: from the innermost to the
+        # outermost band that carries mass
+        self.lo, self.hi = (self.bands[-1][0], self.bands[0][1]) if self.bands else (inner, eps)
         self.tail_covariance = spec.interval_covariance(0.0, inner)
         self.truncated_variance = float(np.trace(self.tail_covariance))
 

@@ -90,37 +90,29 @@ def sample_perturbed_normal(pmap: GradientPolyMap, eps: float, r: int, rng, n: i
     return out
 
 
-#: jumps drawn per jump_sampler call, sized so one run's jumps stay in
+#: jumps drawn per sample_interval call, sized so one run's jumps stay in
 #: cache; the slicing fixes the draw order
 _JUMP_BUDGET = 1 << 16
 
 
-def _run_sums(jump_sampler, block: int, q: int, g, first) -> np.ndarray:
-    """Draw one run of block jumps; sum the segments that start at first."""
-    jumps = np.asarray(jump_sampler(block, g), dtype=float).reshape(block, q)
-    return np.add.reduceat(jumps, first, axis=0)
-
-
 def sample_compound_poisson(
-    intensity: float, jump_sampler, mean_jump, t: float, rng, n: int = 1
+    spec: LevyMeasureSpec, lo: float, hi: float, intensity: float, t: float, rng, n: int
 ) -> np.ndarray:
-    """n draws of a compensated compound Poisson value at time t.
+    """n draws of the sum over time t of the jumps of spec restricted to
+    lo < |z| <= hi, an interval of mass intensity.
 
-    jump_sampler(count, rng) returns (count, q) jumps; mean_jump is the
-    jump-law mean used for the compensator t * intensity * E X.  The
-    Poisson counts come first; the jumps are then drawn in runs of whole
-    replicates of at most _JUMP_BUDGET jumps each.  A replicate over the
-    budget is drawn in pieces of _JUMP_BUDGET jumps whose sums are added
-    in draw order, so memory stays bounded.
+    The measure is isotropic, so the jumps have mean zero and the sum
+    needs no compensator.  The Poisson counts come first; the jumps are
+    then drawn in runs of whole replicates of at most _JUMP_BUDGET jumps
+    each.  A replicate over the budget is drawn in pieces of _JUMP_BUDGET
+    jumps whose sums are added in draw order, so memory stays bounded.
     """
     if intensity < 0:
         raise SamplingError("intensity must be nonnegative")
     if t < 0:
         raise SamplingError("t must be nonnegative")
     g = _as_generator(rng)
-    mean_jump = np.atleast_1d(np.asarray(mean_jump, dtype=float))
-    q = mean_jump.shape[0]
-    out = np.zeros((n, q))
+    out = np.zeros((n, spec.dimension))
     if intensity > 0 and t > 0:
         counts = g.poisson(t * intensity, size=n)
         ends = np.concatenate(([0], np.cumsum(counts)))  # ends[i]: jumps before row i
@@ -133,65 +125,39 @@ def sample_compound_poisson(
             block = int(ends[stop] - ends[start])
             if block > _JUMP_BUDGET:
                 # one replicate over the budget: the sums of its pieces,
-                # added in draw order
+                # added in draw order; each piece's jumps are freed before
+                # the next piece is drawn
                 for done in range(0, block, _JUMP_BUDGET):
                     piece = min(_JUMP_BUDGET, block - done)
-                    out[stop - 1] += _run_sums(jump_sampler, piece, q, g, [0])[0]
+                    out[stop - 1] += np.add.reduceat(
+                        spec.sample_interval(lo, hi, piece, g), [0], axis=0)[0]
             elif block:
                 # each row's jumps are one contiguous segment of the run
                 nonempty = np.flatnonzero(counts[start:stop])
                 first = ends[start:stop][nonempty] - ends[start]
-                out[start + nonempty] = _run_sums(jump_sampler, block, q, g, first)
+                out[start + nonempty] = np.add.reduceat(
+                    spec.sample_interval(lo, hi, block, g), first, axis=0)
             start = stop
-        out -= t * intensity * mean_jump
     return out
 
 
-def sample_small_jumps(
-    spec: LevyMeasureSpec, decomposition: AnnulusDecomposition, t: float, rng, n: int = 1
-) -> np.ndarray:
-    """n draws of the compensated small-jump value Z_t^eps.
+def sample_small_jumps(decomposition: AnnulusDecomposition, t: float, rng, n: int) -> np.ndarray:
+    """n draws of the compensated small-jump value Z_t^eps of decomposition.spec.
 
-    The bands of the decomposition cover (inner, eps] with no gap, so
-    their independent compound-Poisson sums add up to one compound-Poisson
-    sum with the total intensity and jumps from nu restricted to
-    (inner, eps]; that one sum is drawn.  The sub-resolution tail is a
-    matched Gaussian.
+    The bands of the decomposition cover (lo, hi] up to intervals without
+    mass, so their independent compound-Poisson sums add up to one
+    compound-Poisson sum with the total intensity and jumps from nu
+    restricted to (lo, hi]; that one sum is drawn.  The sub-resolution
+    tail is a matched Gaussian.
     """
-    if t < 0:
-        raise SamplingError("t must be nonnegative")
-    g = _as_generator(rng)
-    q = spec.dimension
-    bands = decomposition.bands
-    if bands:
-        inner, eps = bands[-1][0], bands[0][1]
-        out = sample_compound_poisson(
-            decomposition.intensity,
-            lambda c, gg: spec.sample_interval(inner, eps, c, gg),
-            np.zeros(q),
-            t,
-            g,
-            n,
-        )
-    else:
-        out = np.zeros((n, q))
-    tail = decomposition.tail_covariance
-    if t > 0 and np.trace(tail) > 0:
-        out += sample_gaussian(t * tail, g, n)
+    dec = decomposition
+    out = sample_compound_poisson(dec.spec, dec.lo, dec.hi, dec.intensity, t, rng, n)
+    if t > 0 and np.trace(dec.tail_covariance) > 0:
+        out += sample_gaussian(t * dec.tail_covariance, rng, n)
     return out
 
 
-def sample_big_jumps(spec: LevyMeasureSpec, eps: float, t: float, rng, n: int = 1) -> np.ndarray:
-    """n draws of the sum of the jumps beyond eps over time t.
-
-    A compound-Poisson draw with intensity nu(eps < |z| <= tau); isotropy
-    makes its compensator vanish.
-    """
-    return sample_compound_poisson(
-        spec.big_jump_mass(eps),
-        lambda c, gg: spec.sample_interval(eps, spec.tau, c, gg),
-        np.zeros(spec.dimension),
-        t,
-        rng,
-        n,
-    )
+def sample_big_jumps(spec: LevyMeasureSpec, eps: float, t: float, rng, n: int) -> np.ndarray:
+    """n draws of the sum of the jumps beyond eps over time t: one
+    compound-Poisson draw with intensity nu(eps < |z| <= tau)."""
+    return sample_compound_poisson(spec, eps, spec.tau, spec.big_jump_mass(eps), t, rng, n)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -34,13 +34,17 @@ class SdeError(ValueError):
 @dataclass
 class SdeSpec:
     d: int
-    q: int
     a: np.ndarray
     B: np.ndarray
     sigma_fn: Callable[[np.ndarray], np.ndarray]  # (M, d) -> (M, d, q)
     x0: np.ndarray
     T: float
-    measure: Optional[LevyMeasureSpec] = None
+    measure: LevyMeasureSpec
+
+    @property
+    def q(self) -> int:
+        """The noise dimension, that of the jump measure."""
+        return self.measure.dimension
 
     def __post_init__(self):
         self.a = np.atleast_1d(np.asarray(self.a, dtype=float))
@@ -99,7 +103,7 @@ def _step_noise(spec: SdeSpec, cfg: SchemeConfig, rng: RngStream, k: int, M: int
     q = spec.q
     dw = np.sqrt(hs) * rng.child(0, k, "bw").standard_normal((M, sub, spec.B.shape[1]))
     # the M * sub rows of one jump draw are i.i.d., one per (replicate, substep)
-    small = sample_small_jumps(spec.measure, dec, hs, rng.child(0, k, "smalljump"), M * sub)
+    small = sample_small_jumps(dec, hs, rng.child(0, k, "smalljump"), M * sub)
     big = sample_big_jumps(spec.measure, cfg.h, hs, rng.child(0, k, "bigjump"), M * sub)
     return dw, small.reshape(M, sub, q), big.reshape(M, sub, q)
 
@@ -163,8 +167,6 @@ def coupled_paths(spec: SdeSpec, cfg: SchemeConfig, M: int, rng: RngStream) -> C
     """
     if M < 2:
         raise SdeError("coupling needs at least two replicates")
-    if spec.measure is None:
-        raise SdeError("coupling is about the jump substitution; need a measure")
     cfg.check_size(spec.T, M, spec.d, max(spec.q, spec.B.shape[1]))
     dec = AnnulusDecomposition(spec.measure, cfg.h)
     root = sym_sqrt(spec.measure.small_jump_covariance(cfg.h))

@@ -232,7 +232,7 @@ class TestCriterion7JumpCouplingRate:
                 sig = meas.small_jump_covariance(eps)
                 for rep in range(reps):
                     g = root.child(rep, i, "jump").generator
-                    z = sample_small_jumps(meas, dec, eps, g, n)
+                    z = sample_small_jumps(dec, eps, g, n)
                     ref = math.sqrt(eps) * sample_gaussian(sig, g, n)
                     mat[i, rep] = wp_empirical(z, ref)
             slope, _ = rate_fit(eps_list, mat.mean(axis=1), bootstrap_reps=200,
@@ -258,7 +258,7 @@ class TestCriterion8SdeStrongError:
 
             meas = StableLikeMeasure(2, 1.5, 1.0)
             spec = SdeSpec(
-                d=2, q=2, a=np.array([0.1, -0.1]), B=0.3 * np.eye(2),
+                d=2, a=np.array([0.1, -0.1]), B=0.3 * np.eye(2),
                 sigma_fn=sigma_fn, x0=np.zeros(2), T=1.0, measure=meas,
             )
             hs = [2.0 ** -4, 2.0 ** -5, 2.0 ** -6, 2.0 ** -7]

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from levyedge import cli, edgeworth, perturbation, polycore, sampling
 from levyedge.edgeworth import multi_indices
+from levyedge.levy import AnnulusDecomposition, StableLikeMeasure
 
 
 def write(tmp_path, name, text):
@@ -105,7 +106,8 @@ class TestExitCodes:
         assert cli.main(["sde-convergence", "--config", good, "--out", out]) == 0
 
     @pytest.mark.parametrize("line", ["fine_substeps = 0", "fine_substeps = -3", "d = 0",
-                                      "replicates = 0", "T = 1e9"])
+                                      "replicates = 0", "T = 1e9", "drift = nan",
+                                      "b_scale = inf"])
     def test_sde_convergence_bad_value_is_2(self, tmp_path, monkeypatch, capsys, line):
         # each is a config error found before any path is drawn; T = 1e9
         # would need path arrays of about 10^10 elements
@@ -117,6 +119,46 @@ class TestExitCodes:
         assert cli.main(["sde-convergence", "--config", cfg, "--no-timestamp"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
+
+    def test_sde_convergence_non_finite_rms_is_3(self, tmp_path, capsys):
+        # a finite but huge drift overflows the paths: the NaN/inf errors
+        # are a numerical failure, not an exact coincidence of the schemes
+        cfg = write(tmp_path, "s.cfg", TINY["sde-convergence"].format(reps=2) + "drift = 1e308\n")
+        out = tmp_path / "out.csv"
+        rc = cli.main(["sde-convergence", "--config", cfg, "--out", str(out), "--no-timestamp"])
+        assert rc == 3 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("experiment,line", [
+        ("jump-coupling", "p = nan"), ("jump-coupling", "p = inf"),
+        ("clt-rate", "m_list = 16,64,inf"), ("clt-rate", "m_list = nan"),
+    ])
+    def test_non_finite_integer_key_is_2(self, tmp_path, capsys, experiment, line):
+        cfg = write(tmp_path, "c.cfg", TINY[experiment].format(reps=2) + line + "\n")
+        assert cli.main([experiment, "--config", cfg, "--no-timestamp"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
+    def test_total_jump_budget_is_2_before_sampling(self, tmp_path, monkeypatch, capsys):
+        # t_factor = 1e12 asks for about 10^13 jumps per replicate: refused
+        # before the first draw
+        def no_draw(*args, **kwargs):
+            raise AssertionError("jumps drawn past the total jump budget")
+
+        monkeypatch.setattr(cli, "sample_small_jumps", no_draw)
+        cfg = write(tmp_path, "jc.cfg", TINY["jump-coupling"].format(reps=2) + "t_factor = 1e12\n")
+        assert cli.main(["jump-coupling", "--config", cfg, "--no-timestamp"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "jumps" in err
+
+    def test_default_jump_coupling_well_inside_budget(self):
+        # the default (C7-shaped) configuration, about 1.75e9 expected
+        # jumps, stays at least 8x inside the total jump budget
+        meas = StableLikeMeasure(2, 1.5, 1.0)
+        eps_list = [2.0 ** -3, 2.0 ** -4, 2.0 ** -5, 2.0 ** -6]
+        jumps = sum(e * AnnulusDecomposition(meas, e).intensity for e in eps_list) * 2000 * 20
+        assert 1.7e9 < jumps and 8 * jumps <= cli.MAX_TOTAL_JUMPS
 
     @pytest.mark.parametrize("line", ["3 abc", "a 2", "2 1/0"])
     def test_malformed_cumulant_file_is_2(self, tmp_path, capsys, line):
@@ -147,7 +189,7 @@ class TestExitCodes:
         real = sampling.sample_small_jumps
 
         def counted(*args, **kwargs):
-            calls.append(args[1].eps)
+            calls.append(args[0].eps)
             return real(*args, **kwargs)
 
         for mod in list(sys.modules.values()):  # every binding, as `from ... import` makes

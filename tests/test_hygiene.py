@@ -1,4 +1,5 @@
-"""Source hygiene: every name a levyedge module imports is used in it."""
+"""Source hygiene: every name a levyedge module imports is used in it, and
+every private module-level name is used somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -32,3 +33,36 @@ def test_imports_are_used(path):
     used = _used(tree)
     unused = [f"{name} (line {line})" for name, line in _imported(tree) if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def _private_defs(tree: ast.Module):
+    """(name, line) of each _private function, class or variable bound at
+    module level; dunder names are not private."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno
+
+
+def _referenced(tree: ast.AST) -> set:
+    """Every name the module loads, reads as an attribute or imports."""
+    refs = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    refs |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    refs |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    return refs
+
+
+def test_private_names_are_referenced():
+    trees = {p: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+             for p in sorted(SRC.glob("*.py"))}
+    refs = set().union(*map(_referenced, trees.values()))
+    dead = [f"{p.name}: {name} (line {line})"
+            for p, tree in trees.items() for name, line in _private_defs(tree) if name not in refs]
+    assert not dead, f"private names nothing in the package uses: {', '.join(dead)}"

@@ -204,6 +204,22 @@ class TestDecomposition:
             meas.small_jump_covariance(eps)[0, 0], rel=1e-12
         )
 
+    def test_draw_interval_spans_bands_with_mass(self, meas):
+        dec = AnnulusDecomposition(meas, 0.2)
+        assert (dec.lo, dec.hi) == (2.0 ** -9, 0.2)  # inner = 2^-(R_max+1), R_max = 8
+        # zero density on [1/4, 1/2]: the band next to eps = 1/2 is dropped
+        radii = 2.0 ** (np.arange(-32, 1) / 4)
+        gap = CustomRadialMeasure(2, radii, np.where(radii >= 0.25, 0.0, radii ** -3.5))
+        dec = AnnulusDecomposition(gap, 0.5)
+        assert (dec.lo, dec.hi) == (dec.bands[-1][0], 0.25)
+
+    def test_small_jump_covariance_eps_outside_support(self, meas):
+        # one rule with AnnulusDecomposition: eps must lie in (0, tau]
+        for eps in (0.0, -0.1, 1.5, float("nan")):
+            with pytest.raises(LevyError, match="tau"):
+                meas.small_jump_covariance(eps)
+        assert meas.small_jump_covariance(1.0)[0, 0] > 0
+
     def test_custom_tail_below_table_is_empty(self):
         # the table starts at 0.01, above inner = 2^-7 of eps = 1/2: the
         # sub-resolution tail (0, 2^-7] carries no variance

@@ -94,63 +94,54 @@ class TestPerturbedNormal:
 
 class TestCompoundPoisson:
     def test_zero_intensity(self):
-        out = sample_compound_poisson(0.0, lambda c, g: np.zeros((c, 2)), np.zeros(2), 1.0, RngStream(0, 0), 5)
+        meas = StableLikeMeasure(2, 1.5, 1.0)
+        out = sample_compound_poisson(meas, 0.25, 0.5, 0.0, 1.0, RngStream(0, 0), 5)
         assert np.array_equal(out, np.zeros((5, 2)))
-
-    def test_mean_and_variance(self):
-        # jumps ~ N(mu, s^2): compensated sum has mean 0 and variance
-        # t * lam * (s^2 + mu^2)
-        lam, t, mu, s = 30.0, 0.7, 0.4, 0.3
-
-        def sampler(c, g):
-            return (mu + s * g.standard_normal(c))[:, None]
-
-        out = sample_compound_poisson(lam, sampler, np.array([mu]), t, RngStream(2, 3), 200_000)
-        assert out.mean() == pytest.approx(0.0, abs=0.02)
-        assert out.var() == pytest.approx(t * lam * (s * s + mu * mu), rel=0.02)
 
     def test_chunking_consistency(self, monkeypatch):
         # the planned slicing and reduceat scatter reproduce the row-by-row
-        # loop bit for bit (same sampler calls, same sums), over
+        # loop bit for bit (same sample_interval calls, same sums), over
         # dimensions, jump budgets and mean counts per replicate; no
-        # sampler call draws more than the budget
+        # call draws more than the budget
         for q, mean_count, budget in itertools.product([1, 2, 3], [0.3, 4.0, 30.0], [1, 5, 64]):
             meas = StableLikeMeasure(q, 1.5, 1.0)
-            blocks = {"kernel": [], "reference": []}
+            blocks = []
+            draw = meas.sample_interval
 
-            def sampler(name):
-                def draw(c, g):
-                    blocks[name].append(c)
-                    return meas.sample_interval(0.25, 0.5, c, g)
-                return draw
+            def recorded(a, b, c, g, draw=draw):
+                blocks.append(c)
+                return draw(a, b, c, g)
 
+            monkeypatch.setattr(meas, "sample_interval", recorded)
             monkeypatch.setattr(sampling, "_JUMP_BUDGET", budget)
-            mean = np.full(q, 0.1)
-            a = sample_compound_poisson(mean_count, sampler("kernel"), mean, 1.0,
-                                        RngStream(7, q), 300)
-            b = compound_poisson_row_loop(mean_count, sampler("reference"), mean, 1.0,
+            a = sample_compound_poisson(meas, 0.25, 0.5, mean_count, 1.0, RngStream(7, q), 300)
+            kernel = blocks[:]
+            blocks.clear()
+            b = compound_poisson_row_loop(meas, 0.25, 0.5, mean_count, 1.0,
                                           RngStream(7, q).generator, 300, budget)
             assert np.array_equal(a, b), (q, mean_count, budget)
-            assert blocks["kernel"] == blocks["reference"]
-            assert max(blocks["kernel"]) <= budget  # memory stays bounded
+            assert kernel == blocks
+            assert max(kernel) <= budget  # memory stays bounded
             if mean_count > 1:
-                assert len(blocks["kernel"]) > 1
+                assert len(kernel) > 1
             else:
-                assert (a == -(1.0 * mean_count * mean)).all(axis=1).any()  # jump-free rows
+                assert (a == 0).all(axis=1).any()  # jump-free rows
 
-    def test_long_replicate_memory_bounded(self):
+    def test_long_replicate_memory_bounded(self, monkeypatch):
         # one replicate of about 2^22 jumps is drawn in budget-sized
         # pieces: the peak stays far below its (n, q) jump array
         meas = StableLikeMeasure(2, 1.5, 1.0)
         calls = []
+        draw = meas.sample_interval
 
-        def draw(c, g):
+        def recorded(a, b, c, g):
             calls.append(c)
-            return meas.sample_interval(0.25, 0.5, c, g)
+            return draw(a, b, c, g)
 
+        monkeypatch.setattr(meas, "sample_interval", recorded)
         tracemalloc.start()
         try:
-            out = sample_compound_poisson(float(1 << 22), draw, np.zeros(2), 1.0, RngStream(3, 0), 1)
+            out = sample_compound_poisson(meas, 0.25, 0.5, float(1 << 22), 1.0, RngStream(3, 0), 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -165,23 +156,22 @@ class TestCompoundPoisson:
         empty = CustomRadialMeasure(2, np.linspace(0.1, 1.0, 16), np.zeros(16))
         calls = {
             "compound": lambda: sample_compound_poisson(
-                1.0, lambda c, g: np.zeros((c, 2)), np.zeros(2), -1.0, RngStream(0, 0), 3),
+                meas, 0.25, 0.5, 1.0, -1.0, RngStream(0, 0), 3),
             "small": lambda: sample_small_jumps(
-                meas, AnnulusDecomposition(meas, 0.5), -1.0, RngStream(0, 0), 3),
+                AnnulusDecomposition(meas, 0.5), -1.0, RngStream(0, 0), 3),
             "small-no-bands": lambda: sample_small_jumps(
-                empty, AnnulusDecomposition(empty, 0.5), -1.0, RngStream(0, 0), 3),
+                AnnulusDecomposition(empty, 0.5), -1.0, RngStream(0, 0), 3),
             "big": lambda: sample_big_jumps(meas, 0.5, -1.0, RngStream(0, 0), 3),
         }
         with pytest.raises(SamplingError, match="t must be nonnegative"):
             calls[draw]()
 
 
-def compound_poisson_row_loop(intensity, jump_sampler, mean_jump, t, g, n, budget):
+def compound_poisson_row_loop(spec, lo, hi, intensity, t, g, n, budget):
     """Reference kernel: plan runs of rows one row at a time, then sum each
     row's own slice of the run's jumps on its own; a row over the budget
     is drawn and summed in pieces of the budget."""
-    q = mean_jump.shape[0]
-    out = np.zeros((n, q))
+    out = np.zeros((n, spec.dimension))
     counts = g.poisson(t * intensity, size=n)
     start = 0
     while start < n:
@@ -193,11 +183,10 @@ def compound_poisson_row_loop(intensity, jump_sampler, mean_jump, t, g, n, budge
         if block > budget:
             # one row over the budget: the sums of its pieces, in draw order
             for done in range(0, int(block), budget):
-                piece = min(budget, int(block) - done)
-                jumps = np.asarray(jump_sampler(piece, g), dtype=float).reshape(piece, q)
+                jumps = spec.sample_interval(lo, hi, min(budget, int(block) - done), g)
                 out[stop - 1] += np.add.reduceat(jumps, [0], axis=0)[0]
         elif block:
-            jumps = np.asarray(jump_sampler(int(block), g), dtype=float).reshape(int(block), q)
+            jumps = spec.sample_interval(lo, hi, int(block), g)
             first = 0
             for row in range(start, stop):
                 if counts[row]:
@@ -205,7 +194,6 @@ def compound_poisson_row_loop(intensity, jump_sampler, mean_jump, t, g, n, budge
                     out[row] = np.add.reduceat(row_jumps, [0], axis=0)[0]
                     first += counts[row]
         start = stop
-    out -= t * intensity * mean_jump
     return out
 
 
@@ -217,10 +205,19 @@ def _gapped_measure():
     return CustomRadialMeasure(2, radii, density)
 
 
+def _edge_gap_measure():
+    """q = 2 power law with zero density on [1/4, 1/2]: the outermost band
+    below eps = 1/2 carries no mass, so one draw covers (inner, 1/4]."""
+    radii = 2.0 ** (np.arange(-32, 1) / 4)
+    density = np.where((radii >= 1 / 4) & (radii <= 1 / 2), 0.0, radii ** -3.5)
+    return CustomRadialMeasure(2, radii, density)
+
+
 class TestSmallJumpLaw:
     @pytest.mark.parametrize("meas", [
         StableLikeMeasure(1, 1.5, 1.0), StableLikeMeasure(2, 1.5, 1.0), _gapped_measure(),
-    ], ids=["q1", "q2", "zero-mass-band"])
+        _edge_gap_measure(),
+    ], ids=["q1", "q2", "zero-mass-band", "zero-mass-edge-band"])
     def test_one_draw_spreads_jumps_over_bands(self, meas, monkeypatch):
         # one compound-Poisson draw over (inner, eps] puts a share
         # mass_b / intensity of its jumps in each band b, as the sum of
@@ -235,14 +232,15 @@ class TestSmallJumpLaw:
             return z
 
         def counted(*args, **kwargs):
-            calls.append(args[0])
+            calls.append(args[:4])
             return sample_compound_poisson(*args, **kwargs)
 
         monkeypatch.setattr(meas, "sample_interval", recorded)
         monkeypatch.setattr(sampling, "sample_compound_poisson", counted)
         for seed in range(3):
-            sample_small_jumps(meas, dec, 0.5, RngStream(11, seed), 200)
-        assert calls == [dec.intensity] * 3
+            sample_small_jumps(dec, 0.5, RngStream(11, seed), 200)
+        # one draw over (lo, hi], the span of the bands with mass
+        assert calls == [(meas, dec.bands[-1][0], dec.bands[0][1], dec.intensity)] * 3
         rho = np.concatenate(radii)
         lo = np.array([b[0] for b in dec.bands])
         hi = np.array([b[1] for b in dec.bands])
@@ -260,7 +258,7 @@ class TestLevyIncrement:
     def test_small_jump_covariance_tracks_closed_form(self):
         eps, t = 0.5, 0.5
         dec = AnnulusDecomposition(self.MEAS, eps)
-        z = sample_small_jumps(self.MEAS, dec, t, RngStream(3, 1), 40_000)
+        z = sample_small_jumps(dec, t, RngStream(3, 1), 40_000)
         want = t * self.MEAS.small_jump_covariance(eps)
         emp = np.cov(z.T)
         assert np.allclose(emp, want, rtol=0.08, atol=0.08)
@@ -280,7 +278,7 @@ class TestLevyIncrement:
             return a * h + bw + small + sample_big_jumps(self.MEAS, eps, h, g, n)
 
         ge, gg = RngStream(4, 1), RngStream(4, 2)
-        ze = increment(ge, sample_small_jumps(self.MEAS, dec, h, ge, n))
+        ze = increment(ge, sample_small_jumps(dec, h, ge, n))
         zg = increment(gg, math.sqrt(h) * gg.standard_normal((n, 2)) @ root.T)
         assert np.allclose(ze.mean(axis=0), zg.mean(axis=0), atol=0.08)
         assert np.allclose(np.cov(ze.T), np.cov(zg.T), rtol=0.1, atol=0.1)
@@ -291,7 +289,7 @@ class TestLevyIncrement:
             SchemeConfig(h=2.0)
         # h inside (0, 1) but beyond a smaller support radius
         meas = StableLikeMeasure(2, 1.5, 0.25)
-        spec = SdeSpec(d=2, q=2, a=np.zeros(2), B=np.eye(2), x0=np.zeros(2), T=1.0,
+        spec = SdeSpec(d=2, a=np.zeros(2), B=np.eye(2), x0=np.zeros(2), T=1.0,
                        measure=meas, sigma_fn=lambda x: np.tile(np.eye(2), (x.shape[0], 1, 1)))
         with pytest.raises(LevyError):
             coupled_paths(spec, SchemeConfig(h=0.5), 4, RngStream(0, 0))

@@ -45,7 +45,7 @@ def contractive_sigma(x):
 
 def make_spec(sigma_fn, measure=MEAS, a=(0.1, -0.1), b=0.3):
     return SdeSpec(
-        d=2, q=2, a=np.array(a), B=b * np.eye(2), sigma_fn=sigma_fn,
+        d=2, a=np.array(a), B=b * np.eye(2), sigma_fn=sigma_fn,
         x0=np.zeros(2), T=1.0, measure=measure,
     )
 
@@ -115,12 +115,14 @@ class TestCoupledPaths:
         assert np.sqrt(np.mean(r1.sup_distance ** 2)) < 1.0
 
     def test_needs_measure_and_replicates(self):
-        spec = make_spec(contractive_sigma, measure=None)
+        # the measure is a required field and gives the noise dimension
+        with pytest.raises(TypeError, match="measure"):
+            SdeSpec(d=2, a=np.zeros(2), B=np.eye(2), sigma_fn=contractive_sigma,
+                    x0=np.zeros(2), T=1.0)
+        spec = make_spec(contractive_sigma)
+        assert spec.q == MEAS.dimension
         with pytest.raises(SdeError):
-            coupled_paths(spec, SchemeConfig(h=0.25), 8, RngStream(0, 0))
-        spec2 = make_spec(contractive_sigma)
-        with pytest.raises(SdeError):
-            coupled_paths(spec2, SchemeConfig(h=0.25), 1, RngStream(0, 0))
+            coupled_paths(spec, SchemeConfig(h=0.25), 1, RngStream(0, 0))
 
     def test_fine_substeps_must_be_positive(self):
         # no clamp: a substep count below one is an error, not one substep
@@ -137,7 +139,7 @@ class TestCoupledPaths:
         monkeypatch.setattr(sde, "_step_noise", no_draw)
         cfg = SchemeConfig(h=0.25, fine_substeps=1)
         for T in (1e9, 1e300):
-            spec = SdeSpec(d=2, q=2, a=np.zeros(2), B=0.3 * np.eye(2), sigma_fn=contractive_sigma,
+            spec = SdeSpec(d=2, a=np.zeros(2), B=0.3 * np.eye(2), sigma_fn=contractive_sigma,
                            x0=np.zeros(2), T=T, measure=MEAS)
             with pytest.raises(SdeError, match="path arrays"):
                 coupled_paths(spec, cfg, 2, RngStream(0, 0))
