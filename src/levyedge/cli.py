@@ -130,6 +130,14 @@ def _get_float_list(cfg, key, default):
     return vals
 
 
+def _get_grid(cfg, key, default):
+    """A comma list of at least 3 numbers: the points of a rate fit."""
+    vals = _get_float_list(cfg, key, default)
+    if len(vals) < 3:
+        raise ConfigError(f"{key} needs at least 3 points for the rate fit")
+    return vals
+
+
 def _get_int(cfg, key, default):
     try:
         return int(cfg.get(key, default))
@@ -222,9 +230,11 @@ def run_clt_rate(cfg: Dict[str, str], seed: int, threads: int) -> List[list]:
         law = make_law(law_name)
     except LawError as exc:
         raise ConfigError(str(exc)) from exc
-    m_vals = _get_float_list(cfg, "m_list", "16,64,256,1024")
+    m_vals = _get_grid(cfg, "m_list", "16,64,256,1024")
     if not all(map(math.isfinite, m_vals)):
         raise ConfigError("m_list entries must be finite")
+    if not all(v.is_integer() for v in m_vals):
+        raise ConfigError("m_list entries must be integers")
     m_list = [int(v) for v in m_vals]
     if any(m < 1 for m in m_list):
         raise ConfigError("m_list entries must be positive")
@@ -233,7 +243,7 @@ def run_clt_rate(cfg: Dict[str, str], seed: int, threads: int) -> List[list]:
     reps = _get_int(cfg, "replicates", 20)
     target = _get_int(cfg, "n", 4)  # moment-match order of the perturbed reference
     if reps < 1 or n < 2:
-        raise ConfigError("replicates and n_samples must be positive")
+        raise ConfigError("replicates must be >= 1 and n_samples >= 2")
     if law.dimension > 1 and n > MAX_ASSIGNMENT_SIZE:
         raise ConfigError(
             f"n_samples {n} exceeds the assignment cap {MAX_ASSIGNMENT_SIZE} "
@@ -301,10 +311,12 @@ def run_jump_coupling(cfg: Dict[str, str], seed: int, threads: int) -> List[list
         meas = measure_from_config(cfg)
     except (LevyError, KeyError, ValueError) as exc:
         raise ConfigError(f"bad measure config: {exc}") from exc
-    eps_list = _get_float_list(cfg, "eps_list", "0.125,0.0625,0.03125,0.015625")
+    eps_list = _get_grid(cfg, "eps_list", "0.125,0.0625,0.03125,0.015625")
     p = _check_even_p(_get_float(cfg, "p", 2))
     n = _get_int(cfg, "n_samples", 2000)
     reps = _get_int(cfg, "replicates", 20)
+    if reps < 1 or n < 2:
+        raise ConfigError("replicates must be >= 1 and n_samples >= 2")
     t_factor = _get_float(cfg, "t_factor", 1.0)  # t = t_factor * eps; theorem needs t >= eps
     if not t_factor >= 1.0:
         raise ConfigError("t_factor must be >= 1 (coupling bound needs t >= eps)")
@@ -382,7 +394,7 @@ def run_sde_convergence(cfg: Dict[str, str], seed: int, threads: int) -> List[li
         raise ConfigError(f"bad measure config: {exc}") from exc
     q = meas.dimension
     d = _get_int(cfg, "d", q)
-    h_list = _get_float_list(cfg, "h_list", "0.0625,0.03125,0.015625,0.0078125")
+    h_list = _get_grid(cfg, "h_list", "0.0625,0.03125,0.015625,0.0078125")
     M = _get_int(cfg, "replicates", 256)
     sub = _get_int(cfg, "fine_substeps", 16)
     if cfg.get("coupling_style", "radial") != "radial":

@@ -74,20 +74,6 @@ def _poly_log1p(p: Polynomial, n: int) -> Polynomial:
     return out
 
 
-def _poly_expm1(p: Polynomial, n: int) -> Polynomial:
-    """exp(p) - 1 truncated at total degree n; p must have zero constant term."""
-    if p.constant_term() != 0:
-        raise EdgeworthError("exp needs zero constant term")
-    out = Polynomial.zero(p.dimension)
-    power = Polynomial.constant(p.dimension, Fraction(1))
-    for l in range(1, n + 1):
-        power = _truncate(power * p, n) * Fraction(1, l)
-        if power.is_zero():
-            break
-        out = out + power
-    return out
-
-
 class MomentSet:
     """Raw moments E[X^alpha] of a mean-zero law, 1 <= |alpha| <= order."""
 
@@ -223,21 +209,22 @@ def moments_to_cumulants(m: MomentSet) -> CumulantSet:
 
 
 def cumulants_to_moments(c: CumulantSet) -> MomentSet:
-    """Inverse of moments_to_cumulants (round-trip exact)."""
+    """Inverse of moments_to_cumulants (round-trip exact).
+
+    M(z) = exp(K(z)) graded by degree: with K_d the degree-d part of K,
+    the degree-d part of exp(K) is the eps^d coefficient of
+    exp(sum_d eps^d K_d), which EpsSeries.exp builds in O(n^2) products.
+    """
     q, n = c.dimension, c.order
-    gen = Polynomial(
-        q,
-        {
-            a: Fraction(1, _factorial_alpha(a)) * c.mu[a]
-            for d in range(2, n + 1)
-            for a in multi_indices(q, d)
-        },
-    )
-    mgen = _poly_expm1(gen, n)
+    parts = [Polynomial.zero(q)] * 2 + [
+        Polynomial(q, {a: Fraction(1, _factorial_alpha(a)) * c.mu[a] for a in multi_indices(q, d)})
+        for d in range(2, n + 1)
+    ]
+    mgen = EpsSeries(parts, n).exp()
     values = {}
     for d in range(1, n + 1):
         for alpha in multi_indices(q, d):
-            values[alpha] = mgen.coefficient(alpha) * _factorial_alpha(alpha)
+            values[alpha] = mgen[d].coefficient(alpha) * _factorial_alpha(alpha)
     return MomentSet(q, n, values)
 
 
@@ -321,22 +308,17 @@ def edgeworth_signed_moments(c: CumulantSet, qs: list, eps, max_order: int) -> D
     """Moments of the signed density phi_Sigma (1 + sum eps^k Q_k), exact.
 
     qs is Q_1..Q_r as build_Q(c, r) gives them (empty for the Gaussian
-    alone).  Each E[x^alpha Q_k] is read off one moment table for Sigma.
+    alone).  The factor 1 + sum eps^k Q_k is built once, and every
+    E[x^alpha (1 + sum eps^k Q_k)] is read off one moment table for Sigma.
     Rational for rational cumulants and a Fraction eps (e.g. the
     reciprocal square root of a perfect-square m).
     """
-    moment = GaussianMoments(c.covariance, c.dimension)
-    epspow = eps if not isinstance(eps, int) else Fraction(eps)
-    out = {}
-    for d in range(1, max_order + 1):
-        for alpha in multi_indices(c.dimension, d):
-            total = moment(alpha)
-            power = epspow
-            for qk in qs:
-                total = total + power * moment.expectation(qk, alpha)
-                power = power * epspow
-            out[alpha] = total
-    return out
+    q = c.dimension
+    eps = Fraction(eps) if isinstance(eps, int) else eps
+    factor = sum_of_products(q, [(Polynomial.constant(q, Fraction(1)), 1)]
+                             + [(qk, eps ** k) for k, qk in enumerate(qs, start=1)])
+    alphas = [a for d in range(1, max_order + 1) for a in multi_indices(q, d)]
+    return dict(zip(alphas, GaussianMoments(c.covariance, q).expectations(factor, alphas)))
 
 
 def scaled_sum_moments(c: CumulantSet, m, max_order: int) -> Dict[tuple, Coeff]:

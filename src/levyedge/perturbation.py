@@ -306,7 +306,7 @@ class _Recursion:
                 for j, terms in enumerate(self.taylor, start=1)
                 for beta, t in terms if sum(beta) <= n - j])
         out = self.f[n] - shifted
-        mean = self.moments.expectation(out, (0,) * q)
+        mean = self.moments.expectation(out)
         if (mean != 0) if self.exact else (abs(float(mean)) > 1e-8):
             raise AssertionError("correction polynomial must have zero Gaussian mean")
         self.s_tilde = out

@@ -160,9 +160,14 @@ class Polynomial:
         return Polynomial._of(self.dimension, {a: -c for a, c in self.terms.items()})
 
     def __sub__(self, other):
+        """self + (-other) in one pass: the same terms, in the same order."""
         if not isinstance(other, Polynomial):
             other = Polynomial.constant(self.dimension, other)
-        return self + (-other)
+        self._check_dim(other)
+        terms = dict(self.terms)
+        for alpha, c in other.terms.items():
+            terms[alpha] = terms.get(alpha, 0) - c
+        return Polynomial._of(self.dimension, terms)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -380,6 +385,8 @@ def hermite_sigma(alpha: Sequence[int], sigma_inv, memo: dict | None = None) -> 
     q = len(alpha)
     if len(sigma_inv) != q or any(a < 0 for a in alpha):
         raise PolynomialError(f"bad Hermite index {alpha} for dimension {len(sigma_inv)}")
+    if sum(alpha) > MAX_DEGREE:
+        raise PolynomialError(f"product degree exceeds cap {MAX_DEGREE}")
     if memo is None:
         memo = {}
     if alpha not in memo:
@@ -389,13 +396,39 @@ def hermite_sigma(alpha: Sequence[int], sigma_inv, memo: dict | None = None) -> 
         else:
             lower = list(alpha)
             lower[j] -= 1
-            h = hermite_sigma(lower, sigma_inv, memo)
-            y_j = Polynomial(q, {
-                tuple(1 if k == i else 0 for k in range(q)): sigma_inv[j][i]
-                for i in range(q)
-            })
-            memo[alpha] = y_j * h - h.partial(j)
+            memo[alpha] = _hermite_step(hermite_sigma(lower, sigma_inv, memo), sigma_inv[j], j)
     return memo[alpha]
+
+
+def _hermite_step(h: Polynomial, row: Sequence, j: int) -> Polynomial:
+    """y_j h - d_j h for y_j = sum_i row[i] x_i, row = (Sigma^(-1))_j, in
+    one pass.  The terms come in the order of `y_j * h - h.partial(j)`:
+    the product's, less those that cancel, then the derivative's new ones.
+    Exact operands are summed as integer numerators over one common
+    denominator, one Fraction per term; float or mixed ones term by term."""
+    row = [_as_coeff(c) for c in row]
+    if all(type(c) is Fraction for c in row if c) and _all_fractions(h.terms):
+        hn, lh = _integer_numerators(h.terms)
+        ly = math.lcm(*(c.denominator for c in row if c))
+        row = [c.numerator * (ly // c.denominator) if c else 0 for c in row]
+    else:
+        hn, lh, ly = list(h.terms.items()), None, 1
+    terms: dict = {}
+    for i, s in enumerate(row):
+        if s:
+            for a, n in hn:
+                key = a[:i] + (a[i] + 1,) + a[i + 1:]
+                terms[key] = terms.get(key, 0) + s * n
+    terms = {a: n for a, n in terms.items() if n}
+    for a, n in hn:
+        k = a[j]
+        if k:
+            key = a[:j] + (k - 1,) + a[j + 1:]
+            terms[key] = terms.get(key, 0) - n * k * ly
+    if lh is not None:
+        den = ly * lh
+        terms = {a: Fraction(n, den) for a, n in terms.items() if n}
+    return Polynomial._of(h.dimension, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -451,9 +484,14 @@ class GaussianMoments:
     Gaussian integration by parts,
 
         E[x_i x^gamma] = sum_j sigma_ij gamma_j E[x^(gamma - e_j)].
+
+    An exact sigma is S / D with S an integer matrix, and the table keeps
+    the integers N(gamma) = D^(|gamma|/2) E[x^gamma], which follow the
+    same recurrence with S for sigma; a float or mixed sigma keeps the
+    moments themselves (S = sigma, D = 1).
     """
 
-    __slots__ = ("sigma", "_memo")
+    __slots__ = ("sigma", "_s", "_den", "_memo")
 
     def __init__(self, sigma, q: int):
         self.sigma = tuple(tuple(_as_coeff(sigma[i][j]) for j in range(q)) for i in range(q))
@@ -464,28 +502,74 @@ class GaussianMoments:
         w = np.linalg.eigvalsh(np.array([[float(c) for c in r] for r in self.sigma]))
         if w.min() < -1e-12 * max(1.0, w.max()):
             raise PolynomialError("sigma must be positive semi-definite")
-        self._memo = {(0,) * q: Fraction(1)}
+        if all(type(c) is Fraction for r in self.sigma for c in r):
+            self._den = math.lcm(*(c.denominator for r in self.sigma for c in r))
+            self._s = tuple(tuple(c.numerator * (self._den // c.denominator) for c in r)
+                            for r in self.sigma)
+        else:
+            self._den, self._s = None, self.sigma
+        self._memo = {(0,) * q: 1}
 
-    def __call__(self, gamma: tuple) -> Coeff:
-        m = self._memo.get(gamma)
-        if m is None:
-            m = Fraction(0)
+    def _numerator(self, gamma: tuple):
+        """N(gamma); the moment itself for a float sigma."""
+        n = self._memo.get(gamma)
+        if n is None:
+            n = 0
             if sum(gamma) % 2 == 0:
                 i = next(i for i, g in enumerate(gamma) if g)
                 low = list(gamma)
                 low[i] -= 1
-                for j, s in enumerate(self.sigma[i]):
+                for j, s in enumerate(self._s[i]):
                     g = low[j]
-                    if g and s != 0:
+                    if g and s:
                         low[j] -= 1
-                        m = m + s * g * self(tuple(low))
+                        n += s * g * self._numerator(tuple(low))
                         low[j] += 1
-            self._memo[gamma] = m
-        return m
+            self._memo[gamma] = n
+        return n
 
-    def expectation(self, p: Polynomial, alpha: tuple) -> Coeff:
-        """E[x^alpha p(x)] = sum_beta p_beta E[x^(alpha+beta)] over the
-        terms p_beta x^beta of p."""
+    def __call__(self, gamma: tuple) -> Coeff:
+        n = self._numerator(gamma)
+        if self._den is None:
+            return Fraction(n) if type(n) is int else n
+        return Fraction(n, self._den ** (sum(gamma) // 2))
+
+    def expectation(self, p: Polynomial) -> Coeff:
+        """E[p(x)]."""
+        return self.expectations(p, [(0,) * len(self.sigma)])[0]
+
+    def expectations(self, p: Polynomial, alphas: Iterable[tuple]) -> list:
+        """[E[x^alpha p(x)] for alpha in alphas], each the sum over the
+        terms p_beta x^beta of p of p_beta E[x^(alpha+beta)].
+
+        Exact sigma and p: the terms of p become integer numerators n_beta
+        over their lcm l once, and each moment is one Fraction,
+        sum_beta n_beta N(alpha+beta) D^((top-|beta|)/2) / (l D^((|alpha|+top)/2)),
+        over the terms with |beta| of the parity of |alpha| (the others meet
+        odd moments), top the largest such |beta|.  Float or mixed input
+        is summed term by term in the order of p's terms.
+        """
+        if self._den is None or not _all_fractions(p.terms):
+            return [self._term_by_term(p, alpha) for alpha in alphas]
+        nums, l = _integer_numerators(p.terms)
+        den, memo, num = self._den, self._memo, self._numerator
+        by_parity = []  # (top, [(beta, n_beta D^((top - |beta|)/2))]) per parity of |beta|
+        for parity in (0, 1):
+            part = [(b, n, sum(b)) for b, n in nums if sum(b) % 2 == parity]
+            top = max((d for _, _, d in part), default=0)
+            by_parity.append((top, [(b, n * den ** ((top - d) // 2)) for b, n, d in part]))
+        out = []
+        for alpha in alphas:
+            top, part = by_parity[sum(alpha) % 2]
+            total = 0
+            for b, n in part:
+                g = tuple(map(add, alpha, b))
+                m = memo[g] if g in memo else num(g)
+                total += n * m
+            out.append(Fraction(total, l * den ** ((sum(alpha) + top) // 2)))
+        return out
+
+    def _term_by_term(self, p: Polynomial, alpha: tuple) -> Coeff:
         total: Coeff = Fraction(0)
         for beta, c in p.terms.items():
             m = self(tuple(map(add, alpha, beta)))
@@ -506,7 +590,7 @@ def gaussian_moment(alpha: Sequence[int], sigma) -> Coeff:
 def gaussian_expectation(p: Polynomial, sigma) -> Coeff:
     """Integral of p against the N(0, sigma) density; sigma is checked
     as in gaussian_moment, once per call."""
-    return GaussianMoments(sigma, p.dimension).expectation(p, (0,) * p.dimension)
+    return GaussianMoments(sigma, p.dimension).expectation(p)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from levyedge import cli, edgeworth, perturbation, polycore, sampling
+from levyedge import cli, edgeworth, laws, perturbation, polycore, sampling
 from levyedge.edgeworth import multi_indices
 from levyedge.levy import AnnulusDecomposition, StableLikeMeasure
 
@@ -151,6 +151,27 @@ class TestExitCodes:
         assert cli.main(["jump-coupling", "--config", cfg, "--no-timestamp"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "jumps" in err
+
+    @pytest.mark.parametrize("experiment,line", [
+        ("jump-coupling", "replicates = 0"), ("jump-coupling", "replicates = -2"),
+        ("jump-coupling", "n_samples = 0"), ("jump-coupling", "n_samples = 1"),
+        ("jump-coupling", "eps_list = 0.5,0.25"), ("sde-convergence", "h_list = 0.25,0.125"),
+        ("clt-rate", "m_list = 16,64"), ("clt-rate", "m_list = 1.5,16.9,64"),
+    ])
+    def test_bad_counts_and_grids_are_2_before_sampling(self, tmp_path, monkeypatch, capsys,
+                                                        experiment, line):
+        # too few replicates or samples, a grid of fewer than the 3 points
+        # of the rate fit, a fractional m: refused before the first draw
+        def no_draw(*args, **kwargs):
+            raise AssertionError("sampled before the config was checked")
+
+        for name in ("sample_small_jumps", "sample_gaussian", "coupled_paths"):
+            monkeypatch.setattr(cli, name, no_draw)
+        monkeypatch.setattr(laws.TestLaw, "sample_sum", no_draw)
+        cfg = write(tmp_path, "c.cfg", TINY[experiment].format(reps=2) + line + "\n")
+        assert cli.main([experiment, "--config", cfg, "--no-timestamp"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
 
     def test_default_jump_coupling_well_inside_budget(self):
         # the default (C7-shaped) configuration, about 1.75e9 expected

@@ -32,6 +32,23 @@ def exp_cumulants(order=6):
     return CumulantSet(1, order, {(j,): Fraction(math.factorial(j - 1)) for j in range(2, order + 1)})
 
 
+def reference_cumulants_to_moments(c: CumulantSet) -> dict:
+    """The moments from exp(gen) - 1 = sum_l gen^l / l!, each power
+    truncated at the cumulant order n after its product (the former
+    edgeworth._poly_expm1)."""
+    q, n = c.dimension, c.order
+    gen = Polynomial(q, {a: Fraction(1, _fact(a)) * c.mu[a]
+                         for d in range(2, n + 1) for a in multi_indices(q, d)})
+    out, power = Polynomial.zero(q), Polynomial.constant(q, Fraction(1))
+    for l in range(1, n + 1):
+        power = Polynomial(q, {a: v for a, v in (power * gen).terms.items() if sum(a) <= n})
+        power = power * Fraction(1, l)
+        if power.is_zero():
+            break
+        out = out + power
+    return {a: out.coefficient(a) * _fact(a) for d in range(1, n + 1) for a in multi_indices(q, d)}
+
+
 rational = st.fractions(
     min_value=Fraction(-3), max_value=Fraction(3), max_denominator=6
 )
@@ -62,6 +79,21 @@ class TestRoundTrip:
     def test_cumulant_moment_round_trip(self, c):
         again = moments_to_cumulants(cumulants_to_moments(c))
         assert again.mu == c.mu
+
+    @given(random_cumulants(q=3, order=6))
+    @settings(deadline=None, max_examples=8)
+    def test_graded_exp_equals_truncated_powers(self, c):
+        # q = 3, order 6: the eps-graded exp recursion gives the moments of
+        # the truncated power series exactly
+        assert cumulants_to_moments(c).values == reference_cumulants_to_moments(c)
+
+    def test_graded_exp_float_cumulants(self):
+        # float cumulants: the same moments up to rounding
+        c = CumulantSet(2, 5, {a: (0.1 * (sum(a) + 2 * a[0]) if max(a) < sum(a) or sum(a) > 2 else 1.5)
+                                for d in range(2, 6) for a in multi_indices(2, d)})
+        got, want = cumulants_to_moments(c).values, reference_cumulants_to_moments(c)
+        assert got.keys() == want.keys()
+        assert all(got[a] == pytest.approx(want[a], rel=1e-12, abs=1e-15) for a in got)
 
     def test_exponential_moments(self):
         # central moments of Exp(1)-1: m2=1, m3=2, m4=9 (from E(X-1)^4)

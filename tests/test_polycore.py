@@ -1,12 +1,14 @@
 """Exact-arithmetic core: polynomials, Hermite bases, Gaussian moments,
 formal power series in the expansion parameter."""
 
+import itertools
 import math
 from fractions import Fraction
+from operator import add
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from levyedge.polycore import (
     MAX_DEGREE,
@@ -86,6 +88,32 @@ def series_reciprocal_by_powers(s: EpsSeries) -> EpsSeries:
     return out
 
 
+def reference_hermite(alpha: tuple, inv, memo: dict) -> Polynomial:
+    """H^Sigma_alpha by the product form y_j H_(alpha-e_j) - d_j H_(alpha-e_j),
+    y_j = (Sigma^(-1) x)_j, with the subtraction written as a + (-b)."""
+    if alpha not in memo:
+        q = len(alpha)
+        j = next((i for i, a in enumerate(alpha) if a), None)
+        if j is None:
+            memo[alpha] = Polynomial.constant(q, Fraction(1))
+        else:
+            h = reference_hermite(alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:], inv, memo)
+            y_j = Polynomial(q, {tuple(int(k == i) for k in range(q)): inv[j][i] for i in range(q)})
+            memo[alpha] = y_j * h + (-h.partial(j))
+    return memo[alpha]
+
+
+def term_by_term(table: GaussianMoments, p: Polynomial, alpha: tuple):
+    """E[x^alpha p(x)] summed over the terms of p in order, as one
+    Fraction or float operation per term."""
+    total = Fraction(0)
+    for beta, c in p.terms.items():
+        m = table(tuple(map(add, alpha, beta)))
+        if m != 0:
+            total = total + c * m
+    return total
+
+
 RATIONALS = st.fractions(-5, 5, max_denominator=12)
 FLOATS = st.floats(-5, 5, allow_nan=False, allow_infinity=False)
 
@@ -152,6 +180,29 @@ def ldl_moment_case(draw):
     return sigma, gammas
 
 
+@st.composite
+def expectation_case(draw):
+    """A rational Sigma = L D L^T, q <= 3, non-diagonal when q > 1 (every
+    entry of L below the diagonal nonzero) and with an entry whose
+    denominator is not 1; a rational polynomial of degree <= 5 and a few
+    exponent tuples alpha with |alpha| <= 3."""
+    q = draw(st.integers(1, 3))
+    below = st.fractions(-2, 2, max_denominator=3).filter(bool)
+    L = [[Fraction(int(i == j)) if j >= i else draw(below) for j in range(q)] for i in range(q)]
+    D = [draw(st.sampled_from([Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(2)]))
+         for _ in range(q)]
+    sigma = [[sum(L[i][k] * D[k] * L[j][k] for k in range(q)) for j in range(q)] for i in range(q)]
+    assume(any(c.denominator > 1 for row in sigma for c in row))
+    alphas = []
+    for _ in range(draw(st.integers(1, 4))):
+        left, alpha = draw(st.integers(0, 3)), []
+        for _ in range(q):
+            alpha.append(draw(st.integers(0, left)))
+            left -= alpha[-1]
+        alphas.append(tuple(alpha))
+    return sigma, draw(polynomials(q, 5)), alphas
+
+
 class TestPolynomial:
     def test_arithmetic_exact(self):
         p = x(0) * x(0) - 2 * Fraction(1, 3) * x(1) + 5
@@ -205,6 +256,20 @@ class TestPolynomial:
         assert got.terms == want
         assert list(got.terms.items()) == list(want.items())  # same dict order
         assert all(type(c) is type(want[a]) for a, c in got.terms.items())
+
+    @given(product_case(), st.sampled_from([None, 3, Fraction(-1, 2), 0.25]))
+    @settings(deadline=None, max_examples=200)
+    def test_sub_equals_add_negated(self, case, scalar):
+        # one dict pass gives the terms, the order and the coefficient
+        # types of a + (-b), for rational, float and mixed operands
+        a, b = case
+        if scalar is not None:
+            b = scalar
+        got, want = a - b, a + (-b)
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert all(type(c) is type(want.terms[k]) for k, c in got.terms.items())
+        with pytest.raises(PolynomialError, match="dimension mismatch"):
+            a - x(0, q=a.dimension + 1)
 
     def test_product_cancellation_and_zero(self):
         p = (x(0) + x(1)) * (x(0) - x(1))  # the x1 x2 terms cancel
@@ -288,6 +353,48 @@ class TestHermite:
         assert hermite_sigma((0, 2), inv) == y2 * y2 - 2
 
 
+    @pytest.mark.parametrize("inv", [
+        [[Fraction(2, 3), Fraction(-1, 3)], [Fraction(-1, 3), Fraction(2, 3)]],
+        [[1, 1], [1, -1]],
+        rational_inverse([[2, 1, 0], [1, 2, Fraction(1, 2)], [0, Fraction(1, 2), 1]]),
+        [[0.5, -0.25], [-0.25, 1.0]],
+        [[Fraction(1), 0.5, 0], [0.5, 2.0, -0.25], [0, -0.25, Fraction(3, 2)]],
+    ])
+    def test_fused_step_keeps_reference_order(self, inv):
+        # non-diagonal Sigma^(-1), rational, float and mixed: the same terms
+        # in the same dict order as the product form, which __call__ sums
+        # in that order
+        q = len(inv)
+        memo, ref = {}, {}
+        for d in range(7 if q == 2 else 5):
+            for alpha in itertools.product(range(d + 1), repeat=q):
+                if sum(alpha) == d:
+                    got, want = hermite_sigma(alpha, inv, memo), reference_hermite(alpha, inv, ref)
+                    assert list(got.terms.items()) == list(want.terms.items())
+                    assert all(type(c) is type(want.terms[a]) for a, c in got.terms.items())
+
+    def test_fused_step_cancelled_product_term(self):
+        # with Sigma^(-1) = [[1, 1], [1, -1]], y_1 H_(0,3) cancels at x1 x2,
+        # and d_1 H_(0,3) brings that monomial back: it goes after the
+        # product's terms, as in the product form
+        inv = [[1, 1], [1, -1]]
+        h = hermite_sigma((0, 3), inv)
+        raw: dict = {}
+        for a1 in [(1, 0), (0, 1)]:
+            for a2, c in h.terms.items():
+                key = tuple(map(add, a1, a2))
+                raw[key] = raw.get(key, 0) + c
+        assert raw[(1, 1)] == 0 and (1, 1) in h.partial(0).terms
+        got = hermite_sigma((1, 3), inv)
+        assert list(got.terms) == list(reference_hermite((1, 3), inv, {}).terms)
+        order = list(got.terms)
+        assert all(order.index((1, 1)) > order.index(k) for k, v in raw.items() if v and k in order)
+
+    def test_hermite_degree_cap(self):
+        with pytest.raises(PolynomialError, match="degree exceeds cap"):
+            hermite_sigma((MAX_DEGREE + 1,), [[1]])
+
+
 class TestLinearSolve:
     def test_exact_inverse_with_row_swaps(self):
         mat = [[0, 2, 1], [1, 1, 0], [Fraction(1, 2), 0, 3]]
@@ -342,6 +449,48 @@ class TestGaussianMoments:
             assert type(m) is Fraction and m == isserlis(indices, sigma)
             if sum(gamma) % 2:
                 assert m == 0
+
+    @given(expectation_case())
+    @settings(deadline=None, max_examples=80)
+    def test_expectations_equal_pairing_reference(self, case):
+        # the integer-numerator sums against E[x^(alpha+beta)] by Isserlis
+        # pairing, one exact Fraction per requested moment
+        sigma, p, alphas = case
+        table = GaussianMoments(sigma, len(sigma))
+
+        def ref(alpha):
+            total = Fraction(0)
+            for beta, c in p.terms.items():
+                gamma = tuple(map(add, alpha, beta))
+                total += c * isserlis(tuple(j for j, a in enumerate(gamma) for _ in range(a)), sigma)
+            return total
+
+        got = table.expectations(p, alphas)
+        assert got == [ref(a) for a in alphas]
+        assert got == [term_by_term(table, p, a) for a in alphas]
+        assert all(type(v) is Fraction for v in got)
+        assert table.expectation(p) == gaussian_expectation(p, sigma) == ref((0,) * len(sigma))
+
+    @given(expectation_case(), st.sampled_from(["p", "sigma", "both"]))
+    @settings(deadline=None, max_examples=60)
+    def test_float_input_sums_term_by_term(self, case, which):
+        # a float or mixed polynomial, or a float Sigma, is summed term by
+        # term in the order of p's terms, bit for bit
+        sigma, p, alphas = case
+        q = len(sigma)
+        if which in ("p", "both"):
+            p = Polynomial(q, {b: float(c) if n % 2 == 0 else c
+                               for n, (b, c) in enumerate(p.terms.items())})
+        if which in ("sigma", "both"):
+            sigma = [[float(c) for c in row] for row in sigma]
+        table = GaussianMoments(sigma, q)
+        got = table.expectations(p, alphas)
+        want = [term_by_term(table, p, a) for a in alphas]
+        assert got == want and [type(v) for v in got] == [type(v) for v in want]
+        if which != "p":
+            for a in alphas:
+                pairs = tuple(j for j, e in enumerate(a) for _ in range(e))
+                assert table(a) == pytest.approx(float(isserlis(pairs, sigma)), rel=1e-12, abs=1e-12)
 
     def test_expectation_checks_sigma_once(self, monkeypatch):
         # one symmetry and eigenvalue check per call, not one per monomial
