@@ -44,7 +44,7 @@ from .levy import (
     measure_from_config,
 )
 from .perturbation import PerturbationError, apply_L, invert_S_map
-from .polycore import PolynomialError
+from .polycore import PolynomialError, coefficient_text
 from .sampling import RngStream, SamplingError, sample_gaussian, sample_perturbed_normal, sample_small_jumps
 from .sde import SchemeConfig, SdeError, SdeSpec, coupled_paths
 from .wasserstein import (
@@ -63,9 +63,6 @@ class ConfigError(ValueError):
 class NumericalFailure(RuntimeError):
     pass
 
-
-#: the tolerance of the float-mode checks, as in perturbation.solve_hermite_pde
-FLOAT_TOL = 1e-8
 
 #: most expected jumps one jump-coupling run may draw, summed over eps,
 #: samples and replicates; the default configuration needs about 1.75e9
@@ -475,9 +472,6 @@ def run_edgeworth_build(cfg: Dict[str, str], seed: int, threads: int) -> List[st
         lines.append(f"Q_{k}(x) = {Q[k - 1].to_text()}")
     lines.append("")
     pmap = invert_S_map(Q, cset.covariance)
-    # rational cumulants are checked exactly; decimal ones within the
-    # solver's float tolerance
-    exact = all(isinstance(c, Fraction) for c in cset.mu.values())
     all_zero = True
     for k in range(1, r + 1):
         u = pmap.potentials[k - 1]
@@ -485,22 +479,16 @@ def run_edgeworth_build(cfg: Dict[str, str], seed: int, threads: int) -> List[st
         for j, g in enumerate(pmap.gradients[k - 1]):
             lines.append(f"p_{k},{j + 1}(x) = {g.to_text()}")
         resid = apply_L(u, cset.covariance) + (Q[k - 1] - pmap.s_tilde[k - 1])
-        if exact:
-            zero = not resid.terms
-            lines.append(f"residual_{k}: {'0 (exact)' if zero else resid.to_text()}")
-        else:
-            worst = max((abs(float(c)) for c in resid.terms.values()), default=0.0)
-            zero = worst <= FLOAT_TOL
-            lines.append(f"residual_{k}: max |coefficient| {worst:.1e}")
+        zero = not resid.terms
+        lines.append(f"residual_{k}: {'0 (exact)' if zero else resid.to_text()}")
         all_zero = all_zero and zero
     lines.append("")
-    passed = "all zero (exact)" if exact else f"all within {FLOAT_TOL:g}"
-    lines.append(f"residual check: {passed if all_zero else 'FAILED'}")
+    lines.append(f"residual check: {'all zero (exact)' if all_zero else 'FAILED'}")
     if not all_zero:
         raise NumericalFailure("nonzero residual in the eigenfunction solve")
 
     # moment-match report: signed expansion density vs normalized sum, at
-    # a perfect-square m, so both are exact rationals for rational input
+    # a perfect-square m, so both are exact rationals
     m_probe = _get_int(cfg, "m_probe", 100)
     if m_probe < 1 or math.isqrt(m_probe) ** 2 != m_probe:
         raise ConfigError("m_probe must be a positive perfect square")
@@ -512,11 +500,11 @@ def run_edgeworth_build(cfg: Dict[str, str], seed: int, threads: int) -> List[st
     ok = True
     for alpha in sorted(left):
         l, rgt = left[alpha], right.get(alpha, 0)
-        match = l == rgt if exact else abs(l - rgt) <= FLOAT_TOL * max(1.0, abs(rgt))
+        match = l == rgt
         ok = ok and match
-        lines.append(f"  alpha={alpha}  expansion={l}  sum={rgt}  {'ok' if match else 'MISMATCH'}")
-    passed = "all equal (exact)" if exact else f"all equal within {FLOAT_TOL:g} (relative)"
-    lines.append(f"moment check: {passed if ok else 'FAILED'}")
+        lines.append(f"  alpha={alpha}  expansion={coefficient_text(l)}  "
+                     f"sum={coefficient_text(rgt)}  {'ok' if match else 'MISMATCH'}")
+    lines.append(f"moment check: {'all equal (exact)' if ok else 'FAILED'}")
     if not ok:
         raise NumericalFailure("moment matching failed")
     return lines

@@ -42,6 +42,11 @@ class EdgeworthError(ValueError):
     pass
 
 
+#: largest |exponent| a cumulant file may write in a decimal value: the
+#: exact value of 1e-N has an (N + 1)-digit denominator
+MAX_DECIMAL_EXPONENT = 1000
+
+
 def multi_indices(q: int, total: int):
     """All exponent tuples of length q with |alpha| = total."""
     if q == 1:
@@ -146,13 +151,13 @@ class CumulantSet:
     def to_text(self) -> str:
         lines = []
         for alpha in sorted(self.mu, key=grlex_key):
-            c = self.mu[alpha]
-            cs = str(c) if isinstance(c, Fraction) else repr(float(c))
-            lines.append(" ".join(str(a) for a in alpha) + " " + cs)
+            lines.append(" ".join(str(a) for a in alpha) + f" {self.mu[alpha]}")
         return "\n".join(lines) + "\n"
 
     @staticmethod
     def from_text(text: str) -> "CumulantSet":
+        """Lines of exponents and a value, read exactly (0.7 is 7/10); a
+        decimal exponent over MAX_DECIMAL_EXPONENT is rejected unconverted."""
         mu = {}
         q = None
         for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -163,7 +168,12 @@ class CumulantSet:
             val = parts[-1]
             try:
                 alpha = tuple(int(a) for a in parts[:-1])
-                mu[alpha] = Fraction(val) if "/" in val or "." not in val else float(val)
+                _, e, exponent = val.lower().partition("e")
+                if e and abs(int(exponent)) > MAX_DECIMAL_EXPONENT:
+                    raise EdgeworthError(f"line {lineno}: exponent over {MAX_DECIMAL_EXPONENT}")
+                mu[alpha] = Fraction(val)
+            except EdgeworthError:
+                raise
             except (ValueError, ZeroDivisionError) as exc:
                 raise EdgeworthError(f"line {lineno}: cannot parse {line!r}") from exc
             if q is None:
@@ -310,11 +320,9 @@ def edgeworth_signed_moments(c: CumulantSet, qs: list, eps, max_order: int) -> D
     qs is Q_1..Q_r as build_Q(c, r) gives them (empty for the Gaussian
     alone).  The factor 1 + sum eps^k Q_k is built once, and every
     E[x^alpha (1 + sum eps^k Q_k)] is read off one moment table for Sigma.
-    Rational for rational cumulants and a Fraction eps (e.g. the
-    reciprocal square root of a perfect-square m).
+    eps is rational (e.g. the reciprocal square root of a perfect-square m).
     """
     q = c.dimension
-    eps = Fraction(eps) if isinstance(eps, int) else eps
     factor = sum_of_products(q, [(Polynomial.constant(q, Fraction(1)), 1)]
                              + [(qk, eps ** k) for k, qk in enumerate(qs, start=1)])
     alphas = [a for d in range(1, max_order + 1) for a in multi_indices(q, d)]
@@ -324,18 +332,16 @@ def edgeworth_signed_moments(c: CumulantSet, qs: list, eps, max_order: int) -> D
 def scaled_sum_moments(c: CumulantSet, m, max_order: int) -> Dict[tuple, Coeff]:
     """Exact moments of m^(-1/2) (X_1 + ... + X_m) up to max_order.
 
-    The cumulant of order |alpha| scales by m^(1 - |alpha|/2); for exact
-    rational output m must be a perfect square.
+    The cumulant of order |alpha| scales by m^(1 - |alpha|/2), so m must
+    be a perfect square.
     """
     if c.order < max_order:
         raise EdgeworthError("cumulant order too low")
     root = math.isqrt(int(m))
-    if root * root == m:
-        scale = {d: Fraction(1, root ** (d - 2)) for d in range(2, max_order + 1)}
-    else:
-        scale = {d: float(m) ** (1 - d / 2) for d in range(2, max_order + 1)}
+    if root * root != m:
+        raise EdgeworthError("m must be a perfect square")
     mu = {
-        a: c.mu[a] * scale[sum(a)]
+        a: c.mu[a] * Fraction(1, root ** (sum(a) - 2))
         for d in range(2, max_order + 1)
         for a in multi_indices(c.dimension, d)
     }

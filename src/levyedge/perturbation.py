@@ -14,8 +14,9 @@ pass: each eps-coefficient of the balance depends on u_k linearly and on
 no later potential, so every level adds the new potential's term,
 checks its own balance and makes only the next coefficients, from which
 S~ of the next level follows; nothing lower is expanded again.  All
-arithmetic stays in exact rationals when the inputs and Sigma are
-rational.
+arithmetic is in exact rationals: the inputs and Sigma must be rational
+(a float raises polycore.PolynomialError), and every balance is checked
+as an exact equality.
 """
 
 from __future__ import annotations
@@ -43,12 +44,6 @@ class PerturbationError(ValueError):
     pass
 
 
-def _as_matrix(sigma) -> list:
-    if isinstance(sigma, np.ndarray):
-        return [[float(x) for x in row] for row in sigma]
-    return [list(row) for row in sigma]
-
-
 def is_curl_free(U: Sequence[Polynomial]) -> bool:
     """Exact symmetric-partials test for a vector polynomial field."""
     q = len(U)
@@ -68,7 +63,7 @@ class GradientPolyMap:
 
     def __init__(self, sigma, potentials: Sequence[Polynomial],
                  s_tilde: Optional[Sequence[Polynomial]] = None):
-        self.sigma = _as_matrix(sigma)
+        self.sigma = [list(row) for row in sigma]
         self.dimension = len(self.sigma)
         self.potentials = list(potentials)
         self.s_tilde = None if s_tilde is None else list(s_tilde)
@@ -97,7 +92,7 @@ class GradientPolyMap:
 
 def apply_L(u: Polynomial, sigma) -> Polynomial:
     """The divergence-form operator U = grad u  ->  div U - x . Sigma^{-1} U."""
-    return u.laplacian() - _x_dot_inv_grad(u, rational_inverse(_as_matrix(sigma)))
+    return u.laplacian() - _x_dot_inv_grad(u, rational_inverse(sigma))
 
 
 def solve_hermite_pde(rhs: Polynomial, sigma) -> Polynomial:
@@ -108,15 +103,11 @@ def solve_hermite_pde(rhs: Polynomial, sigma) -> Polynomial:
     from the top degree down: one linear system on the degree-d
     monomials each, diagonal when Sigma is.  The degree-0 balance holds
     exactly when rhs integrates to zero against the N(0, Sigma) density,
-    and the free constant is chosen so that u does too.  Exact when rhs
-    and Sigma are rational.
+    and the free constant is chosen so that u does too.  rhs and Sigma
+    are rational, and the residual is checked to be exactly zero.
     """
-    sig = _as_matrix(sigma)
-    inv = rational_inverse(sig)
+    inv = rational_inverse(sigma)
     q = rhs.dimension
-    exact = not any(
-        isinstance(c, float) for c in list(rhs.terms.values()) + [x for row in sig for x in row]
-    )
     top = max(rhs.degree(), 0)
     parts = [Polynomial.zero(q)] * (top + 3)  # parts[d]: degree-d part of u
     for d in range(top, 0, -1):
@@ -127,19 +118,14 @@ def solve_hermite_pde(rhs: Polynomial, sigma) -> Polynomial:
             sol = solve_linear(_operator_matrix(monos, inv), b)
             parts[d] = Polynomial(q, {a: row[0] for a, row in zip(monos, sol)})
     mean = rhs.constant_term() + parts[2].laplacian().constant_term()
-    if (mean != 0) if exact else (abs(float(mean)) > 1e-9):
+    if mean != 0:
         raise PerturbationError("rhs must have zero Gaussian mean")
     u = Polynomial.zero(q)
     for part in parts[1:top + 1]:
         u = u + part
-    u = u - gaussian_expectation(u, sig)
-    residual = _x_dot_inv_grad(u, inv) - u.laplacian() - rhs
-    if exact:
-        if not residual.is_zero():
-            raise AssertionError("PDE residual nonzero in exact mode")
-    else:
-        if any(abs(float(c)) > 1e-8 for c in residual.terms.values()):
-            raise AssertionError("PDE residual above tolerance")
+    u = u - gaussian_expectation(u, sigma)
+    if not (_x_dot_inv_grad(u, inv) - u.laplacian() - rhs).is_zero():
+        raise AssertionError("PDE residual nonzero")
     return u
 
 
@@ -217,14 +203,12 @@ class _Recursion:
     coefficients B_m of (I + A)^{-1} (log det(I + A) has
     n L_n = sum_i i tr(A_i B_(n-i))); the eps-coefficients of every d^beta,
     one column per level; and d^beta S_j / beta! for |beta| <= order - j.
-    `exact` holds while Sigma and every input so far are rational; the
-    checks are then exact, and within 1e-7 (balance) or 1e-8 (mean)
-    otherwise.
+    Every check is an exact equality.
     """
 
-    def __init__(self, sig: list, order: int, exact: bool):
+    def __init__(self, sig, order: int):
         q = len(sig)
-        self.q, self.order, self.exact = q, order, exact
+        self.q, self.order = q, order
         self.inv = rational_inverse(sig)
         self.moments = GaussianMoments(sig, q)
         zero, one = Polynomial.zero(q), Polynomial.constant(q, Fraction(1))
@@ -243,15 +227,8 @@ class _Recursion:
         """Take u_k and S_k, check the level-k balance, and, below the
         order, make S~_(k+1)."""
         q, k = self.q, len(self.grads) + 1
-        self.exact = self.exact and all(
-            isinstance(c, Fraction) for p in (u, target) for c in p.terms.values()
-        )
         lin = _x_dot_inv_grad(u, self.inv) - u.laplacian()
-        diff = self.s_tilde + lin - target
-        if self.exact:
-            if not diff.is_zero():
-                raise PerturbationError(f"inconsistent inputs at level {k}")
-        elif any(abs(float(c)) > 1e-7 for c in diff.terms.values()):
+        if not (self.s_tilde + lin - target).is_zero():
             raise PerturbationError(f"inconsistent inputs at level {k}")
         self.f[k] = self.f[k] + lin
         self.ig[k] = self.ig[k] + lin * k
@@ -306,8 +283,7 @@ class _Recursion:
                 for j, terms in enumerate(self.taylor, start=1)
                 for beta, t in terms if sum(beta) <= n - j])
         out = self.f[n] - shifted
-        mean = self.moments.expectation(out)
-        if (mean != 0) if self.exact else (abs(float(mean)) > 1e-8):
+        if self.moments.expectation(out) != 0:
             raise AssertionError("correction polynomial must have zero Gaussian mean")
         self.s_tilde = out
 
@@ -326,18 +302,12 @@ def compute_S_tilde(
     Verifies the lower-level balances exactly and the zero-Gaussian-mean
     property of the output.  The same recursion as invert_S_map's.
     """
-    sig = _as_matrix(sigma)
     k = len(potentials)
     if len(targets) != k:
         raise PerturbationError("need one target per potential")
     if k == 0:
         raise PerturbationError("empty input; the first correction is identically zero")
-    exact = all(
-        isinstance(c, Fraction)
-        for u in list(potentials) + list(targets)
-        for c in u.terms.values()
-    ) and all(not isinstance(x, float) for row in sig for x in row)
-    rec = _Recursion(sig, k + 1, exact)
+    rec = _Recursion(sigma, k + 1)
     for u, s in zip(potentials, targets):
         rec.level(u, s)
     return rec.s_tilde
@@ -348,17 +318,16 @@ def invert_S_map(Q: Sequence[Polynomial], sigma) -> GradientPolyMap:
 
     Solves the level-by-level recursion S~_k - L_Sigma(grad u_k) = Q_k
     with S~_1 = 0, in one pass of the balance recursion, and keeps each
-    S~_k on the map; exact for rational Q and Sigma.
+    S~_k on the map; Q and Sigma are rational.
     """
-    sig = _as_matrix(sigma)
-    rec = _Recursion(sig, len(Q), all(not isinstance(x, float) for row in sig for x in row))
+    rec = _Recursion(sigma, len(Q))
     pots: List[Polynomial] = []
     s_tilde: List[Polynomial] = []
     for qk in Q:
         s_tilde.append(rec.s_tilde)
-        pots.append(solve_hermite_pde(qk - rec.s_tilde, sig))
+        pots.append(solve_hermite_pde(qk - rec.s_tilde, sigma))
         rec.level(pots[-1], qk)
-    return GradientPolyMap(sig, pots, s_tilde)
+    return GradientPolyMap(sigma, pots, s_tilde)
 
 
 def pushforward_density_1d(u: Polynomial, eps: float, ys: np.ndarray, lam: float = 1.0) -> np.ndarray:

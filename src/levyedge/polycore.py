@@ -1,15 +1,15 @@
 """Exact sparse multivariate polynomial algebra.
 
 Polynomials are stored as a dict mapping exponent tuples to coefficients.
-Coefficients are `fractions.Fraction` in exact mode or `float` in numeric
-mode; the two modes mix freely (Fraction*float -> float).  Products, and
-sums of products, go through one kernel that keeps exact arithmetic in
-integers until the last step.  On top of the carrier type this module
-provides probabilists' Hermite polynomials and
-their counterparts H^Sigma_alpha for a general covariance, small linear
-solves (Gauss-Jordan), Gaussian moments (one memoised table per
-covariance) and truncated formal power series in an auxiliary small
-parameter, with polynomial coefficients.
+Every kernel (products, the Hermite step, the linear solve, Gaussian
+moments) takes `fractions.Fraction` coefficients, keeps the arithmetic in
+integers until the last step and raises PolynomialError for a float; a
+polynomial holds floats only to be evaluated.  On top of the carrier type
+this module provides probabilists' Hermite polynomials and their
+counterparts H^Sigma_alpha for a general covariance, small linear solves
+(Gauss-Jordan), Gaussian moments (one memoised table per covariance) and
+truncated formal power series in an auxiliary small parameter, with
+polynomial coefficients.
 
 All values are treated as immutable after construction; every operation
 returns a fresh object.
@@ -29,6 +29,10 @@ Coeff = Union[Fraction, float]
 
 #: hard cap on total degree, to bound combinatorial blowup
 MAX_DEGREE = 64
+
+#: most bits in a printed numerator or denominator: about 4200 digits,
+#: inside the interpreter's default limit on int-to-str conversion
+MAX_PRINT_BITS = 14_000
 
 
 class PolynomialError(ValueError):
@@ -50,14 +54,29 @@ def grlex_key(alpha: tuple) -> tuple:
     return (sum(alpha), tuple(-a for a in alpha))
 
 
-def _all_fractions(terms: dict) -> bool:
-    return all(type(c) is Fraction for c in terms.values())
+def _rational(c) -> Fraction:
+    """c as a Fraction for an exact kernel; a float raises PolynomialError."""
+    c = _as_coeff(c)
+    if isinstance(c, float):
+        raise PolynomialError(f"exact arithmetic needs rational input, not the float {c!r}")
+    return c
 
 
 def _integer_numerators(terms: dict):
-    """([(alpha, c * l)], l) for l the lcm of the coefficient denominators."""
-    l = math.lcm(*(c.denominator for c in terms.values()))
+    """([(alpha, c * l)], l) for l the lcm of the Fraction denominators."""
+    try:
+        l = math.lcm(*(c.denominator for c in terms.values()))
+    except AttributeError:
+        raise PolynomialError("exact arithmetic needs rational coefficients, not floats") from None
     return [(a, c.numerator * (l // c.denominator)) for a, c in terms.items()], l
+
+
+def coefficient_text(c: Coeff) -> str:
+    """str(c); a Fraction over MAX_PRINT_BITS raises PolynomialError."""
+    if isinstance(c, Fraction) and max(c.numerator.bit_length(),
+                                       c.denominator.bit_length()) > MAX_PRINT_BITS:
+        raise PolynomialError(f"a coefficient has over {MAX_PRINT_BITS} bits, too long to print")
+    return str(c)
 
 
 class Polynomial:
@@ -270,13 +289,14 @@ class Polynomial:
         return out
 
     def compose_affine(self, A) -> "Polynomial":
-        """Return self(A x) for a square matrix A (rows index the old variables)."""
+        """Return self(A x) for a square rational matrix A (rows index the
+        old variables)."""
         q = self.dimension
         coords = []
         for j in range(q):
             row = {}
             for i in range(q):
-                c = _as_coeff(A[j][i]) if not isinstance(A, np.ndarray) else float(A[j, i])
+                c = _as_coeff(A[j][i])
                 if c != 0:
                     e = [0] * q
                     e[i] = 1
@@ -290,7 +310,8 @@ class Polynomial:
         return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]))
 
     def to_text(self) -> str:
-        """Deterministic debug form: graded-lex terms, exact fractions."""
+        """Deterministic form: graded-lex terms, exact fractions; a
+        coefficient too long to print raises PolynomialError."""
         if not self.terms:
             return "0"
         parts = []
@@ -300,63 +321,48 @@ class Polynomial:
                 for j, e in enumerate(alpha)
                 if e
             )
-            cs = str(c) if isinstance(c, Fraction) else repr(c)
-            parts.append(f"{cs} {mono}".strip())
+            parts.append(f"{coefficient_text(c)} {mono}".strip())
         return " + ".join(parts)
 
     def __repr__(self):
         return f"Polynomial({self.dimension}, {self.to_text()})"
 
 
-def sum_of_products(dimension: int, pairs: Iterable, scale: Coeff = 1) -> Polynomial:
+def sum_of_products(dimension: int, pairs: Iterable, scale=1) -> Polynomial:
     """scale * sum_i a_i b_i over the pairs (a_i, b_i), in `dimension`
     variables; each a_i is a Polynomial, each b_i a Polynomial or a scalar.
 
-    Exact operands and scale: each pair's integer numerators are convolved
-    over one common denominator of all the pairs, and each output term
-    becomes one Fraction.  Float or mixed operands are summed term by term
-    in pair order.  A pair of polynomials whose degrees add up to more
-    than MAX_DEGREE raises PolynomialError.
+    Each pair's integer numerators are convolved over one common
+    denominator of all the pairs, and each output term becomes one
+    Fraction.  A float coefficient, b_i or scale raises PolynomialError, as
+    does a pair of polynomials whose degrees add up to more than MAX_DEGREE.
     """
     const = (0,) * dimension
-    ops = []
+    nums, den = [], 1
     for a, b in pairs:
         if isinstance(b, Polynomial):
             bt = b.terms
             if a.terms and bt and max(map(sum, a.terms)) + max(map(sum, bt)) > MAX_DEGREE:
                 raise PolynomialError(f"product degree exceeds cap {MAX_DEGREE}")
         else:
-            b = _as_coeff(b)
-            bt = {const: b} if b != 0 else {}
+            b = _rational(b)
+            bt = {const: b} if b else {}
         if a.terms and bt:
-            ops.append((a.terms, bt))
-    scale = _as_coeff(scale)
-    if type(scale) is Fraction and all(_all_fractions(t1) and _all_fractions(t2) for t1, t2 in ops):
-        nums, den = [], 1
-        for t1, t2 in ops:
-            n1, l1 = _integer_numerators(t1)
-            n2, l2 = _integer_numerators(t2)
+            n1, l1 = _integer_numerators(a.terms)
+            n2, l2 = _integer_numerators(bt)
             nums.append((n1, n2, l1 * l2))
             den = math.lcm(den, l1 * l2)
-        acc: dict = {}
-        for n1, n2, l in nums:
-            f = den // l
-            for a1, c1 in n1:
-                c1 *= f
-                for a2, c2 in n2:
-                    key = tuple(map(add, a1, a2))
-                    acc[key] = acc.get(key, 0) + c1 * c2
-        num, den = scale.numerator, den * scale.denominator
-        return Polynomial._of(dimension, {a: Fraction(n * num, den) for a, n in acc.items() if n})
-    terms: dict = {}
-    for t1, t2 in ops:
-        for a1, c1 in t1.items():
-            for a2, c2 in t2.items():
+    scale = _rational(scale)
+    acc: dict = {}
+    for n1, n2, l in nums:
+        f = den // l
+        for a1, c1 in n1:
+            c1 *= f
+            for a2, c2 in n2:
                 key = tuple(map(add, a1, a2))
-                terms[key] = terms.get(key, 0) + c1 * c2
-    if scale != 1:
-        terms = {a: c * scale for a, c in terms.items()}
-    return Polynomial._of(dimension, terms)
+                acc[key] = acc.get(key, 0) + c1 * c2
+    num, den = scale.numerator, den * scale.denominator
+    return Polynomial._of(dimension, {a: Fraction(n * num, den) for a, n in acc.items() if n})
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +380,10 @@ def hermite_1d(j: int) -> Polynomial:
 def hermite_sigma(alpha: Sequence[int], sigma_inv, memo: dict | None = None) -> Polynomial:
     """Hermite polynomial H^Sigma_alpha = phi_Sigma^(-1) (-d)^alpha phi_Sigma.
 
-    sigma_inv is Sigma^(-1); the result is exact when its entries are.
-    Built by the recurrence H_(alpha+e_j) = (Sigma^(-1) x)_j H_alpha -
-    d_j H_alpha; a dict passed as memo shares the lower orders between
-    calls with the same sigma_inv.  For Sigma = diag(lam) this is
+    sigma_inv is Sigma^(-1), rational; the result is exact.  Built by the
+    recurrence H_(alpha+e_j) = (Sigma^(-1) x)_j H_alpha - d_j H_alpha; a
+    dict passed as memo shares the lower orders between calls with the
+    same sigma_inv.  For Sigma = diag(lam) this is
     prod_j lam_j^(-alpha_j/2) H_(alpha_j)(lam_j^(-1/2) x_j), and
     E[H_alpha H_beta] = [alpha == beta] alpha! prod_j lam_j^(-alpha_j).
     """
@@ -404,15 +410,12 @@ def _hermite_step(h: Polynomial, row: Sequence, j: int) -> Polynomial:
     """y_j h - d_j h for y_j = sum_i row[i] x_i, row = (Sigma^(-1))_j, in
     one pass.  The terms come in the order of `y_j * h - h.partial(j)`:
     the product's, less those that cancel, then the derivative's new ones.
-    Exact operands are summed as integer numerators over one common
-    denominator, one Fraction per term; float or mixed ones term by term."""
-    row = [_as_coeff(c) for c in row]
-    if all(type(c) is Fraction for c in row if c) and _all_fractions(h.terms):
-        hn, lh = _integer_numerators(h.terms)
-        ly = math.lcm(*(c.denominator for c in row if c))
-        row = [c.numerator * (ly // c.denominator) if c else 0 for c in row]
-    else:
-        hn, lh, ly = list(h.terms.items()), None, 1
+    They are summed as integer numerators over one common denominator,
+    one Fraction per term."""
+    hn, lh = _integer_numerators(h.terms)
+    row = [_rational(c) for c in row]
+    ly = math.lcm(*(c.denominator for c in row))
+    row = [c.numerator * (ly // c.denominator) for c in row]
     terms: dict = {}
     for i, s in enumerate(row):
         if s:
@@ -425,10 +428,8 @@ def _hermite_step(h: Polynomial, row: Sequence, j: int) -> Polynomial:
         if k:
             key = a[:j] + (k - 1,) + a[j + 1:]
             terms[key] = terms.get(key, 0) - n * k * ly
-    if lh is not None:
-        den = ly * lh
-        terms = {a: Fraction(n, den) for a, n in terms.items() if n}
-    return Polynomial._of(h.dimension, terms)
+    den = ly * lh
+    return Polynomial._of(h.dimension, {a: Fraction(n, den) for a, n in terms.items() if n})
 
 
 # ---------------------------------------------------------------------------
@@ -437,20 +438,21 @@ def _hermite_step(h: Polynomial, row: Sequence, j: int) -> Polynomial:
 
 
 def solve_linear(a: Sequence[Sequence], b: Sequence[Sequence]) -> list:
-    """Solve a X = b by Gauss-Jordan elimination; a is n x n, b is n x m.
+    """Solve a X = b exactly by Gauss-Jordan elimination; a is n x n, b is
+    n x m.
 
-    Both are lists of rows.  The pivot is the largest |entry| of its
-    column, so float input stays stable; Fraction and int input gives an
-    exact Fraction result.
+    Both are lists of rows of Fractions or ints; a float raises
+    PolynomialError.  The pivot is the first nonzero entry of its column:
+    exact arithmetic needs no stability pivot.
     """
     n = len(a)
-    a = [[_as_coeff(v) for v in row] for row in a]
-    x = [[_as_coeff(v) for v in row] for row in b]
+    a = [[_rational(v) for v in row] for row in a]
+    x = [[_rational(v) for v in row] for row in b]
     for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(a[r][col]))
-        p = a[piv][col]
-        if p == 0:
+        piv = next((r for r in range(col, n) if a[r][col]), None)
+        if piv is None:
             raise PolynomialError("singular matrix")
+        p = a[piv][col]
         a[col], a[piv] = a[piv], a[col]
         x[col], x[piv] = x[piv], x[col]
         a[col] = [v / p if v else v for v in a[col]]
@@ -477,24 +479,23 @@ def rational_inverse(mat: Sequence[Sequence]) -> list:
 class GaussianMoments:
     """The moments E[x^gamma] under N(0, sigma), for one sigma.
 
-    sigma may hold Fractions (exact mode) or floats.  It is checked once,
-    when the table is made: symmetric, and positive semi-definite by a
-    numeric eigenvalue test.  Calling the table with an exponent tuple
+    sigma is rational (a float raises PolynomialError).  It is checked
+    once, when the table is made: symmetric, and positive semi-definite by
+    a numeric eigenvalue test.  Calling the table with an exponent tuple
     gives its moment, memoised for the life of the table and built by
     Gaussian integration by parts,
 
         E[x_i x^gamma] = sum_j sigma_ij gamma_j E[x^(gamma - e_j)].
 
-    An exact sigma is S / D with S an integer matrix, and the table keeps
-    the integers N(gamma) = D^(|gamma|/2) E[x^gamma], which follow the
-    same recurrence with S for sigma; a float or mixed sigma keeps the
-    moments themselves (S = sigma, D = 1).
+    sigma is S / D with S an integer matrix, and the table keeps the
+    integers N(gamma) = D^(|gamma|/2) E[x^gamma], which follow the same
+    recurrence with S for sigma.
     """
 
     __slots__ = ("sigma", "_s", "_den", "_memo")
 
     def __init__(self, sigma, q: int):
-        self.sigma = tuple(tuple(_as_coeff(sigma[i][j]) for j in range(q)) for i in range(q))
+        self.sigma = tuple(tuple(_rational(sigma[i][j]) for j in range(q)) for i in range(q))
         for i in range(q):
             for j in range(i):
                 if self.sigma[i][j] != self.sigma[j][i]:
@@ -502,16 +503,13 @@ class GaussianMoments:
         w = np.linalg.eigvalsh(np.array([[float(c) for c in r] for r in self.sigma]))
         if w.min() < -1e-12 * max(1.0, w.max()):
             raise PolynomialError("sigma must be positive semi-definite")
-        if all(type(c) is Fraction for r in self.sigma for c in r):
-            self._den = math.lcm(*(c.denominator for r in self.sigma for c in r))
-            self._s = tuple(tuple(c.numerator * (self._den // c.denominator) for c in r)
-                            for r in self.sigma)
-        else:
-            self._den, self._s = None, self.sigma
+        self._den = math.lcm(*(c.denominator for r in self.sigma for c in r))
+        self._s = tuple(tuple(c.numerator * (self._den // c.denominator) for c in r)
+                        for r in self.sigma)
         self._memo = {(0,) * q: 1}
 
-    def _numerator(self, gamma: tuple):
-        """N(gamma); the moment itself for a float sigma."""
+    def _numerator(self, gamma: tuple) -> int:
+        """N(gamma)."""
         n = self._memo.get(gamma)
         if n is None:
             n = 0
@@ -528,13 +526,10 @@ class GaussianMoments:
             self._memo[gamma] = n
         return n
 
-    def __call__(self, gamma: tuple) -> Coeff:
-        n = self._numerator(gamma)
-        if self._den is None:
-            return Fraction(n) if type(n) is int else n
-        return Fraction(n, self._den ** (sum(gamma) // 2))
+    def __call__(self, gamma: tuple) -> Fraction:
+        return Fraction(self._numerator(gamma), self._den ** (sum(gamma) // 2))
 
-    def expectation(self, p: Polynomial) -> Coeff:
+    def expectation(self, p: Polynomial) -> Fraction:
         """E[p(x)]."""
         return self.expectations(p, [(0,) * len(self.sigma)])[0]
 
@@ -542,15 +537,13 @@ class GaussianMoments:
         """[E[x^alpha p(x)] for alpha in alphas], each the sum over the
         terms p_beta x^beta of p of p_beta E[x^(alpha+beta)].
 
-        Exact sigma and p: the terms of p become integer numerators n_beta
-        over their lcm l once, and each moment is one Fraction,
+        The terms of p become integer numerators n_beta over their lcm l
+        once (a float coefficient raises PolynomialError), and each moment
+        is one Fraction,
         sum_beta n_beta N(alpha+beta) D^((top-|beta|)/2) / (l D^((|alpha|+top)/2)),
         over the terms with |beta| of the parity of |alpha| (the others meet
-        odd moments), top the largest such |beta|.  Float or mixed input
-        is summed term by term in the order of p's terms.
+        odd moments), top the largest such |beta|.
         """
-        if self._den is None or not _all_fractions(p.terms):
-            return [self._term_by_term(p, alpha) for alpha in alphas]
         nums, l = _integer_numerators(p.terms)
         den, memo, num = self._den, self._memo, self._numerator
         by_parity = []  # (top, [(beta, n_beta D^((top - |beta|)/2))]) per parity of |beta|
@@ -569,25 +562,17 @@ class GaussianMoments:
             out.append(Fraction(total, l * den ** ((sum(alpha) + top) // 2)))
         return out
 
-    def _term_by_term(self, p: Polynomial, alpha: tuple) -> Coeff:
-        total: Coeff = Fraction(0)
-        for beta, c in p.terms.items():
-            m = self(tuple(map(add, alpha, beta)))
-            if m != 0:
-                total = total + c * m
-        return total
 
+def gaussian_moment(alpha: Sequence[int], sigma) -> Fraction:
+    """E[x^alpha] under N(0, sigma), exact.
 
-def gaussian_moment(alpha: Sequence[int], sigma) -> Coeff:
-    """E[x^alpha] under N(0, sigma), exact when sigma is.
-
-    sigma may hold Fractions (exact mode) or floats.  It must be
-    symmetric and positive semi-definite (numeric eigenvalue test).
+    sigma is rational, symmetric and positive semi-definite (numeric
+    eigenvalue test).
     """
     return gaussian_expectation(Polynomial(len(alpha), {tuple(alpha): Fraction(1)}), sigma)
 
 
-def gaussian_expectation(p: Polynomial, sigma) -> Coeff:
+def gaussian_expectation(p: Polynomial, sigma) -> Fraction:
     """Integral of p against the N(0, sigma) density; sigma is checked
     as in gaussian_moment, once per call."""
     return GaussianMoments(sigma, p.dimension).expectation(p)

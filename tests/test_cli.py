@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -44,16 +45,27 @@ GOLDEN = {
     "sde-convergence": "432f48517aa8de125383ee475d31876bb97bfae1f5c85337e3222fd42e0f120a",
     "clt-rate-perturbed": "0fa2072a26a189d321842f8cf2323f53630ffe6a9f9ccb42cd64172bcda1f5bb",
     "edgeworth-build": "cd0e17870c960713cdce6f29f280cda43952a733f8dfab1d3b20dfa66451a489",
+    "edgeworth-build-sigma": "00146694405456e9158ea7530adb1a22dd1171eeeef966308e673f109ccde8fc",
 }
 EDGEWORTH_R3 = "law = centered-exponential\nr = 3\n"
-#: (experiment, config) of each golden case: TINY with 2 replicates, the
-#: exact-quantile clt-rate path, and edgeworth-build of the centered
-#: exponential at r = 3
+#: q = 3 rational cumulants up to order 5 with a non-diagonal covariance
+SIGMA_CUM = (
+    "2 0 0 2\n1 1 0 1/2\n1 0 1 0\n0 2 0 1\n0 1 1 1/3\n0 0 2 3/2\n"
+    "3 0 0 1\n1 1 1 -1/2\n0 2 1 1/3\n0 0 3 2/3\n"
+    "4 0 0 -1\n2 2 0 1/4\n0 1 3 1/2\n"
+    "5 0 0 1/2\n1 2 2 -1/3\n0 0 5 1/5\n"
+)
+#: (experiment, config, files in the working directory) of each golden
+#: case: TINY with 2 replicates, the exact-quantile clt-rate path,
+#: edgeworth-build of the centered exponential at r = 3, and
+#: edgeworth-build of SIGMA_CUM at r = 3
 GOLDEN_CASES = {
-    "jump-coupling": ("jump-coupling", TINY["jump-coupling"].format(reps=2)),
-    "sde-convergence": ("sde-convergence", TINY["sde-convergence"].format(reps=2)),
-    "clt-rate-perturbed": ("clt-rate", TINY["clt-rate"].format(reps=2) + "mode = perturbed\n"),
-    "edgeworth-build": ("edgeworth-build", EDGEWORTH_R3),
+    "jump-coupling": ("jump-coupling", TINY["jump-coupling"].format(reps=2), {}),
+    "sde-convergence": ("sde-convergence", TINY["sde-convergence"].format(reps=2), {}),
+    "clt-rate-perturbed": ("clt-rate", TINY["clt-rate"].format(reps=2) + "mode = perturbed\n", {}),
+    "edgeworth-build": ("edgeworth-build", EDGEWORTH_R3, {}),
+    "edgeworth-build-sigma": ("edgeworth-build", "cumulants = sigma.cum\nr = 3\n",
+                              {"sigma.cum": SIGMA_CUM}),
 }
 
 #: jump-coupling whose last eps, 2^-14, is over the jump-intensity budget
@@ -189,6 +201,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "line 1" in err
 
+    @pytest.mark.parametrize("value", ["1e-5000", "1e-10000000"])
+    def test_decimal_exponent_over_bound_is_2(self, tmp_path, capsys, value):
+        # 1e-5000 used to be read, then die printing a 5001-digit
+        # denominator; 1e-10000000 spent seconds becoming a Fraction
+        cum = write(tmp_path, "big.cum", f"2 1\n3 {value}\n")
+        cfg = write(tmp_path, "eb.cfg", f"cumulants = {cum}\nr = 1\n")
+        assert cli.main(["edgeworth-build", "--config", cfg, "--no-timestamp"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "line 2: exponent over" in err
+
+    def test_coefficient_too_long_to_print_is_3(self, tmp_path, capsys):
+        # values of 1e-300 at order 20: P_18 holds kappa_3^18 / (6^18 18!),
+        # whose denominator has over 5400 digits
+        text = "2 1\n" + "".join(f"{j} 1e-300\n" for j in range(3, 21))
+        cum = write(tmp_path, "o20.cum", text)
+        cfg = write(tmp_path, "eb.cfg", f"cumulants = {cum}\nr = 18\n")
+        assert cli.main(["edgeworth-build", "--config", cfg, "--no-timestamp"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and "too long to print" in err
+
     def test_polynomial_degree_cap_is_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(polycore, "MAX_DEGREE", 2)
         cfg = write(tmp_path, "eb.cfg", "law = centered-exponential\nr = 1\n")
@@ -234,13 +266,33 @@ class TestExitCodes:
         assert "moment check: all equal (exact)" in lines
 
 
-class TestDecimalCumulants:
-    """A decimal cumulant file is read as floats and checked within the
-    solver's tolerance; its rational twin keeps the exact report."""
+def decimal_file(q: int, order: int) -> str:
+    """A cumulant file of dimension q up to `order` in one-decimal values,
+    with a diagonal covariance."""
+    lines = []
+    for total in range(2, order + 1):
+        for n, alpha in enumerate(multi_indices(q, total)):
+            if total == 2:
+                value = f"{1 + (n + 1) / 5}" if max(alpha) == 2 else "0"
+            else:
+                value = f"{((7 * n + 3 * total) % 31 - 15) / 10}"
+            lines.append(" ".join(map(str, alpha)) + " " + value)
+    return "\n".join(lines) + "\n"
 
-    def build(self, tmp_path, text):
+
+def rational_twin(text: str) -> str:
+    """The same file with each value written as a fraction (0.7 -> 7/10)."""
+    return "".join(" ".join(line.split()[:-1] + [str(Fraction(line.split()[-1]))]) + "\n"
+                   for line in text.splitlines())
+
+
+class TestDecimalCumulants:
+    """A decimal cumulant file is read exactly (0.7 is 7/10), so its report
+    is its rational twin's, line for line after the hash line."""
+
+    def build(self, tmp_path, text, r=2):
         cum = write(tmp_path, "c.cum", text)
-        cfg = write(tmp_path, "eb.cfg", f"cumulants = {cum}\nr = 2\n")
+        cfg = write(tmp_path, "eb.cfg", f"cumulants = {cum}\nr = {r}\n")
         out = tmp_path / "out.txt"
         rc = cli.main(["edgeworth-build", "--config", cfg, "--out", str(out), "--no-timestamp"])
         return rc, out.read_text().splitlines() if out.exists() else []
@@ -248,10 +300,23 @@ class TestDecimalCumulants:
     def test_decimal_file_passes_both_checks(self, tmp_path):
         rc, lines = self.build(tmp_path, "2 1.5\n3 0.7\n4 0.3\n")
         assert rc == 0
-        assert "residual check: all within 1e-08" in lines
-        assert "moment check: all equal within 1e-08 (relative)" in lines
-        assert sum(line.startswith("residual_") for line in lines) == 2
-        assert not any("MISMATCH" in line or "exact" in line for line in lines)
+        assert "residual check: all zero (exact)" in lines
+        assert "moment check: all equal (exact)" in lines
+        rc_twin, twin = self.build(tmp_path, "2 3/2\n3 7/10\n4 3/10\n")
+        assert rc_twin == 0 and lines[1:] == twin[1:]
+
+    @pytest.mark.parametrize("q, r", [(1, 4), (2, 3), (2, 4), (3, 3)])
+    def test_report_equals_rational_twin(self, tmp_path, q, r):
+        # (2, 4) and (3, 3) died on float rounding ("gradient field not
+        # curl-free") when decimals were read as floats
+        text = decimal_file(q, r + 2)
+        assert "." in text and "/" not in text
+        rc, lines = self.build(tmp_path, text, r)
+        rc_twin, twin = self.build(tmp_path, rational_twin(text), r)
+        assert rc == rc_twin == 0
+        assert lines[1:] == twin[1:]
+        assert "residual check: all zero (exact)" in lines
+        assert "moment check: all equal (exact)" in lines
 
     def test_rational_twin_stays_exact(self, tmp_path):
         rc, lines = self.build(tmp_path, "2 3/2\n3 7/10\n4 3/10\n")
@@ -287,8 +352,11 @@ class TestOutputs:
         assert open(o1).read() == open(o2).read()
 
     @pytest.mark.parametrize("case", list(GOLDEN))
-    def test_golden_bytes(self, tmp_path, case):
-        experiment, text = GOLDEN_CASES[case]
+    def test_golden_bytes(self, tmp_path, monkeypatch, case):
+        experiment, text, files = GOLDEN_CASES[case]
+        monkeypatch.chdir(tmp_path)  # the config names its files relative to it
+        for name, body in files.items():
+            write(tmp_path, name, body)
         cfg = write(tmp_path, "tiny.cfg", text)
         out = tmp_path / "out"
         assert cli.main(

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from levyedge import edgeworth
 from levyedge.edgeworth import (
     CumulantSet,
     EdgeworthError,
@@ -87,14 +88,6 @@ class TestRoundTrip:
         # the truncated power series exactly
         assert cumulants_to_moments(c).values == reference_cumulants_to_moments(c)
 
-    def test_graded_exp_float_cumulants(self):
-        # float cumulants: the same moments up to rounding
-        c = CumulantSet(2, 5, {a: (0.1 * (sum(a) + 2 * a[0]) if max(a) < sum(a) or sum(a) > 2 else 1.5)
-                                for d in range(2, 6) for a in multi_indices(2, d)})
-        got, want = cumulants_to_moments(c).values, reference_cumulants_to_moments(c)
-        assert got.keys() == want.keys()
-        assert all(got[a] == pytest.approx(want[a], rel=1e-12, abs=1e-15) for a in got)
-
     def test_exponential_moments(self):
         # central moments of Exp(1)-1: m2=1, m3=2, m4=9 (from E(X-1)^4)
         m = cumulants_to_moments(exp_cumulants(4))
@@ -105,6 +98,26 @@ class TestRoundTrip:
     def test_text_round_trip(self):
         c = exp_cumulants(4)
         assert CumulantSet.from_text(c.to_text()).mu == c.mu
+
+    def test_decimals_read_exactly(self):
+        c = CumulantSet.from_text("2 1.5\n3 0.7\n4 -3e-2\n5 2E3\n6 1_0.5e+1\n")
+        assert c.mu == {(2,): Fraction(3, 2), (3,): Fraction(7, 10), (4,): Fraction(-3, 100),
+                        (5,): Fraction(2000), (6,): Fraction(105)}
+        assert all(type(v) is Fraction for v in c.mu.values())
+        assert CumulantSet.from_text(c.to_text()).mu == c.mu
+
+    @pytest.mark.parametrize("value", ["1e-1001", "1e1001", "1e-10000000", "-2.5E+99999999999"])
+    def test_decimal_exponent_bound(self, value, monkeypatch):
+        # the exponent is checked before the value is converted: 1e-10000000
+        # would take seconds to become a Fraction
+        converted = []
+        monkeypatch.setattr(edgeworth, "Fraction", lambda v: converted.append(v) or Fraction(v))
+        with pytest.raises(EdgeworthError, match="line 2: exponent over 1000"):
+            CumulantSet.from_text(f"2 1\n3 {value}\n")
+        assert converted == ["1"]
+        monkeypatch.undo()
+        c = CumulantSet.from_text("2 1\n3 1e-1000\n4 1e1000\n")
+        assert c.mu[(3,)] == Fraction(1, 10 ** 1000) and c.mu[(4,)] == 10 ** 1000
 
 
 class TestBuilders:
@@ -186,6 +199,11 @@ class TestValidation:
         c = CumulantSet(2, 3, {(3, 0): Fraction(1)})
         with pytest.raises(EdgeworthError):
             c.check_nonsingular()
+
+    def test_scaled_sum_needs_perfect_square(self):
+        assert scaled_sum_moments(exp_cumulants(4), 9, 4)[(4,)] == 3 + Fraction(6, 9)
+        with pytest.raises(EdgeworthError, match="perfect square"):
+            scaled_sum_moments(exp_cumulants(4), 10, 4)
 
     def test_singular_covariance_rejected(self):
         c = CumulantSet(2, 2, {(2, 0): 1, (0, 2): 0, (1, 1): 0})

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from levyedge.perturbation import invert_S_map
 from levyedge.polycore import (
     MAX_DEGREE,
     EpsSeries,
@@ -105,7 +106,7 @@ def reference_hermite(alpha: tuple, inv, memo: dict) -> Polynomial:
 
 def term_by_term(table: GaussianMoments, p: Polynomial, alpha: tuple):
     """E[x^alpha p(x)] summed over the terms of p in order, as one
-    Fraction or float operation per term."""
+    Fraction operation per term."""
     total = Fraction(0)
     for beta, c in p.terms.items():
         m = table(tuple(map(add, alpha, beta)))
@@ -115,7 +116,6 @@ def term_by_term(table: GaussianMoments, p: Polynomial, alpha: tuple):
 
 
 RATIONALS = st.fractions(-5, 5, max_denominator=12)
-FLOATS = st.floats(-5, 5, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
@@ -134,20 +134,16 @@ def polynomials(draw, q, max_degree, coeffs=RATIONALS, max_terms=6):
 
 @st.composite
 def product_case(draw):
-    """Two polynomials in q <= 3 variables: rational, float or mixed."""
+    """Two rational polynomials in q <= 3 variables."""
     q = draw(st.integers(1, 3))
-    kinds = draw(st.sampled_from([(RATIONALS, RATIONALS), (FLOATS, FLOATS),
-                                  (RATIONALS, FLOATS), (FLOATS, RATIONALS),
-                                  (RATIONALS, st.one_of(RATIONALS, FLOATS))]))
-    return draw(polynomials(q, 6, kinds[0])), draw(polynomials(q, 6, kinds[1]))
+    return draw(polynomials(q, 6)), draw(polynomials(q, 6))
 
 
 @st.composite
 def sum_case(draw):
-    """q <= 3 and 0-4 pairs of polynomials in q variables, mostly rational."""
+    """q <= 3 and 0-4 pairs of rational polynomials in q variables."""
     q = draw(st.integers(1, 3))
-    coeffs = st.sampled_from([RATIONALS, RATIONALS, RATIONALS, FLOATS])
-    pairs = [(draw(polynomials(q, 4, draw(coeffs))), draw(polynomials(q, 4, draw(coeffs))))
+    pairs = [(draw(polynomials(q, 4)), draw(polynomials(q, 4)))
              for _ in range(draw(st.integers(0, 4)))]
     return q, pairs
 
@@ -257,11 +253,11 @@ class TestPolynomial:
         assert list(got.terms.items()) == list(want.items())  # same dict order
         assert all(type(c) is type(want[a]) for a, c in got.terms.items())
 
-    @given(product_case(), st.sampled_from([None, 3, Fraction(-1, 2), 0.25]))
+    @given(product_case(), st.sampled_from([None, 3, Fraction(-1, 2), Fraction(1, 4)]))
     @settings(deadline=None, max_examples=200)
     def test_sub_equals_add_negated(self, case, scalar):
         # one dict pass gives the terms, the order and the coefficient
-        # types of a + (-b), for rational, float and mixed operands
+        # types of a + (-b)
         a, b = case
         if scalar is not None:
             b = scalar
@@ -279,13 +275,11 @@ class TestPolynomial:
         assert (half * (3 * x(0) + 2 * x(1))).terms == {(2, 0): Fraction(3, 2), (0, 2): Fraction(-2, 3)}
         for zero in (Polynomial.zero(2), x(0) * 0, x(0) * 0.0):
             assert (zero * half).is_zero() and (half * zero).is_zero()
-        mixed = (0.5 * x(0) + x(1)) * (x(0) - 2 * x(1))
-        assert mixed.terms == pairwise_product(0.5 * x(0) + x(1), x(0) - 2 * x(1))
 
     def test_product_degree_cap_and_dimension(self):
         low = x(0) ** (MAX_DEGREE // 2)
         assert (low * low).degree() == MAX_DEGREE
-        for a, b in [(low * x(0), low), (low * 0.5 * x(1), low * x(0))]:
+        for a, b in [(low * x(0), low), (low * Fraction(1, 2) * x(1), low * x(0))]:
             with pytest.raises(PolynomialError, match="degree exceeds cap"):
                 a * b
         with pytest.raises(PolynomialError, match="dimension mismatch"):
@@ -357,13 +351,13 @@ class TestHermite:
         [[Fraction(2, 3), Fraction(-1, 3)], [Fraction(-1, 3), Fraction(2, 3)]],
         [[1, 1], [1, -1]],
         rational_inverse([[2, 1, 0], [1, 2, Fraction(1, 2)], [0, Fraction(1, 2), 1]]),
-        [[0.5, -0.25], [-0.25, 1.0]],
-        [[Fraction(1), 0.5, 0], [0.5, 2.0, -0.25], [0, -0.25, Fraction(3, 2)]],
+        [[Fraction(1, 2), Fraction(-1, 4)], [Fraction(-1, 4), 1]],
+        [[1, Fraction(1, 2), 0], [Fraction(1, 2), 2, Fraction(-1, 4)],
+         [0, Fraction(-1, 4), Fraction(3, 2)]],
     ])
     def test_fused_step_keeps_reference_order(self, inv):
-        # non-diagonal Sigma^(-1), rational, float and mixed: the same terms
-        # in the same dict order as the product form, which __call__ sums
-        # in that order
+        # non-diagonal rational Sigma^(-1): the same terms in the same dict
+        # order as the product form, which __call__ sums in that order
         q = len(inv)
         memo, ref = {}, {}
         for d in range(7 if q == 2 else 5):
@@ -403,12 +397,6 @@ class TestLinearSolve:
         prod = [[sum(mat[i][k] * inv[k][j] for k in range(3)) for j in range(3)]
                 for i in range(3)]
         assert prod == [[int(i == j) for j in range(3)] for i in range(3)]
-
-    def test_float_pivoting_is_stable(self):
-        # a tiny leading entry: without pivoting on the largest entry the
-        # elimination divides by 1e-20 and loses the answer
-        sol = solve_linear([[1e-20, 1.0], [1.0, 1.0]], [[1.0], [2.0]])
-        assert sol[0][0] == pytest.approx(1.0) and sol[1][0] == pytest.approx(1.0)
 
     def test_singular_rejected(self):
         with pytest.raises(PolynomialError):
@@ -471,27 +459,6 @@ class TestGaussianMoments:
         assert all(type(v) is Fraction for v in got)
         assert table.expectation(p) == gaussian_expectation(p, sigma) == ref((0,) * len(sigma))
 
-    @given(expectation_case(), st.sampled_from(["p", "sigma", "both"]))
-    @settings(deadline=None, max_examples=60)
-    def test_float_input_sums_term_by_term(self, case, which):
-        # a float or mixed polynomial, or a float Sigma, is summed term by
-        # term in the order of p's terms, bit for bit
-        sigma, p, alphas = case
-        q = len(sigma)
-        if which in ("p", "both"):
-            p = Polynomial(q, {b: float(c) if n % 2 == 0 else c
-                               for n, (b, c) in enumerate(p.terms.items())})
-        if which in ("sigma", "both"):
-            sigma = [[float(c) for c in row] for row in sigma]
-        table = GaussianMoments(sigma, q)
-        got = table.expectations(p, alphas)
-        want = [term_by_term(table, p, a) for a in alphas]
-        assert got == want and [type(v) for v in got] == [type(v) for v in want]
-        if which != "p":
-            for a in alphas:
-                pairs = tuple(j for j, e in enumerate(a) for _ in range(e))
-                assert table(a) == pytest.approx(float(isserlis(pairs, sigma)), rel=1e-12, abs=1e-12)
-
     def test_expectation_checks_sigma_once(self, monkeypatch):
         # one symmetry and eigenvalue check per call, not one per monomial
         calls = []
@@ -512,7 +479,7 @@ class TestGaussianMoments:
 
 
 class TestSumOfProducts:
-    @given(sum_case(), st.sampled_from([1, Fraction(-2, 3), 0.5]))
+    @given(sum_case(), st.sampled_from([1, Fraction(-2, 3), Fraction(1, 2)]))
     @settings(deadline=None, max_examples=150)
     def test_equals_sum_of_products(self, case, scale):
         q, cases = case
@@ -520,16 +487,8 @@ class TestSumOfProducts:
         want = Polynomial.zero(q)
         for a, b in cases:
             want = want + a * b
-        want = want * scale
-        exact = type(scale) is not float and all(
-            type(c) is Fraction for a, b in cases for c in list(a.terms.values()) + list(b.terms.values()))
-        if exact:
-            assert got == want
-            assert all(type(c) is Fraction for c in got.terms.values())
-        else:
-            for alpha in set(got.terms) | set(want.terms):
-                assert float(got.coefficient(alpha)) == pytest.approx(
-                    float(want.coefficient(alpha)), rel=1e-9, abs=1e-9)
+        assert got == want * scale
+        assert all(type(c) is Fraction for c in got.terms.values())
 
     def test_one_fraction_per_term_in_lowest_terms(self):
         a = Fraction(1, 6) * x(0) + Fraction(1, 4) * x(1)
@@ -548,15 +507,6 @@ class TestSumOfProducts:
         got = sum_of_products(2, [(x(0), x(1)), (x(1), x(0) * -1 + x(1))])
         assert got.terms == {(0, 2): 1}
 
-    def test_float_and_mixed_operands(self):
-        a, b = 0.5 * x(0) + x(1), x(0) - Fraction(1, 3)
-        got = sum_of_products(2, [(a, b), (b, b), (x(1), 0.25)], Fraction(1, 2))
-        want = (a * b + b * b + x(1) * 0.25) * Fraction(1, 2)
-        assert set(got.terms) == set(want.terms)
-        for alpha, c in want.terms.items():
-            assert got.terms[alpha] == pytest.approx(float(c), rel=1e-15)
-        assert type(got.terms[(2, 0)]) is float and type(got.terms[(0, 0)]) is Fraction
-
     def test_degree_cap(self):
         low = x(0) ** (MAX_DEGREE // 2)
         assert sum_of_products(2, [(low, low), (x(1), x(0))]).degree() == MAX_DEGREE
@@ -566,6 +516,30 @@ class TestSumOfProducts:
         assert sum_of_products(2, [(high, 2)]) == high * 2
         with pytest.raises(PolynomialError, match="degree exceeds cap"):
             sum_of_products(2, [(high, x(1))])
+
+
+class TestExactKernels:
+    def test_float_reaching_a_kernel_raises(self):
+        # the symbolic kernels take rationals only; a float polynomial may
+        # still be built and evaluated
+        half = 0.5 * x(0) + x(1)
+        assert half(np.array([2.0, 1.0])) == 2.0
+        calls = [
+            lambda: sum_of_products(2, [(half, x(1))]),
+            lambda: sum_of_products(2, [(x(0), 0.5)]),
+            lambda: sum_of_products(2, [(x(0), x(1))], 0.5),
+            lambda: half * x(0),
+            lambda: hermite_sigma((2, 1), [[1, 0.5], [0.5, 1]]),
+            lambda: GaussianMoments([[1.0, 0], [0, 1]], 2),
+            lambda: GaussianMoments([[1, 0], [0, 1]], 2).expectation(half),
+            lambda: solve_linear([[2, 1], [1, 0.5]], [[1], [0]]),
+            lambda: solve_linear([[2, 1], [1, 3]], [[1], [0.25]]),
+            lambda: invert_S_map([Polynomial(1, {(3,): 0.5, (1,): -1.5})], [[1]]),
+            lambda: invert_S_map([hermite_1d(3)], np.array([[1.0]])),
+        ]
+        for call in calls:
+            with pytest.raises(PolynomialError, match="rational"):
+                call()
 
 
 class TestEpsSeries:
