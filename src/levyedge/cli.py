@@ -19,6 +19,7 @@ import datetime
 import hashlib
 import math
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Dict, List, Optional
@@ -44,12 +45,13 @@ from .levy import (
     measure_from_config,
 )
 from .perturbation import PerturbationError, apply_L, invert_S_map
-from .polycore import PolynomialError, coefficient_text
+from .polycore import PolynomialError, coefficient_text, rational_inverse
 from .sampling import RngStream, SamplingError, sample_gaussian, sample_perturbed_normal, sample_small_jumps
 from .sde import SchemeConfig, SdeError, SdeSpec, coupled_paths
 from .wasserstein import (
     MAX_ASSIGNMENT_SIZE,
     WassersteinError,
+    _wp_1d_in_place,
     rate_fit,
     wp_1d_exact,
     wp_empirical,
@@ -67,6 +69,10 @@ class NumericalFailure(RuntimeError):
 #: most expected jumps one jump-coupling run may draw, summed over eps,
 #: samples and replicates; the default configuration needs about 1.75e9
 MAX_TOTAL_JUMPS = 2e10
+
+#: most samples per clt-rate replicate: a worker thread's workspace holds
+#: three (n_samples, q) float arrays, 384 MiB at the cap for q = 1
+MAX_CLT_SAMPLES = 1 << 24
 
 
 _NUMERIC_ERRORS = (
@@ -241,6 +247,8 @@ def run_clt_rate(cfg: Dict[str, str], seed: int, threads: int) -> List[list]:
     target = _get_int(cfg, "n", 4)  # moment-match order of the perturbed reference
     if reps < 1 or n < 2:
         raise ConfigError("replicates must be >= 1 and n_samples >= 2")
+    if n > MAX_CLT_SAMPLES:
+        raise ConfigError(f"n_samples {n} exceeds the sample cap {MAX_CLT_SAMPLES}")
     if law.dimension > 1 and n > MAX_ASSIGNMENT_SIZE:
         raise ConfigError(
             f"n_samples {n} exceeds the assignment cap {MAX_ASSIGNMENT_SIZE} "
@@ -261,36 +269,51 @@ def run_clt_rate(cfg: Dict[str, str], seed: int, threads: int) -> List[list]:
     exact_quantile = (
         mode == "perturbed" and law.dimension == 1 and law.has_sum_quantile and p == 2
     )
-    per_m_reps = []
-    for mi, m in enumerate(m_list):
-        eps = 1.0 / math.sqrt(m)
-        if exact_quantile:
-            # both sides have exact quantile functions: no sampling floor
+    if exact_quantile:
+        # both sides have exact quantile functions: no sampling floor
+        per_m_reps = []
+        for m in m_list:
             qs = law.sum_quantile(m)
-            disp = pmap.displacement(eps)
+            disp = pmap.displacement(1.0 / math.sqrt(m))
 
             def qref(t, disp=disp):
                 x = special.ndtri(t) * math.sqrt(sigma[0, 0])
                 return x + float(disp[0](np.array([x])))
 
-            vals = [wp_1d_exact(qs, qref, p)]
-            rows.append([m, p, mode, repr(vals[0]), 0])
-        else:
-            def one(rep, m=m, mi=mi, eps=eps):
-                g = root.child(rep, mi, "clt").generator
-                ym = law.sample_sum(m, n, g)
-                if mode == "gaussian":
-                    ref = sample_gaussian(sigma, g, n)
-                else:
-                    ref = sample_perturbed_normal(pmap, eps, r_order, g, n)
-                if law.dimension == 1:
-                    return wp_1d_exact(ym[:, 0], ref[:, 0], p)
-                return wp_empirical(ym, ref, p)
+            w = wp_1d_exact(qs, qref, p)
+            per_m_reps.append([w])
+            rows.append([m, p, mode, repr(w), 0])
+    else:
+        # each worker thread draws every replicate it runs into its own
+        # three (n, q) buffers: the sum, the reference and the standard
+        # normals under it; no buffer is freed and faulted in again
+        local = threading.local()
 
-            vals = _parallel(one, range(reps), threads)
+        def one(job):
+            mi, rep = job
+            ws = getattr(local, "ws", None)
+            if ws is None:
+                ws = local.ws = np.empty((3, n, law.dimension))
+            m = m_list[mi]
+            g = root.child(rep, mi, "clt").generator
+            ym = law.sample_sum(m, n, g, out=ws[0])
+            if mode == "gaussian":
+                ref = sample_gaussian(sigma, g, n, out=ws[1], scratch=ws[2])
+            else:
+                ref = sample_perturbed_normal(pmap, 1.0 / math.sqrt(m), r_order, g, n,
+                                              out=ws[1], scratch=ws[2])
+            if law.dimension == 1:
+                return _wp_1d_in_place(ym[:, 0], ref[:, 0], p)
+            return wp_empirical(ym, ref, p)
+
+        # one pool for every (m, replicate): a thread keeps its buffers
+        # across the m values
+        flat = _parallel(one, [(mi, rep) for mi in range(len(m_list)) for rep in range(reps)],
+                         threads)
+        per_m_reps = [flat[mi * reps:(mi + 1) * reps] for mi in range(len(m_list))]
+        for m, vals in zip(m_list, per_m_reps):
             for rep, v in enumerate(vals):
                 rows.append([m, p, mode, repr(float(v)), rep])
-        per_m_reps.append(vals)
     mat = np.array(per_m_reps)
     boot = mat.shape[1] > 1
     slope, ci = rate_fit(m_list, mat.mean(axis=1), bootstrap_reps=200 if boot else 0,
@@ -472,13 +495,14 @@ def run_edgeworth_build(cfg: Dict[str, str], seed: int, threads: int) -> List[st
         lines.append(f"Q_{k}(x) = {Q[k - 1].to_text()}")
     lines.append("")
     pmap = invert_S_map(Q, cset.covariance)
+    inv = rational_inverse(cset.covariance)
     all_zero = True
     for k in range(1, r + 1):
         u = pmap.potentials[k - 1]
         lines.append(f"u_{k}(x) = {u.to_text()}")
         for j, g in enumerate(pmap.gradients[k - 1]):
             lines.append(f"p_{k},{j + 1}(x) = {g.to_text()}")
-        resid = apply_L(u, cset.covariance) + (Q[k - 1] - pmap.s_tilde[k - 1])
+        resid = apply_L(u, cset.covariance, inv) + (Q[k - 1] - pmap.s_tilde[k - 1])
         zero = not resid.terms
         lines.append(f"residual_{k}: {'0 (exact)' if zero else resid.to_text()}")
         all_zero = all_zero and zero

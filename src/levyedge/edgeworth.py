@@ -33,6 +33,7 @@ from .polycore import (
     Polynomial,
     grlex_key,
     hermite_sigma,
+    positive_definite,
     rational_inverse,
     sum_of_products,
 )
@@ -96,9 +97,7 @@ class MomentSet:
         for alpha in multi_indices(dimension, 1):
             if self.values[alpha] != 0:
                 raise EdgeworthError("law must be mean-zero")
-        cov = self.covariance()
-        w = np.linalg.eigvalsh(np.array([[float(c) for c in row] for row in cov]))
-        if w.min() <= 0:
+        if not positive_definite(self.covariance()):
             raise EdgeworthError("second moments must form a positive-definite matrix")
 
     def covariance(self):
@@ -131,20 +130,15 @@ class CumulantSet:
             for alpha in multi_indices(dimension, d):
                 self.mu[alpha] = mu.get(alpha, Fraction(0))
         self.covariance = _second_order(self.mu, dimension)
-        self._eig = None
 
     def covariance_array(self) -> np.ndarray:
         return np.array([[float(c) for c in row] for row in self.covariance])
 
-    def eigenvalues(self) -> np.ndarray:
-        if self._eig is None:
-            self._eig = np.linalg.eigvalsh(self.covariance_array())
-        return self._eig
-
     def check_nonsingular(self):
-        lams = self.eigenvalues()
-        if lams[0] <= 1e-10 * lams[-1]:
-            raise EdgeworthError("covariance is numerically singular")
+        """The covariance is rational: judged exactly, by the pivots of
+        polycore.positive_definite."""
+        if not positive_definite(self.covariance):
+            raise EdgeworthError("covariance must be positive definite")
 
     # -- text format ---------------------------------------------------
 
@@ -186,12 +180,7 @@ class CumulantSet:
         if order < 2:
             raise EdgeworthError("cumulant file must reach order 2")
         cset = CumulantSet(q, order, mu)
-        try:
-            positive = cset.eigenvalues()[0] > 0
-        except OverflowError as exc:
-            raise EdgeworthError("covariance entries exceed the float range") from exc
-        if not positive:
-            raise EdgeworthError("covariance must be positive definite")
+        cset.check_nonsingular()
         return cset
 
 

@@ -39,9 +39,10 @@ class TestLaw:
     """A mean-zero law with exact cumulants and a normalized-sum sampler.
 
     sample_sum(m, n, rng) draws n copies of m^(-1/2) (X_1 + ... + X_m);
-    laws with a closed-form sum law override it so the cost per draw does
-    not grow with m.  sum_quantile(m), when available, returns the exact
-    quantile function of the normalized sum (1D only).
+    laws with a closed-form sum law give a sampler that fills an
+    (n, dimension) array with them, so the cost per draw does not grow
+    with m.  sum_quantile(m), when available, returns the exact quantile
+    function of the normalized sum (1D only).
     """
 
     def __init__(
@@ -51,7 +52,7 @@ class TestLaw:
         order: int,
         cumulants: CumulantSet,
         sample: Callable[[int, np.random.Generator], np.ndarray],
-        sample_sum: Optional[Callable[[int, int, np.random.Generator], np.ndarray]] = None,
+        sample_sum: Optional[Callable[[int, np.random.Generator, np.ndarray], None]] = None,
         sum_quantile: Optional[Callable[[int], Callable[[float], float]]] = None,
     ):
         self.name = name
@@ -66,17 +67,24 @@ class TestLaw:
         out = np.asarray(self._sample(n, rng), dtype=float)
         return out.reshape(n, self.dimension)
 
-    def sample_sum(self, m: int, n: int, rng) -> np.ndarray:
+    def sample_sum(self, m: int, n: int, rng, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """n draws of the normalized sum of m, shape (n, dimension).
+
+        out, a C-contiguous float array of that shape, receives the draws
+        and is returned; they are the same bit for bit as without it.
+        """
         if m < 1:
             raise LawError("need m >= 1 summands")
+        if out is None:
+            out = np.empty((n, self.dimension))
         if self._sample_sum is not None:
-            return np.asarray(self._sample_sum(m, n, rng), dtype=float).reshape(
-                n, self.dimension
-            )
-        total = np.zeros((n, self.dimension))
+            self._sample_sum(m, rng, out)
+            return out
+        out[...] = 0.0
         for _ in range(m):
-            total += self.sample(n, rng)
-        return total / math.sqrt(m)
+            out += self.sample(n, rng)
+        out /= math.sqrt(m)
+        return out
 
     @property
     def has_sum_quantile(self) -> bool:
@@ -94,6 +102,15 @@ def _exp_cumulants_1d(order: int) -> CumulantSet:
     return CumulantSet(1, order, mu)
 
 
+def _gamma_sum(m: int, rng, out: np.ndarray) -> None:
+    """out = (G - m) / sqrt(m), G ~ Gamma(m, 1) per entry: the normalized
+    sum of m centered unit exponentials.  standard_gamma draws the stream
+    of gamma(m, size=out.shape) bit for bit."""
+    rng.standard_gamma(m, out=out)
+    out -= m
+    out /= math.sqrt(m)
+
+
 def centered_exponential(order: int = 6) -> TestLaw:
     """Exp(1) - 1 in one dimension; unit variance, all cumulants (j-1)!.
 
@@ -106,9 +123,6 @@ def centered_exponential(order: int = 6) -> TestLaw:
     def sample(n, rng):
         return rng.exponential(size=(n, 1)) - 1.0
 
-    def sample_sum(m, n, rng):
-        return (rng.gamma(m, size=(n, 1)) - m) / math.sqrt(m)
-
     def sum_quantile(m):
         root = math.sqrt(m)
 
@@ -119,7 +133,7 @@ def centered_exponential(order: int = 6) -> TestLaw:
 
     return TestLaw(
         "centered-exponential", 1, order, _exp_cumulants_1d(order), sample,
-        sample_sum=sample_sum, sum_quantile=sum_quantile,
+        sample_sum=_gamma_sum, sum_quantile=sum_quantile,
     )
 
 
@@ -138,10 +152,7 @@ def product_exponential(order: int = 6) -> TestLaw:
     def sample(n, rng):
         return rng.exponential(size=(n, 2)) - 1.0
 
-    def sample_sum(m, n, rng):
-        return (rng.gamma(m, size=(n, 2)) - m) / math.sqrt(m)
-
-    return TestLaw("product-exponential", 2, order, cs, sample, sample_sum=sample_sum)
+    return TestLaw("product-exponential", 2, order, cs, sample, sample_sum=_gamma_sum)
 
 
 def _disk_moments(order: int) -> MomentSet:
@@ -191,8 +202,8 @@ def gaussian_law(order: int = 6) -> TestLaw:
     def sample(n, rng):
         return rng.standard_normal((n, 1))
 
-    def sample_sum(m, n, rng):
-        return rng.standard_normal((n, 1))
+    def sample_sum(m, rng, out):
+        rng.standard_normal(out=out)
 
     def sum_quantile(m):
         return special.ndtri

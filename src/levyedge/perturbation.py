@@ -33,7 +33,6 @@ from .polycore import (
     GaussianMoments,
     Polynomial,
     exp_coefficient,
-    gaussian_expectation,
     rational_inverse,
     solve_linear,
     sum_of_products,
@@ -90,40 +89,58 @@ class GradientPolyMap:
         return out
 
 
-def apply_L(u: Polynomial, sigma) -> Polynomial:
-    """The divergence-form operator U = grad u  ->  div U - x . Sigma^{-1} U."""
-    return u.laplacian() - _x_dot_inv_grad(u, rational_inverse(sigma))
+def apply_L(u: Polynomial, sigma, inv=None) -> Polynomial:
+    """The divergence-form operator U = grad u  ->  div U - x . Sigma^{-1} U.
+
+    inv, when given, is Sigma^{-1}, from a caller that has inverted Sigma.
+    """
+    if inv is None:
+        inv = rational_inverse(sigma)
+    return u.laplacian() - _x_dot_inv_grad(u, inv)
 
 
-def solve_hermite_pde(rhs: Polynomial, sigma) -> Polynomial:
+def solve_hermite_pde(rhs: Polynomial, sigma, inv=None, moments=None) -> Polynomial:
     """Solve -Lap u + x . Sigma^{-1} grad u = rhs for positive-definite Sigma.
 
     x . Sigma^{-1} grad keeps the degree and -Lap lowers it by two, so the
     degree-d part u_d solves x . Sigma^{-1} grad u_d = rhs_d + Lap u_{d+2},
     from the top degree down: one linear system on the degree-d
-    monomials each, diagonal when Sigma is.  The degree-0 balance holds
+    monomials each.  When Sigma^{-1} is diagonal so is the system,
+    x . Sigma^{-1} grad x^beta = (sum_i beta_i / sigma_ii) x^beta, and each
+    coefficient is one exact division.  The degree-0 balance holds
     exactly when rhs integrates to zero against the N(0, Sigma) density,
     and the free constant is chosen so that u does too.  rhs and Sigma
-    are rational, and the residual is checked to be exactly zero.
+    are rational, and the residual is checked to be exactly zero.  inv
+    (Sigma^{-1}) and moments (a GaussianMoments table of Sigma), when
+    given, come from a caller that already made them for this Sigma.
     """
-    inv = rational_inverse(sigma)
+    if inv is None:
+        inv = rational_inverse(sigma)
     q = rhs.dimension
+    if moments is None:
+        moments = GaussianMoments(sigma, q)
+    diagonal = all(inv[i][j] == 0 for i in range(q) for j in range(q) if i != j)
     top = max(rhs.degree(), 0)
     parts = [Polynomial.zero(q)] * (top + 3)  # parts[d]: degree-d part of u
     for d in range(top, 0, -1):
         lap = parts[d + 2].laplacian()
         monos = list(multi_indices(q, d))
-        b = [[rhs.coefficient(a) + lap.coefficient(a)] for a in monos]
-        if any(row[0] != 0 for row in b):
-            sol = solve_linear(_operator_matrix(monos, inv), b)
-            parts[d] = Polynomial(q, {a: row[0] for a, row in zip(monos, sol)})
+        b = [rhs.coefficient(a) + lap.coefficient(a) for a in monos]
+        if any(b):
+            if diagonal:
+                sol = [v / sum(inv[i][i] * a[i] for i in range(q)) if v else v
+                       for a, v in zip(monos, b)]
+            else:
+                sol = [row[0] for row in solve_linear(_operator_matrix(monos, inv),
+                                                      [[v] for v in b])]
+            parts[d] = Polynomial(q, dict(zip(monos, sol)))
     mean = rhs.constant_term() + parts[2].laplacian().constant_term()
     if mean != 0:
         raise PerturbationError("rhs must have zero Gaussian mean")
     u = Polynomial.zero(q)
     for part in parts[1:top + 1]:
         u = u + part
-    u = u - gaussian_expectation(u, sigma)
+    u = u - moments.expectation(u)
     if not (_x_dot_inv_grad(u, inv) - u.laplacian() - rhs).is_zero():
         raise AssertionError("PDE residual nonzero")
     return u
@@ -325,7 +342,7 @@ def invert_S_map(Q: Sequence[Polynomial], sigma) -> GradientPolyMap:
     s_tilde: List[Polynomial] = []
     for qk in Q:
         s_tilde.append(rec.s_tilde)
-        pots.append(solve_hermite_pde(qk - rec.s_tilde, sigma))
+        pots.append(solve_hermite_pde(qk - rec.s_tilde, sigma, rec.inv, rec.moments))
         rec.level(pots[-1], qk)
     return GradientPolyMap(sigma, pots, s_tilde)
 

@@ -471,6 +471,32 @@ def rational_inverse(mat: Sequence[Sequence]) -> list:
     return solve_linear(mat, [[int(i == j) for j in range(n)] for i in range(n)])
 
 
+def positive_definite(mat: Sequence[Sequence], semi: bool = False) -> bool:
+    """Whether a symmetric rational matrix is positive definite (or, with
+    semi, positive semi-definite), by the pivots of its exact LDL^T
+    factorisation, with no tolerance.
+
+    Symmetric elimination without exchanges makes the k-th pivot the k-th
+    diagonal entry of the Schur complement of the leading k - 1 rows.  The
+    matrix is definite iff every pivot is positive (Sylvester's criterion),
+    and semi-definite iff every pivot is nonnegative and each zero pivot's
+    column below it is zero (else a 2 x 2 principal minor is negative); a
+    zero pivot then eliminates nothing.  A float raises PolynomialError.
+    """
+    n = len(mat)
+    a = [[_rational(v) for v in row] for row in mat]
+    for k in range(n):
+        d = a[k][k]
+        if d < 0 or (d == 0 and (not semi or any(a[i][k] for i in range(k + 1, n)))):
+            return False
+        if d:
+            for i in range(k + 1, n):
+                f = a[i][k] / d
+                if f:
+                    a[i][k + 1:] = [v - f * w for v, w in zip(a[i][k + 1:], a[k][k + 1:])]
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Gaussian moments
 # ---------------------------------------------------------------------------
@@ -481,9 +507,9 @@ class GaussianMoments:
 
     sigma is rational (a float raises PolynomialError).  It is checked
     once, when the table is made: symmetric, and positive semi-definite by
-    a numeric eigenvalue test.  Calling the table with an exponent tuple
-    gives its moment, memoised for the life of the table and built by
-    Gaussian integration by parts,
+    the exact pivots of positive_definite.  Calling the table with an
+    exponent tuple gives its moment, memoised for the life of the table
+    and built by Gaussian integration by parts,
 
         E[x_i x^gamma] = sum_j sigma_ij gamma_j E[x^(gamma - e_j)].
 
@@ -500,8 +526,7 @@ class GaussianMoments:
             for j in range(i):
                 if self.sigma[i][j] != self.sigma[j][i]:
                     raise PolynomialError("sigma must be symmetric")
-        w = np.linalg.eigvalsh(np.array([[float(c) for c in r] for r in self.sigma]))
-        if w.min() < -1e-12 * max(1.0, w.max()):
+        if not positive_definite(self.sigma, semi=True):
             raise PolynomialError("sigma must be positive semi-definite")
         self._den = math.lcm(*(c.denominator for r in self.sigma for c in r))
         self._s = tuple(tuple(c.numerator * (self._den // c.denominator) for c in r)
@@ -566,8 +591,8 @@ class GaussianMoments:
 def gaussian_moment(alpha: Sequence[int], sigma) -> Fraction:
     """E[x^alpha] under N(0, sigma), exact.
 
-    sigma is rational, symmetric and positive semi-definite (numeric
-    eigenvalue test).
+    sigma is rational, symmetric and positive semi-definite (exact pivot
+    test).
     """
     return gaussian_expectation(Polynomial(len(alpha), {tuple(alpha): Fraction(1)}), sigma)
 

@@ -69,20 +69,38 @@ def sym_sqrt(sigma: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
 
 
-def sample_gaussian(sigma, rng, n: int) -> np.ndarray:
-    """n draws from N(0, sigma) via the symmetric square root, shape (n, q)."""
+def sample_gaussian(sigma, rng, n: int, out=None, scratch=None) -> np.ndarray:
+    """n draws from N(0, sigma) via the symmetric square root, shape (n, q).
+
+    out and scratch, when given, are distinct C-contiguous float (n, q)
+    arrays: the standard normals are drawn into scratch and their product
+    with the root lands in out, which is returned.  The draws are the same
+    bit for bit as without them.
+    """
     g = _as_generator(rng)
     root = sym_sqrt(sigma)
-    return g.standard_normal((n, root.shape[0])) @ root.T
+    if scratch is None:
+        z = g.standard_normal((n, root.shape[0]))
+    else:
+        z = g.standard_normal(out=scratch)
+    return np.matmul(z, root.T, out=out)
 
 
-def sample_perturbed_normal(pmap: GradientPolyMap, eps: float, r: int, rng, n: int) -> np.ndarray:
-    """n draws of xi + sum_{k<=r} eps^k p_k(xi) for xi ~ N(0, Sigma of the map)."""
+def sample_perturbed_normal(pmap: GradientPolyMap, eps: float, r: int, rng, n: int,
+                            out=None, scratch=None) -> np.ndarray:
+    """n draws of xi + sum_{k<=r} eps^k p_k(xi) for xi ~ N(0, Sigma of the map).
+
+    out and scratch are as for sample_gaussian: the standard normals are
+    drawn into out, xi lands in scratch, and the draws in out.
+    """
     if r < 0 or r > pmap.order:
         raise SamplingError("r must lie in [0, map order]")
     sigma = np.array([[float(x) for x in row] for row in pmap.sigma])
-    xi = sample_gaussian(sigma, rng, n)
-    out = xi.copy()
+    xi = sample_gaussian(sigma, rng, n, out=scratch, scratch=out)
+    if out is None:
+        out = xi.copy()
+    else:
+        np.copyto(out, xi)
     for k in range(1, r + 1):
         p = pmap.gradients[k - 1]
         for j in range(pmap.dimension):

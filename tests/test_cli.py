@@ -7,6 +7,8 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -169,11 +171,14 @@ class TestExitCodes:
         ("jump-coupling", "n_samples = 0"), ("jump-coupling", "n_samples = 1"),
         ("jump-coupling", "eps_list = 0.5,0.25"), ("sde-convergence", "h_list = 0.25,0.125"),
         ("clt-rate", "m_list = 16,64"), ("clt-rate", "m_list = 1.5,16.9,64"),
+        ("clt-rate", "n_samples = 1000000000000000"),
     ])
     def test_bad_counts_and_grids_are_2_before_sampling(self, tmp_path, monkeypatch, capsys,
                                                         experiment, line):
         # too few replicates or samples, a grid of fewer than the 3 points
-        # of the rate fit, a fractional m: refused before the first draw
+        # of the rate fit, a fractional m, more samples than the clt-rate
+        # cap (10^15 used to die in Generator.gamma): refused before the
+        # first draw
         def no_draw(*args, **kwargs):
             raise AssertionError("sampled before the config was checked")
 
@@ -257,6 +262,22 @@ class TestExitCodes:
         # check all stay exact rationals
         cum = write(tmp_path, "corr.cum",
                     "2 0 1\n1 1 1/2\n0 2 1\n3 0 1\n0 3 1/2\n2 1 0\n1 2 0\n")
+        cfg = write(tmp_path, "eb.cfg", f"cumulants = {cum}\nr = 1\n")
+        out = str(tmp_path / "out.txt")
+        assert cli.main(["edgeworth-build", "--config", cfg, "--out", out,
+                         "--no-timestamp"]) == 0
+        lines = open(out).read().splitlines()
+        assert "residual check: all zero (exact)" in lines
+        assert "moment check: all equal (exact)" in lines
+
+    @pytest.mark.parametrize("text", [
+        "2 1e-400\n3 1/2\n4 1/3\n",  # float(1e-400) is 0.0
+        "2 0 1\n1 1 0\n0 2 1e-11\n3 0 1/2\n0 3 1/3\n2 1 0\n1 2 0\n",  # condition 1e11
+    ])
+    def test_exactly_positive_definite_covariance_builds(self, tmp_path, text):
+        # both covariances are exactly positive definite; float eigenvalues
+        # rejected the first (exit 2) and the second (exit 3)
+        cum = write(tmp_path, "pd.cum", text)
         cfg = write(tmp_path, "eb.cfg", f"cumulants = {cum}\nr = 1\n")
         out = str(tmp_path / "out.txt")
         assert cli.main(["edgeworth-build", "--config", cfg, "--out", out,
@@ -433,15 +454,70 @@ class TestOutputs:
         assert calls == [3]
         assert "residual check: all zero (exact)" in open(out).read().splitlines()
 
+    def test_edgeworth_build_inverts_sigma_once_per_stage(self, tmp_path, monkeypatch):
+        # one Sigma^{-1} each for the Hermite step, the recursion (which
+        # hands it to every level's solve) and the residual lines
+        calls = []
+        real = polycore.rational_inverse
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        for mod in list(sys.modules.values()):  # every binding, as `from ... import` makes
+            if mod.__name__.startswith("levyedge") and vars(mod).get("rational_inverse") is real:
+                monkeypatch.setattr(mod, "rational_inverse", counted)
+        cfg = write(tmp_path, "eb.cfg", EDGEWORTH_R3)
+        out = str(tmp_path / "out.txt")
+        assert cli.main(["edgeworth-build", "--config", cfg, "--out", out, "--no-timestamp"]) == 0
+        assert len(calls) == 3
+        assert "residual check: all zero (exact)" in open(out).read().splitlines()
+
     @pytest.mark.parametrize("experiment", list(TINY))
     def test_threads_do_not_change_results(self, tmp_path, experiment):
-        cfg = write(tmp_path, "tiny.cfg", TINY[experiment].format(reps=4))
-        o1, o2 = str(tmp_path / "t1.csv"), str(tmp_path / "t4.csv")
-        assert cli.main([experiment, "--config", cfg, "--out", o1, "--no-timestamp"]) == 0
-        assert cli.main(
-            [experiment, "--config", cfg, "--out", o2, "--no-timestamp", "--threads", "4"]
-        ) == 0
-        assert open(o1).read() == open(o2).read()
+        # 5 replicates: over 2 or 4 threads the workers run unequal shares
+        cfg = write(tmp_path, "tiny.cfg", TINY[experiment].format(reps=5))
+        outs = []
+        for threads in ("1", "2", "4"):
+            out = tmp_path / f"t{threads}.csv"
+            assert cli.main([experiment, "--config", cfg, "--out", str(out), "--no-timestamp",
+                             "--threads", threads]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1] == outs[2]
+
+    @pytest.mark.parametrize("mode", ["gaussian", "perturbed"])
+    def test_clt_rate_one_workspace_per_thread(self, tmp_path, monkeypatch, mode):
+        # every replicate and every m a thread runs draws into the same
+        # sum and reference buffers, and no two threads share one
+        calls = []
+        real = cli._wp_1d_in_place
+
+        def spy(x, y, p):
+            calls.append((threading.get_ident(), x, y))  # kept alive: no address reused
+            time.sleep(0.01)  # while a job waits, the pool starts further workers
+            return real(x, y, p)
+
+        monkeypatch.setattr(cli, "_wp_1d_in_place", spy)
+        # p = 4 keeps perturbed mode off the exact-quantile path
+        cfg = write(tmp_path, "c.cfg", TINY["clt-rate"].format(reps=8) + f"mode = {mode}\np = 4\n")
+
+        def buffers(threads):
+            calls.clear()
+            assert cli.main(["clt-rate", "--config", cfg, "--no-timestamp", "--threads", threads,
+                             "--out", str(tmp_path / f"t{threads}.csv")]) == 0
+            assert len(calls) == 3 * 8
+            by_thread = {}
+            for tid, x, y in calls:
+                by_thread.setdefault(tid, set()).add((x.ctypes.data, y.ctypes.data))
+            return by_thread
+
+        one = buffers("1")
+        assert len(one) == 1 and len(next(iter(one.values()))) == 1
+        four = buffers("4")
+        assert 2 <= len(four) <= 4
+        assert all(len(pairs) == 1 for pairs in four.values())
+        addresses = [a for pairs in four.values() for pair in pairs for a in pair]
+        assert len(set(addresses)) == len(addresses)
 
     def test_hash_guard_blocks_mismatched_overwrite(self, tmp_path):
         cfg1 = write(tmp_path, "a.cfg", "m_list = 4,16,64\nn_samples = 200\nreplicates = 1\n")

@@ -8,6 +8,7 @@ import pytest
 
 from levyedge.edgeworth import cumulants_to_moments
 from levyedge.laws import (
+    BUILTIN_LAWS,
     LawError,
     centered_exponential,
     gaussian_law,
@@ -128,3 +129,30 @@ class TestRegistry:
     def test_unknown_law(self):
         with pytest.raises(LawError, match="built-ins"):
             make_law("cauchy")
+
+
+def allocating_sum(law, m, n, rng):
+    """Each law's normalized sum as a fresh-array expression: the
+    reference its in-place sampler must match bit for bit."""
+    if law.name in ("centered-exponential", "product-exponential"):
+        return (rng.gamma(m, size=(n, law.dimension)) - m) / math.sqrt(m)
+    if law.name == "gaussian":
+        return rng.standard_normal((n, 1))
+    total = np.zeros((n, law.dimension))
+    for _ in range(m):
+        total += law.sample(n, rng)
+    return total / math.sqrt(m)
+
+
+class TestSumIntoBuffer:
+    @pytest.mark.parametrize("name", [*BUILTIN_LAWS, "gaussian"])
+    def test_in_place_equals_allocating(self, name):
+        law = make_law(name)
+        n = 500
+        buf = np.full((n, law.dimension), np.nan)  # a stale buffer must not leak in
+        for m in (1, 3, 64):
+            want = allocating_sum(law, m, n, np.random.default_rng(m))
+            fresh = law.sample_sum(m, n, np.random.default_rng(m))
+            into = law.sample_sum(m, n, np.random.default_rng(m), out=buf)
+            assert into is buf
+            assert want.tobytes() == fresh.tobytes() == buf.tobytes()

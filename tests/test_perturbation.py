@@ -15,6 +15,7 @@ from levyedge.edgeworth import (
     multi_indices,
     scaled_sum_moments,
 )
+from levyedge import perturbation
 from levyedge.perturbation import (
     GradientPolyMap,
     PerturbationError,
@@ -165,6 +166,35 @@ class TestSolver:
         assert (-apply_L(u, sig)) - rhs == Polynomial.zero(2)
         assert gaussian_expectation(u, sig) == 0
         assert all(isinstance(c, Fraction) for c in u.terms.values())
+
+    def test_diagonal_sigma_solves_without_elimination(self, monkeypatch):
+        # a diagonal Sigma^{-1} makes each degree's system diagonal: one
+        # exact division per monomial, no Gauss-Jordan
+        def no_elimination(*args):
+            raise AssertionError("solve_linear called for a diagonal Sigma")
+
+        monkeypatch.setattr(perturbation, "solve_linear", no_elimination)
+        sig = [[2, 0], [0, Fraction(1, 3)]]
+        rhs = x(0) ** 3 * x(1) - Fraction(5, 2) * x(0) * x(1) ** 2 + x(1) ** 2 + 7 * x(0)
+        rhs = rhs - gaussian_expectation(rhs, sig)
+        u = solve_hermite_pde(rhs, sig)
+        assert (-apply_L(u, sig)) - rhs == Polynomial.zero(2)
+        assert gaussian_expectation(u, sig) == 0
+
+    def test_invert_S_map_inverts_sigma_once(self, monkeypatch):
+        # the recursion's Sigma^{-1} and moment table serve every level's solve
+        c = CumulantSet(2, 5, {(2, 0): 1, (0, 2): 2, (1, 1): Fraction(1, 2), (3, 0): 1,
+                               (1, 2): Fraction(-1, 3), (4, 0): 2, (0, 5): Fraction(1, 7)})
+        Q = build_Q(c, 3)
+        made = []
+        real_inverse, real_table = perturbation.rational_inverse, perturbation.GaussianMoments
+        monkeypatch.setattr(perturbation, "rational_inverse",
+                            lambda s: made.append("inverse") or real_inverse(s))
+        monkeypatch.setattr(perturbation, "GaussianMoments",
+                            lambda s, q: made.append("moments") or real_table(s, q))
+        pmap = invert_S_map(Q, c.covariance)
+        assert len(pmap.potentials) == 3
+        assert sorted(made) == ["inverse", "moments"]
 
     def test_nonzero_mean_rejected(self):
         with pytest.raises(PerturbationError):

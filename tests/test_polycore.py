@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from levyedge import polycore
 from levyedge.perturbation import invert_S_map
 from levyedge.polycore import (
     MAX_DEGREE,
@@ -21,6 +22,7 @@ from levyedge.polycore import (
     gaussian_moment,
     hermite_1d,
     hermite_sigma,
+    positive_definite,
     rational_inverse,
     solve_linear,
     sum_of_products,
@@ -403,6 +405,39 @@ class TestLinearSolve:
             rational_inverse([[1, 2], [2, 4]])
 
 
+class TestPositiveDefinite:
+    @pytest.mark.parametrize("mat", [
+        [[Fraction(1, 10**400)]],  # 0.0 as a float
+        [[1, 0], [0, Fraction(1, 10**11)]],  # condition number 1e11
+        [[2, 1], [1, 1]],
+        [[2, 1, 0], [1, 2, 1], [0, 1, 2]],
+    ])
+    def test_definite(self, mat):
+        assert positive_definite(mat) and positive_definite(mat, semi=True)
+
+    @pytest.mark.parametrize("mat", [
+        [[1, 0], [0, 0]],
+        [[0, 0], [0, 1]],  # a zero first pivot eliminates nothing
+        [[1, 1], [1, 1]],
+        [[0]],
+    ])
+    def test_semi_definite(self, mat):
+        assert not positive_definite(mat) and positive_definite(mat, semi=True)
+
+    @pytest.mark.parametrize("mat", [
+        [[0, 1], [1, 0]],  # zero pivots, but the minor is -1
+        [[1, 2], [2, 1]],
+        [[-Fraction(1, 10**400)]],
+        [[1, 1, 0], [1, 1, 1], [0, 1, 1]],  # second pivot 0, column below it not
+    ])
+    def test_indefinite(self, mat):
+        assert not positive_definite(mat) and not positive_definite(mat, semi=True)
+
+    def test_float_rejected(self):
+        with pytest.raises(PolynomialError, match="rational"):
+            positive_definite([[1.0]])
+
+
 class TestGaussianMoments:
     def test_univariate_even_moments(self):
         # E Z^{2k} = (2k-1)!!
@@ -460,10 +495,10 @@ class TestGaussianMoments:
         assert table.expectation(p) == gaussian_expectation(p, sigma) == ref((0,) * len(sigma))
 
     def test_expectation_checks_sigma_once(self, monkeypatch):
-        # one symmetry and eigenvalue check per call, not one per monomial
+        # one symmetry and definiteness check per call, not one per monomial
         calls = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+        monkeypatch.setattr(polycore, "positive_definite",
+                            lambda *a, **k: calls.append(1) or positive_definite(*a, **k))
         p = x(0) ** 4 + x(0) * x(1) ** 3 + x(1) ** 2 + 1
         assert gaussian_expectation(p, [[1, 0], [0, 1]]) == 3 + 1 + 1
         assert len(calls) == 1

@@ -69,6 +69,14 @@ class TestGaussian:
         emp = np.cov(z.T)
         assert np.allclose(emp, sig, atol=0.02)
 
+    @pytest.mark.parametrize("sig", [np.array([[1.5]]), np.array([[2.0, 0.5], [0.5, 1.0]])])
+    def test_into_buffers_equals_allocating(self, sig):
+        n, q = 1000, sig.shape[0]
+        want = sample_gaussian(sig, RngStream(1, 3), n)
+        out, scratch = np.empty((n, q)), np.empty((n, q))
+        got = sample_gaussian(sig, RngStream(1, 3), n, out=out, scratch=scratch)
+        assert got is out and want.tobytes() == out.tobytes()
+
 
 class TestPerturbedNormal:
     def pmap(self):
@@ -80,6 +88,14 @@ class TestPerturbedNormal:
         a = sample_perturbed_normal(pmap, 0.2, 0, RngStream(5, 1), 64)
         b = sample_gaussian(np.eye(1), RngStream(5, 1), 64)
         assert np.array_equal(a, b)
+
+    def test_into_buffers_equals_allocating(self):
+        pmap = self.pmap()
+        want = sample_perturbed_normal(pmap, 0.2, 1, RngStream(5, 3), 1000)
+        out, scratch = np.empty((1000, 1)), np.empty((1000, 1))
+        got = sample_perturbed_normal(pmap, 0.2, 1, RngStream(5, 3), 1000, out=out,
+                                      scratch=scratch)
+        assert got is out and want.tobytes() == out.tobytes()
 
     def test_third_moment_matches_expansion(self):
         # E Y^3 of the perturbed draw should track the signed-density

@@ -11,6 +11,7 @@ from scipy.spatial.distance import cdist
 
 from levyedge.wasserstein import (
     WassersteinError,
+    _wp_1d_in_place,
     rate_fit,
     wp_1d_exact,
     wp_empirical,
@@ -34,6 +35,20 @@ class TestOneDimensional:
         f = lambda t: stats.norm.ppf(t)
         g = lambda t: 2.0 * stats.norm.ppf(t)
         assert wp_1d_exact(f, g) == pytest.approx(1.0, rel=1e-8)
+
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    def test_in_place_matches_sorted_copies(self, p):
+        # the in-place kernel: the same bits as mean(|sort(a) - sort(b)|^p)
+        # on copies, and wp_1d_exact leaves its inputs as they were
+        rng = np.random.default_rng(p)
+        a = rng.standard_normal((2000, 1))
+        b = rng.standard_normal((2000, 2))[:, 1]  # a strided view
+        a0, b0 = a.copy(), b.copy()
+        want = float(np.mean(np.abs(np.sort(a[:, 0]) - np.sort(b)) ** p) ** (1.0 / p))
+        assert wp_1d_exact(a, b, p) == want
+        assert np.array_equal(a, a0) and np.array_equal(b, b0)
+        assert _wp_1d_in_place(a0[:, 0], b0, p) == want
+        assert np.array_equal(b0, np.sort(b))
 
     def test_mixed_inputs_rejected(self):
         with pytest.raises(WassersteinError):
