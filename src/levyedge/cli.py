@@ -44,9 +44,16 @@ from .levy import (
     cramer_probe,
     measure_from_config,
 )
-from .perturbation import PerturbationError, apply_L, invert_S_map
-from .polycore import PolynomialError, coefficient_text, rational_inverse
-from .sampling import RngStream, SamplingError, sample_gaussian, sample_perturbed_normal, sample_small_jumps
+from .perturbation import PerturbationError, invert_S_map
+from .polycore import PolynomialError, coefficient_text
+from .sampling import (
+    RngStream,
+    SamplingError,
+    sample_gaussian,
+    sample_perturbed_normal,
+    sample_small_jumps,
+    sym_sqrt,
+)
 from .sde import SchemeConfig, SdeError, SdeSpec, coupled_paths
 from .wasserstein import (
     MAX_ASSIGNMENT_SIZE,
@@ -71,8 +78,14 @@ class NumericalFailure(RuntimeError):
 MAX_TOTAL_JUMPS = 2e10
 
 #: most samples per clt-rate replicate: a worker thread's workspace holds
-#: three (n_samples, q) float arrays, 384 MiB at the cap for q = 1
+#: three (n_samples, q) float arrays, 384 MiB at the cap for q = 1, and in
+#: perturbed mode three (n_samples,) float arrays more, another 384 MiB
 MAX_CLT_SAMPLES = 1 << 24
+
+#: most grid points of one probe-cramer run: conditional_char makes
+#: (grid_n, 400) float arrays, 32 MB each at the cap; a q = 2 run at the
+#: cap peaks about 160 MB above the import
+MAX_GRID_POINTS = 10_000
 
 
 _NUMERIC_ERRORS = (
@@ -286,22 +299,26 @@ def run_clt_rate(cfg: Dict[str, str], seed: int, threads: int) -> List[list]:
     else:
         # each worker thread draws every replicate it runs into its own
         # three (n, q) buffers: the sum, the reference and the standard
-        # normals under it; no buffer is freed and faulted in again
+        # normals under it, and in perturbed mode evaluates the map into
+        # three (n,) buffers more; no buffer is freed and faulted in again
         local = threading.local()
+        sigma_root = sym_sqrt(sigma)  # one eigendecomposition for every replicate
 
         def one(job):
             mi, rep = job
-            ws = getattr(local, "ws", None)
-            if ws is None:
-                ws = local.ws = np.empty((3, n, law.dimension))
+            if not hasattr(local, "ws"):
+                local.ws = np.empty((3, n, law.dimension))
+                local.work = np.empty((3, n)) if pmap is not None else None
+            ws, work = local.ws, local.work
             m = m_list[mi]
             g = root.child(rep, mi, "clt").generator
             ym = law.sample_sum(m, n, g, out=ws[0])
             if mode == "gaussian":
-                ref = sample_gaussian(sigma, g, n, out=ws[1], scratch=ws[2])
+                ref = sample_gaussian(sigma, g, n, out=ws[1], scratch=ws[2], root=sigma_root)
             else:
                 ref = sample_perturbed_normal(pmap, 1.0 / math.sqrt(m), r_order, g, n,
-                                              out=ws[1], scratch=ws[2])
+                                              out=ws[1], scratch=ws[2], work=work,
+                                              root=sigma_root)
             if law.dimension == 1:
                 return _wp_1d_in_place(ym[:, 0], ref[:, 0], p)
             return wp_empirical(ym, ref, p)
@@ -495,14 +512,14 @@ def run_edgeworth_build(cfg: Dict[str, str], seed: int, threads: int) -> List[st
         lines.append(f"Q_{k}(x) = {Q[k - 1].to_text()}")
     lines.append("")
     pmap = invert_S_map(Q, cset.covariance)
-    inv = rational_inverse(cset.covariance)
     all_zero = True
     for k in range(1, r + 1):
         u = pmap.potentials[k - 1]
         lines.append(f"u_{k}(x) = {u.to_text()}")
         for j, g in enumerate(pmap.gradients[k - 1]):
             lines.append(f"p_{k},{j + 1}(x) = {g.to_text()}")
-        resid = apply_L(u, cset.covariance, inv) + (Q[k - 1] - pmap.s_tilde[k - 1])
+        # Q_k - S~_k - L_Sigma u_k, with the L_Sigma u_k that the build checked
+        resid = Q[k - 1] - pmap.s_tilde[k - 1] - pmap.l_sigma[k - 1]
         zero = not resid.terms
         lines.append(f"residual_{k}: {'0 (exact)' if zero else resid.to_text()}")
         all_zero = all_zero and zero
@@ -546,8 +563,15 @@ def run_probe_cramer(cfg: Dict[str, str], seed: int, threads: int) -> List[str]:
     lo = _get_float(cfg, "grid_lo", rho)
     hi = _get_float(cfg, "grid_hi", 60.0)
     npts = _get_int(cfg, "grid_n", 200)
+    if not all(map(math.isfinite, (rho, lo, hi))):
+        raise ConfigError("rho, grid_lo and grid_hi must be finite numbers")
     if lo < rho or hi <= lo or npts < 2:
         raise ConfigError("grid must satisfy rho <= grid_lo < grid_hi, grid_n >= 2")
+    if npts > MAX_GRID_POINTS:
+        raise ConfigError(f"grid_n {npts} exceeds the grid cap {MAX_GRID_POINTS}")
+    delta = _get_float(cfg, "delta", 0.1) if "delta" in cfg else None
+    if delta is not None and not 0 < delta < min(rho, 1.0):
+        raise ConfigError("delta must lie in (0, min(rho, 1))")
     grid = np.linspace(lo, hi, npts)
     gamma = cramer_probe(meas, r, rho, grid)
     lines = [
@@ -557,8 +581,7 @@ def run_probe_cramer(cfg: Dict[str, str], seed: int, threads: int) -> List[str]:
     ]
     if gamma >= 1.0:
         raise NumericalFailure("characteristic probe did not certify decay (sup >= 1)")
-    if "delta" in cfg:
-        delta = _get_float(cfg, "delta", 0.1)
+    if delta is not None:
         gbar = cramer_amplify(rho, gamma, delta)
         lines.append(f"amplified bound on |s| >= {delta}: gamma_bar = {gbar!r}")
     return lines

@@ -33,6 +33,7 @@ from .polycore import (
     Polynomial,
     grlex_key,
     hermite_sigma,
+    multi_indices,
     positive_definite,
     rational_inverse,
     sum_of_products,
@@ -46,16 +47,6 @@ class EdgeworthError(ValueError):
 #: largest |exponent| a cumulant file may write in a decimal value: the
 #: exact value of 1e-N has an (N + 1)-digit denominator
 MAX_DECIMAL_EXPONENT = 1000
-
-
-def multi_indices(q: int, total: int):
-    """All exponent tuples of length q with |alpha| = total."""
-    if q == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in multi_indices(q - 1, total - first):
-            yield (first,) + rest
 
 
 def _factorial_alpha(alpha: Tuple[int, ...]) -> int:

@@ -21,21 +21,22 @@ as an exact equality.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from operator import ge, sub
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .edgeworth import multi_indices
 from .polycore import (
     GaussianMoments,
     Polynomial,
+    diagonal_degree_solve,
     exp_coefficient,
+    multi_indices,
     rational_inverse,
     solve_linear,
     sum_of_products,
+    taylor_terms,
+    x_dot_inv_grad,
 )
 
 
@@ -56,17 +57,24 @@ def is_curl_free(U: Sequence[Polynomial]) -> bool:
 class GradientPolyMap:
     """Potentials u_1..u_r and their gradient fields p_k for one covariance.
 
-    s_tilde holds S~_1..S~_r (S~_1 = 0) of the recursion that built the
-    potentials, when invert_S_map built them; otherwise it is None.
+    When invert_S_map built the potentials, s_tilde holds S~_1..S~_r
+    (S~_1 = 0) of its recursion, gradients the grad u_k that the
+    recursion built, and l_sigma the L_Sigma u_k = x . Sigma^{-1} grad u_k
+    - Lap u_k that it checked; otherwise s_tilde and l_sigma are None and
+    the gradients are built here.
     """
 
     def __init__(self, sigma, potentials: Sequence[Polynomial],
-                 s_tilde: Optional[Sequence[Polynomial]] = None):
+                 s_tilde: Optional[Sequence[Polynomial]] = None,
+                 gradients: Optional[Sequence[list]] = None,
+                 l_sigma: Optional[Sequence[Polynomial]] = None):
         self.sigma = [list(row) for row in sigma]
         self.dimension = len(self.sigma)
         self.potentials = list(potentials)
         self.s_tilde = None if s_tilde is None else list(s_tilde)
-        self.gradients = [u.gradient() for u in self.potentials]
+        self.l_sigma = None if l_sigma is None else list(l_sigma)
+        self.gradients = ([u.gradient() for u in self.potentials] if gradients is None
+                          else list(gradients))
         for k, (u, p) in enumerate(zip(self.potentials, self.gradients), start=1):
             if u.dimension != self.dimension:
                 raise PerturbationError("potential dimension mismatch")
@@ -96,7 +104,12 @@ def apply_L(u: Polynomial, sigma, inv=None) -> Polynomial:
     """
     if inv is None:
         inv = rational_inverse(sigma)
-    return u.laplacian() - _x_dot_inv_grad(u, inv)
+    return u.laplacian() - x_dot_inv_grad(u, inv)
+
+
+def _l_sigma(u: Polynomial, inv) -> Polynomial:
+    """L_Sigma u = x . Sigma^{-1} grad u - Lap u, given inv = Sigma^{-1}."""
+    return x_dot_inv_grad(u, inv) - u.laplacian()
 
 
 def solve_hermite_pde(rhs: Polynomial, sigma, inv=None, moments=None) -> Polynomial:
@@ -110,7 +123,8 @@ def solve_hermite_pde(rhs: Polynomial, sigma, inv=None, moments=None) -> Polynom
     coefficient is one exact division.  The degree-0 balance holds
     exactly when rhs integrates to zero against the N(0, Sigma) density,
     and the free constant is chosen so that u does too.  rhs and Sigma
-    are rational, and the residual is checked to be exactly zero.  inv
+    are rational, and L_Sigma u = x . Sigma^{-1} grad u - Lap u is built
+    once and checked to equal rhs exactly.  inv
     (Sigma^{-1}) and moments (a GaussianMoments table of Sigma), when
     given, come from a caller that already made them for this Sigma.
     """
@@ -125,14 +139,12 @@ def solve_hermite_pde(rhs: Polynomial, sigma, inv=None, moments=None) -> Polynom
     for d in range(top, 0, -1):
         lap = parts[d + 2].laplacian()
         monos = list(multi_indices(q, d))
+        if diagonal:
+            parts[d] = diagonal_degree_solve([rhs, lap], monos, [inv[i][i] for i in range(q)])
+            continue
         b = [rhs.coefficient(a) + lap.coefficient(a) for a in monos]
         if any(b):
-            if diagonal:
-                sol = [v / sum(inv[i][i] * a[i] for i in range(q)) if v else v
-                       for a, v in zip(monos, b)]
-            else:
-                sol = [row[0] for row in solve_linear(_operator_matrix(monos, inv),
-                                                      [[v] for v in b])]
+            sol = [row[0] for row in solve_linear(_operator_matrix(monos, inv), [[v] for v in b])]
             parts[d] = Polynomial(q, dict(zip(monos, sol)))
     mean = rhs.constant_term() + parts[2].laplacian().constant_term()
     if mean != 0:
@@ -141,7 +153,7 @@ def solve_hermite_pde(rhs: Polynomial, sigma, inv=None, moments=None) -> Polynom
     for part in parts[1:top + 1]:
         u = u + part
     u = u - moments.expectation(u)
-    if not (_x_dot_inv_grad(u, inv) - u.laplacian() - rhs).is_zero():
+    if _l_sigma(u, inv) != rhs:
         raise AssertionError("PDE residual nonzero")
     return u
 
@@ -164,43 +176,6 @@ def _operator_matrix(monos: list, inv) -> list:
     return mat
 
 
-def _x_dot_inv_grad(u: Polynomial, inv) -> Polynomial:
-    """x . Sigma^{-1} grad u, given inv = Sigma^{-1}, in closed form:
-    x . Sigma^{-1} grad x^beta = sum_ij (Sigma^{-1})_ij beta_j x^(beta - e_j + e_i)."""
-    q = u.dimension
-    terms: dict = {}
-    for i in range(q):
-        for j in range(q):
-            s = inv[i][j]
-            if s != 0:
-                for beta, c in u.terms.items():
-                    if beta[j]:
-                        a = list(beta)
-                        a[j] -= 1
-                        a[i] += 1
-                        a = tuple(a)
-                        terms[a] = terms.get(a, 0) + c * beta[j] * s
-    return Polynomial._of(q, terms)
-
-
-def _taylor_terms(S: Polynomial, top: int) -> list:
-    """(beta, d^beta S / beta!) for 1 <= |beta| <= top, nonzero ones only:
-    the coefficient of S(x + d) on d^beta.  d^beta S / beta! has the terms
-    c_alpha prod_j C(alpha_j, beta_j) x^(alpha - beta)."""
-    q = S.dimension
-    out = []
-    for m in range(1, min(top, S.degree()) + 1):
-        for beta in multi_indices(q, m):
-            terms = {
-                tuple(map(sub, alpha, beta)): c * math.prod(map(math.comb, alpha, beta))
-                for alpha, c in S.terms.items()
-                if all(map(ge, alpha, beta))
-            }
-            if terms:
-                out.append((beta, Polynomial._of(q, terms)))
-    return out
-
-
 class _Recursion:
     """The eps-series of the pushforward balance, kept across levels.
 
@@ -216,10 +191,11 @@ class _Recursion:
     adds that term of u_k to the eps^k coefficients made at level k - 1,
     checks the level-k balance, and makes the eps^(k+1) coefficients
     without u_(k+1): their difference is S~_(k+1).  Nothing is
-    recomputed.  The state: G_m (as m G_m) and F_m = exp(G)_m; the
-    coefficients B_m of (I + A)^{-1} (log det(I + A) has
-    n L_n = sum_i i tr(A_i B_(n-i))); the eps-coefficients of every d^beta,
-    one column per level; and d^beta S_j / beta! for |beta| <= order - j.
+    recomputed.  The state: L_Sigma u_k and grad u_k of each level; G_m
+    (as m G_m) and F_m = exp(G)_m; the coefficients B_m of (I + A)^{-1}
+    (log det(I + A) has n L_n = sum_i i tr(A_i B_(n-i))); the
+    eps-coefficients of every d^beta, one column per level; and
+    d^beta S_j / beta! for |beta| <= order - j.
     Every check is an exact equality.
     """
 
@@ -230,6 +206,7 @@ class _Recursion:
         self.moments = GaussianMoments(sig, q)
         zero, one = Polynomial.zero(q), Polynomial.constant(q, Fraction(1))
         self.zero = zero
+        self.l_sigma: list = []  # L_Sigma u_j
         self.grads: list = []  # p_j
         self.inv_grads: list = []  # Sigma^{-1} p_j
         self.hess: list = []  # A_j = Hess u_j
@@ -237,16 +214,22 @@ class _Recursion:
         self.ig = [zero, zero]  # m G_m; the eps^1 coefficients before u_1 are zero
         self.f = [one, zero]
         self.dpow = {(0,) * q: [one]}  # beta -> [(d^beta)_0, (d^beta)_1, ...]
-        self.taylor: list = []  # per target j: _taylor_terms(S_j, order - j)
+        self.taylor: list = []  # per target j: taylor_terms(S_j, order - j)
         self.s_tilde = zero  # S~ of the next level
 
-    def level(self, u: Polynomial, target: Polynomial) -> None:
-        """Take u_k and S_k, check the level-k balance, and, below the
-        order, make S~_(k+1)."""
+    def level(self, u: Polynomial, target: Polynomial, lin: Optional[Polynomial] = None) -> None:
+        """Take u_k and S_k, check the level-k balance
+        S~_k + L_Sigma u_k = S_k, and, below the order, make S~_(k+1).
+
+        lin is L_Sigma u_k when the caller has it: invert_S_map passes the
+        right-hand side that its solve checked L_Sigma u_k to equal.
+        Otherwise it is built here."""
         q, k = self.q, len(self.grads) + 1
-        lin = _x_dot_inv_grad(u, self.inv) - u.laplacian()
-        if not (self.s_tilde + lin - target).is_zero():
+        if lin is None:
+            lin = _l_sigma(u, self.inv)
+        if self.s_tilde + lin != target:
             raise PerturbationError(f"inconsistent inputs at level {k}")
+        self.l_sigma.append(lin)
         self.f[k] = self.f[k] + lin
         self.ig[k] = self.ig[k] + lin * k
         grad = u.gradient()
@@ -259,7 +242,7 @@ class _Recursion:
             sum_of_products(q, [(grad[c], self.inv[a][c]) for c in range(q)]) for a in range(q)
         ])
         self.hess.append(hess)
-        self.taylor.append(_taylor_terms(target, self.order - k))
+        self.taylor.append(taylor_terms(target, self.order - k))
         if k < self.order:
             self._next(k + 1)
 
@@ -333,18 +316,21 @@ def compute_S_tilde(
 def invert_S_map(Q: Sequence[Polynomial], sigma) -> GradientPolyMap:
     """Potentials whose gradient perturbation realizes target corrections.
 
-    Solves the level-by-level recursion S~_k - L_Sigma(grad u_k) = Q_k
-    with S~_1 = 0, in one pass of the balance recursion, and keeps each
-    S~_k on the map; Q and Sigma are rational.
+    Solves the level-by-level recursion S~_k + L_Sigma u_k = Q_k with
+    S~_1 = 0, in one pass of the balance recursion, and keeps each S~_k,
+    grad u_k and L_Sigma u_k on the map; Q and Sigma are rational.  Each
+    level's L_Sigma u_k is built once, by the solve's residual check, and
+    the right-hand side Q_k - S~_k it equals stands for it after that.
     """
     rec = _Recursion(sigma, len(Q))
     pots: List[Polynomial] = []
     s_tilde: List[Polynomial] = []
     for qk in Q:
         s_tilde.append(rec.s_tilde)
-        pots.append(solve_hermite_pde(qk - rec.s_tilde, sigma, rec.inv, rec.moments))
-        rec.level(pots[-1], qk)
-    return GradientPolyMap(sigma, pots, s_tilde)
+        rhs = qk - rec.s_tilde
+        pots.append(solve_hermite_pde(rhs, sigma, rec.inv, rec.moments))
+        rec.level(pots[-1], qk, rhs)
+    return GradientPolyMap(sigma, pots, s_tilde, rec.grads, rec.l_sigma)
 
 
 def pushforward_density_1d(u: Polynomial, eps: float, ys: np.ndarray, lam: float = 1.0) -> np.ndarray:

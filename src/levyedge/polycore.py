@@ -1,15 +1,17 @@
 """Exact sparse multivariate polynomial algebra.
 
-Polynomials are stored as a dict mapping exponent tuples to coefficients.
-Every kernel (products, the Hermite step, the linear solve, Gaussian
-moments) takes `fractions.Fraction` coefficients, keeps the arithmetic in
-integers until the last step and raises PolynomialError for a float; a
-polynomial holds floats only to be evaluated.  On top of the carrier type
-this module provides probabilists' Hermite polynomials and their
-counterparts H^Sigma_alpha for a general covariance, small linear solves
-(Gauss-Jordan), Gaussian moments (one memoised table per covariance) and
-truncated formal power series in an auxiliary small parameter, with
-polynomial coefficients.
+A polynomial keeps its exact coefficients as integer numerators over one
+common denominator, in lowest terms, in a dict keyed by exponent tuples.
+Every kernel (sums, scalar and polynomial products, derivatives, the
+Hermite step, the diagonal degree solve, Gaussian moments) works on those
+integers and raises PolynomialError for a float; a `fractions.Fraction`
+is made only where a caller reads the coefficients, prints or evaluates
+exactly, and a polynomial holds floats only to be evaluated.  On top of
+the carrier type this module provides probabilists' Hermite polynomials
+and their counterparts H^Sigma_alpha for a general covariance, small
+linear solves (Gauss-Jordan), Gaussian moments (one memoised table per
+covariance) and truncated formal power series in an auxiliary small
+parameter, with polynomial coefficients.
 
 All values are treated as immutable after construction; every operation
 returns a fresh object.
@@ -20,7 +22,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
+from operator import add, ge, sub
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -49,6 +52,16 @@ def _as_coeff(c) -> Coeff:
     raise PolynomialError(f"unsupported coefficient type {type(c)!r}")
 
 
+def multi_indices(q: int, total: int):
+    """All exponent tuples of length q with |alpha| = total."""
+    if q == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in multi_indices(q - 1, total - first):
+            yield (first,) + rest
+
+
 def grlex_key(alpha: tuple) -> tuple:
     """Graded-lexicographic sort key for exponent tuples."""
     return (sum(alpha), tuple(-a for a in alpha))
@@ -62,13 +75,12 @@ def _rational(c) -> Fraction:
     return c
 
 
-def _integer_numerators(terms: dict):
-    """([(alpha, c * l)], l) for l the lcm of the Fraction denominators."""
-    try:
-        l = math.lcm(*(c.denominator for c in terms.values()))
-    except AttributeError:
-        raise PolynomialError("exact arithmetic needs rational coefficients, not floats") from None
-    return [(a, c.numerator * (l // c.denominator)) for a, c in terms.items()], l
+def _integer_row(values: Sequence) -> tuple:
+    """([v * l for v in values], l) for l the lcm of the denominators of
+    the rational values."""
+    values = [_rational(v) for v in values]
+    l = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (l // v.denominator) for v in values], l
 
 
 def coefficient_text(c: Coeff) -> str:
@@ -82,11 +94,15 @@ def coefficient_text(c: Coeff) -> str:
 class Polynomial:
     """Sparse multivariate polynomial over exponent tuples.
 
-    Zero coefficients are never stored, so equality of term dicts is
-    equality of polynomials.
+    Exact coefficients are the integers _num[alpha] over the one
+    denominator _den, with the gcd of _den and every numerator 1, so
+    equal polynomials have equal integers.  A polynomial with a float
+    coefficient has _den None and keeps its coefficients as given in _num.
+    Zero coefficients are never stored; the dict order is the order the
+    terms were made in, and __call__ sums in it.
     """
 
-    __slots__ = ("dimension", "terms")
+    __slots__ = ("dimension", "_num", "_den", "_terms")
 
     def __init__(self, dimension: int, terms: Mapping[tuple, Coeff] | None = None):
         if dimension < 1:
@@ -100,22 +116,59 @@ class Polynomial:
                 c = _as_coeff(c)
                 if c != 0:
                     clean[alpha] = c
-        object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "terms", clean)
+        Polynomial._init(self, dimension, clean)
 
     def __setattr__(self, *a):
         raise AttributeError("Polynomial is immutable")
 
     @staticmethod
-    def _of(dimension: int, terms: dict) -> "Polynomial":
-        """Wrap terms that this class's own arithmetic made from checked
-        polynomials: the exponent tuples and coefficient types are already
-        valid, so only zero coefficients are dropped.  The dict order is
-        kept, as __call__ sums in that order."""
-        p = object.__new__(Polynomial)
-        object.__setattr__(p, "dimension", dimension)
-        object.__setattr__(p, "terms", {a: c for a, c in terms.items() if c})
+    def _init(p: "Polynomial", dimension: int, coeffs: dict, den=None) -> "Polynomial":
+        """Set p from nonzero coefficients: Fractions and floats (den None;
+        all-Fraction ones are brought to integers over their lcm) or
+        integer numerators over den, in lowest terms."""
+        if den is None and not any(isinstance(c, float) for c in coeffs.values()):
+            den = math.lcm(*(c.denominator for c in coeffs.values()))
+            coeffs = {a: c.numerator * (den // c.denominator) for a, c in coeffs.items()}
+        for name, value in (("dimension", dimension), ("_num", coeffs), ("_den", den),
+                            ("_terms", None)):
+            object.__setattr__(p, name, value)
         return p
+
+    @staticmethod
+    def _exact(dimension: int, num: dict, den: int) -> "Polynomial":
+        """The polynomial of the integer numerators num over den > 0 that
+        this module's kernels made: zeros are dropped, the dict order is
+        kept, and numerators and denominator are divided by their gcd."""
+        num = {a: n for a, n in num.items() if n}
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            num = {a: n // g for a, n in num.items()}
+            den //= g
+        return Polynomial._init(object.__new__(Polynomial), dimension, num, den)
+
+    @staticmethod
+    def _mixed(dimension: int, coeffs: dict) -> "Polynomial":
+        """The polynomial of Fraction and float coefficients that this
+        module's evaluation-only arithmetic made; zeros are dropped."""
+        return Polynomial._init(object.__new__(Polynomial), dimension,
+                                {a: c for a, c in coeffs.items() if c})
+
+    def _integers(self) -> tuple:
+        """(numerators, denominator) for an exact kernel; a float
+        coefficient raises PolynomialError."""
+        if self._den is None:
+            raise PolynomialError("exact arithmetic needs rational coefficients, not floats")
+        return self._num, self._den
+
+    @property
+    def terms(self) -> Mapping[tuple, Coeff]:
+        """Read-only view exponent tuple -> coefficient (Fraction, or as
+        given where a float is), in term order; made on first read."""
+        if self._terms is None:
+            den = self._den
+            object.__setattr__(self, "_terms", MappingProxyType(
+                self._num if den is None else {a: Fraction(n, den) for a, n in self._num.items()}))
+        return self._terms
 
     # -- constructors -------------------------------------------------
 
@@ -137,26 +190,30 @@ class Polynomial:
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max((sum(a) for a in self.terms), default=-1)
+        return max(map(sum, self._num), default=-1)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def coefficient(self, alpha: Sequence[int]) -> Coeff:
-        return self.terms.get(tuple(alpha), Fraction(0))
+        if self._den is None:
+            return self._num.get(tuple(alpha), Fraction(0))
+        return Fraction(self._num.get(tuple(alpha), 0), self._den)
 
     def constant_term(self) -> Coeff:
-        return self.terms.get((0,) * self.dimension, Fraction(0))
+        return self.coefficient((0,) * self.dimension)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Polynomial)
-            and self.dimension == other.dimension
-            and self.terms == other.terms
-        )
+        if not isinstance(other, Polynomial) or self.dimension != other.dimension:
+            return False
+        if self._den is None or other._den is None:
+            return self.terms == other.terms
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        return hash((self.dimension, frozenset(self.terms.items())))
+        if self._den is None:  # as the polynomial of the floats' exact values
+            return hash(Polynomial(self.dimension, {a: Fraction(c) for a, c in self._num.items()}))
+        return hash((self.dimension, self._den, frozenset(self._num.items())))
 
     # -- arithmetic ---------------------------------------------------
 
@@ -164,41 +221,53 @@ class Polynomial:
         if self.dimension != other.dimension:
             raise PolynomialError("dimension mismatch")
 
-    def __add__(self, other):
+    def _combine(self, other, op) -> "Polynomial":
+        """op(self, other) termwise in one pass: self's terms, then
+        other's new ones, those that cancel dropped."""
         if not isinstance(other, Polynomial):
-            return self + Polynomial.constant(self.dimension, other)
+            other = Polynomial.constant(self.dimension, other)
         self._check_dim(other)
-        terms = dict(self.terms)
-        for alpha, c in other.terms.items():
-            terms[alpha] = terms.get(alpha, 0) + c
-        return Polynomial._of(self.dimension, terms)
+        if self._den is None or other._den is None:
+            terms = dict(self.terms)
+            for alpha, c in other.terms.items():
+                terms[alpha] = op(terms.get(alpha, 0), c)
+            return Polynomial._mixed(self.dimension, terms)
+        den = math.lcm(self._den, other._den)
+        f, g = den // self._den, den // other._den
+        terms = {a: n * f for a, n in self._num.items()} if f != 1 else dict(self._num)
+        for alpha, n in other._num.items():
+            terms[alpha] = op(terms.get(alpha, 0), n * g)
+        return Polynomial._exact(self.dimension, terms, den)
+
+    def __add__(self, other):
+        return self._combine(other, add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._of(self.dimension, {a: -c for a, c in self.terms.items()})
+        if self._den is None:
+            return Polynomial._mixed(self.dimension, {a: -c for a, c in self._num.items()})
+        return Polynomial._exact(self.dimension, {a: -n for a, n in self._num.items()}, self._den)
 
     def __sub__(self, other):
         """self + (-other) in one pass: the same terms, in the same order."""
-        if not isinstance(other, Polynomial):
-            other = Polynomial.constant(self.dimension, other)
-        self._check_dim(other)
-        terms = dict(self.terms)
-        for alpha, c in other.terms.items():
-            terms[alpha] = terms.get(alpha, 0) - c
-        return Polynomial._of(self.dimension, terms)
+        return self._combine(other, sub)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if not isinstance(other, Polynomial):
-            c = _as_coeff(other)
-            if c == 0:
-                return Polynomial.zero(self.dimension)
-            return Polynomial._of(self.dimension, {a: v * c for a, v in self.terms.items()})
-        self._check_dim(other)
-        return sum_of_products(self.dimension, [(self, other)])
+        if isinstance(other, Polynomial):
+            self._check_dim(other)
+            return sum_of_products(self.dimension, [(self, other)])
+        c = _as_coeff(other)
+        if c == 0:
+            return Polynomial.zero(self.dimension)
+        if self._den is None or isinstance(c, float):  # evaluation only
+            return Polynomial._mixed(self.dimension, {a: v * c for a, v in self.terms.items()})
+        n = c.numerator
+        return Polynomial._exact(self.dimension, {a: v * n for a, v in self._num.items()},
+                                 self._den * c.denominator)
 
     __rmul__ = __mul__
 
@@ -219,32 +288,38 @@ class Polynomial:
     # -- calculus -----------------------------------------------------
 
     def partial(self, j: int) -> "Polynomial":
+        num, den = self._integers()
         terms = {}
-        for alpha, c in self.terms.items():
-            if alpha[j] == 0:
-                continue
-            a = list(alpha)
-            k = a[j]
-            a[j] -= 1
-            key = tuple(a)
-            terms[key] = terms.get(key, 0) + c * k
-        return Polynomial._of(self.dimension, terms)
+        for alpha, n in num.items():
+            k = alpha[j]
+            if k:
+                key = alpha[:j] + (k - 1,) + alpha[j + 1:]
+                terms[key] = terms.get(key, 0) + n * k
+        return Polynomial._exact(self.dimension, terms, den)
 
     def gradient(self) -> list:
         return [self.partial(j) for j in range(self.dimension)]
 
     def laplacian(self) -> "Polynomial":
         """sum_j d_j d_j, in closed form: x^alpha -> alpha_j (alpha_j - 1) x^(alpha - 2 e_j)."""
+        num, den = self._integers()
         terms: dict = {}
         for j in range(self.dimension):
-            for alpha, c in self.terms.items():
+            for alpha, n in num.items():
                 k = alpha[j]
                 if k > 1:
                     key = alpha[:j] + (k - 2,) + alpha[j + 1:]
-                    terms[key] = terms.get(key, 0) + c * k * (k - 1)
-        return Polynomial._of(self.dimension, terms)
+                    terms[key] = terms.get(key, 0) + n * (k * (k - 1))
+        return Polynomial._exact(self.dimension, terms, den)
 
     # -- evaluation / substitution ------------------------------------
+
+    def _floats(self):
+        """(alpha, float coefficient) in term order."""
+        den = self._den
+        if den is None:
+            return [(a, float(c)) for a, c in self._num.items()]
+        return [(a, n / den) for a, n in self._num.items()]  # int / int rounds as float(Fraction)
 
     def __call__(self, x):
         """Evaluate at a point or along the last axis of an array."""
@@ -252,13 +327,38 @@ class Polynomial:
         if x.shape[-1] != self.dimension:
             raise PolynomialError("point dimension mismatch")
         out = np.zeros(x.shape[:-1])
-        for alpha, c in self.terms.items():
+        for alpha, c in self._floats():
             mono = np.ones(x.shape[:-1])
             for j, e in enumerate(alpha):
                 if e:
                     mono = mono * x[..., j] ** e
-            out = out + float(c) * mono
+            out = out + c * mono
         return out if out.shape else float(out)
+
+    def evaluate_into(self, x: np.ndarray, out: np.ndarray, mono: np.ndarray,
+                      power: np.ndarray) -> np.ndarray:
+        """self(x) for a float (n, dimension) array x, written to out.
+
+        out, mono and power are distinct C-contiguous float (n,) arrays;
+        mono and power hold each monomial and each power on the way, so
+        nothing is allocated.  The float operations and their order are
+        those of __call__, so the values are the same bit for bit.
+        """
+        out.fill(0.0)
+        for alpha, c in self._floats():
+            first = True
+            for j, e in enumerate(alpha):
+                if e:
+                    if first:
+                        np.power(x[:, j], e, out=mono)
+                        first = False
+                    else:
+                        np.multiply(mono, np.power(x[:, j], e, out=power), out=mono)
+            if first:
+                mono.fill(1.0)
+            np.multiply(mono, c, out=mono)
+            np.add(out, mono, out=out)
+        return out
 
     def evaluate_exact(self, point: Sequence) -> Coeff:
         """Evaluate with Fraction arithmetic (point entries rational)."""
@@ -312,7 +412,7 @@ class Polynomial:
     def to_text(self) -> str:
         """Deterministic form: graded-lex terms, exact fractions; a
         coefficient too long to print raises PolynomialError."""
-        if not self.terms:
+        if not self._num:
             return "0"
         parts = []
         for alpha, c in self.sorted_terms():
@@ -333,36 +433,110 @@ def sum_of_products(dimension: int, pairs: Iterable, scale=1) -> Polynomial:
     variables; each a_i is a Polynomial, each b_i a Polynomial or a scalar.
 
     Each pair's integer numerators are convolved over one common
-    denominator of all the pairs, and each output term becomes one
-    Fraction.  A float coefficient, b_i or scale raises PolynomialError, as
-    does a pair of polynomials whose degrees add up to more than MAX_DEGREE.
+    denominator of all the pairs.  A float coefficient, b_i or scale
+    raises PolynomialError, as does a pair of polynomials whose degrees
+    add up to more than MAX_DEGREE.
     """
     const = (0,) * dimension
     nums, den = [], 1
     for a, b in pairs:
         if isinstance(b, Polynomial):
-            bt = b.terms
-            if a.terms and bt and max(map(sum, a.terms)) + max(map(sum, bt)) > MAX_DEGREE:
+            if not (a._num and b._num):
+                continue
+            if a.degree() + b.degree() > MAX_DEGREE:
                 raise PolynomialError(f"product degree exceeds cap {MAX_DEGREE}")
+            (n1, l1), (n2, l2) = a._integers(), b._integers()
         else:
             b = _rational(b)
-            bt = {const: b} if b else {}
-        if a.terms and bt:
-            n1, l1 = _integer_numerators(a.terms)
-            n2, l2 = _integer_numerators(bt)
-            nums.append((n1, n2, l1 * l2))
-            den = math.lcm(den, l1 * l2)
+            if not (a._num and b):
+                continue
+            (n1, l1), (n2, l2) = a._integers(), ({const: b.numerator}, b.denominator)
+        nums.append((n1, n2, l1 * l2))
+        den = math.lcm(den, l1 * l2)
     scale = _rational(scale)
     acc: dict = {}
     for n1, n2, l in nums:
         f = den // l
-        for a1, c1 in n1:
+        for a1, c1 in n1.items():
             c1 *= f
-            for a2, c2 in n2:
+            for a2, c2 in n2.items():
                 key = tuple(map(add, a1, a2))
                 acc[key] = acc.get(key, 0) + c1 * c2
-    num, den = scale.numerator, den * scale.denominator
-    return Polynomial._of(dimension, {a: Fraction(n * num, den) for a, n in acc.items() if n})
+    num = scale.numerator
+    if num != 1:
+        acc = {a: n * num for a, n in acc.items()}
+    return Polynomial._exact(dimension, acc, den * scale.denominator)
+
+
+def x_dot_inv_grad(u: Polynomial, inv) -> Polynomial:
+    """x . Sigma^{-1} grad u, given inv = Sigma^{-1}, in closed form:
+    x . Sigma^{-1} grad x^beta = sum_ij (Sigma^{-1})_ij beta_j x^(beta - e_j + e_i).
+
+    A float entry of inv gives the float polynomial of the product form
+    sum_ij x_i (d_j u) (Sigma^{-1})_ij, for evaluation only."""
+    q = u.dimension
+    if any(isinstance(s, (float, np.floating)) for row in inv for s in row):
+        out = Polynomial.zero(q)
+        for i in range(q):
+            for j in range(q):
+                if inv[i][j] != 0:
+                    out = out + Polynomial.variable(q, i) * u.partial(j) * inv[i][j]
+        return out
+    num, den = u._integers()
+    s, l = _integer_row([c for row in inv for c in row])
+    terms: dict = {}
+    for i in range(q):
+        for j in range(q):
+            sij = s[i * q + j]
+            if sij:
+                for beta, n in num.items():
+                    k = beta[j]
+                    if k:
+                        a = list(beta)
+                        a[j] -= 1
+                        a[i] += 1
+                        a = tuple(a)
+                        terms[a] = terms.get(a, 0) + n * k * sij
+    return Polynomial._exact(q, terms, den * l)
+
+
+def taylor_terms(S: Polynomial, top: int) -> list:
+    """(beta, d^beta S / beta!) for 1 <= |beta| <= top, nonzero ones only:
+    the coefficient of S(x + d) on d^beta.  d^beta S / beta! has the terms
+    c_alpha prod_j C(alpha_j, beta_j) x^(alpha - beta)."""
+    num, den = S._integers()
+    q = S.dimension
+    out = []
+    for m in range(1, min(top, S.degree()) + 1):
+        for beta in multi_indices(q, m):
+            terms = {
+                tuple(map(sub, alpha, beta)): n * math.prod(map(math.comb, alpha, beta))
+                for alpha, n in num.items()
+                if all(map(ge, alpha, beta))
+            }
+            if terms:
+                out.append((beta, Polynomial._exact(q, terms, den)))
+    return out
+
+
+def diagonal_degree_solve(parts: Sequence[Polynomial], monos: Sequence[tuple],
+                          diag: Sequence) -> Polynomial:
+    """The u_d with x . diag(diag) grad u_d = b on the span of monos, for
+    b_a the sum over parts of their coefficients of x^a: each x^a is an
+    eigenvector, of eigenvalue sum_i diag_i a_i (nonzero), so u_d has the
+    coefficients b_a / (sum_i diag_i a_i), in the order of monos."""
+    ints = [p._integers() for p in parts]
+    den = math.lcm(*(d for _, d in ints))
+    scaled = [(n, den // d) for n, d in ints]
+    w, l = _integer_row(diag)
+    b = {}
+    for a in monos:
+        v = sum(n.get(a, 0) * f for n, f in scaled)
+        if v:
+            b[a] = (v * l, sum(map(math.prod, zip(w, a))))
+    m = math.lcm(*(lam for _, lam in b.values()))
+    return Polynomial._exact(len(monos[0]), {a: v * (m // lam) for a, (v, lam) in b.items()},
+                             den * m)
 
 
 # ---------------------------------------------------------------------------
@@ -410,26 +584,22 @@ def _hermite_step(h: Polynomial, row: Sequence, j: int) -> Polynomial:
     """y_j h - d_j h for y_j = sum_i row[i] x_i, row = (Sigma^(-1))_j, in
     one pass.  The terms come in the order of `y_j * h - h.partial(j)`:
     the product's, less those that cancel, then the derivative's new ones.
-    They are summed as integer numerators over one common denominator,
-    one Fraction per term."""
-    hn, lh = _integer_numerators(h.terms)
-    row = [_rational(c) for c in row]
-    ly = math.lcm(*(c.denominator for c in row))
-    row = [c.numerator * (ly // c.denominator) for c in row]
+    They are summed as integer numerators over one common denominator."""
+    hn, lh = h._integers()
+    row, ly = _integer_row(row)
     terms: dict = {}
     for i, s in enumerate(row):
         if s:
-            for a, n in hn:
+            for a, n in hn.items():
                 key = a[:i] + (a[i] + 1,) + a[i + 1:]
                 terms[key] = terms.get(key, 0) + s * n
     terms = {a: n for a, n in terms.items() if n}
-    for a, n in hn:
+    for a, n in hn.items():
         k = a[j]
         if k:
             key = a[:j] + (k - 1,) + a[j + 1:]
             terms[key] = terms.get(key, 0) - n * k * ly
-    den = ly * lh
-    return Polynomial._of(h.dimension, {a: Fraction(n, den) for a, n in terms.items() if n})
+    return Polynomial._exact(h.dimension, terms, ly * lh)
 
 
 # ---------------------------------------------------------------------------
@@ -562,18 +732,18 @@ class GaussianMoments:
         """[E[x^alpha p(x)] for alpha in alphas], each the sum over the
         terms p_beta x^beta of p of p_beta E[x^(alpha+beta)].
 
-        The terms of p become integer numerators n_beta over their lcm l
-        once (a float coefficient raises PolynomialError), and each moment
-        is one Fraction,
+        p's integer numerators n_beta over its denominator l are read
+        as they are (a float coefficient raises PolynomialError), and each
+        moment is one Fraction,
         sum_beta n_beta N(alpha+beta) D^((top-|beta|)/2) / (l D^((|alpha|+top)/2)),
         over the terms with |beta| of the parity of |alpha| (the others meet
         odd moments), top the largest such |beta|.
         """
-        nums, l = _integer_numerators(p.terms)
+        nums, l = p._integers()
         den, memo, num = self._den, self._memo, self._numerator
         by_parity = []  # (top, [(beta, n_beta D^((top - |beta|)/2))]) per parity of |beta|
         for parity in (0, 1):
-            part = [(b, n, sum(b)) for b, n in nums if sum(b) % 2 == parity]
+            part = [(b, n, sum(b)) for b, n in nums.items() if sum(b) % 2 == parity]
             top = max((d for _, _, d in part), default=0)
             by_parity.append((top, [(b, n * den ** ((top - d) // 2)) for b, n, d in part]))
         out = []

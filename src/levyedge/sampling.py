@@ -69,16 +69,18 @@ def sym_sqrt(sigma: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
 
 
-def sample_gaussian(sigma, rng, n: int, out=None, scratch=None) -> np.ndarray:
+def sample_gaussian(sigma, rng, n: int, out=None, scratch=None, root=None) -> np.ndarray:
     """n draws from N(0, sigma) via the symmetric square root, shape (n, q).
 
     out and scratch, when given, are distinct C-contiguous float (n, q)
     arrays: the standard normals are drawn into scratch and their product
-    with the root lands in out, which is returned.  The draws are the same
-    bit for bit as without them.
+    with the root lands in out, which is returned.  root, when given, is
+    sym_sqrt(sigma) from a caller that draws for one sigma many times, and
+    sigma is not read.  The draws are the same bit for bit either way.
     """
     g = _as_generator(rng)
-    root = sym_sqrt(sigma)
+    if root is None:
+        root = sym_sqrt(sigma)
     if scratch is None:
         z = g.standard_normal((n, root.shape[0]))
     else:
@@ -87,24 +89,34 @@ def sample_gaussian(sigma, rng, n: int, out=None, scratch=None) -> np.ndarray:
 
 
 def sample_perturbed_normal(pmap: GradientPolyMap, eps: float, r: int, rng, n: int,
-                            out=None, scratch=None) -> np.ndarray:
+                            out=None, scratch=None, work=None, root=None) -> np.ndarray:
     """n draws of xi + sum_{k<=r} eps^k p_k(xi) for xi ~ N(0, Sigma of the map).
 
     out and scratch are as for sample_gaussian: the standard normals are
-    drawn into out, xi lands in scratch, and the draws in out.
+    drawn into out, xi lands in scratch, and the draws in out.  Each
+    p_k[j](xi) is evaluated into the rows of work, a C-contiguous float
+    (3, n) array (made here when not given), by Polynomial.evaluate_into,
+    so no n-sized array is made per monomial.  root is as for
+    sample_gaussian: sym_sqrt of the map's Sigma.  The draws are the same
+    bit for bit whichever of these are given.
     """
     if r < 0 or r > pmap.order:
         raise SamplingError("r must lie in [0, map order]")
-    sigma = np.array([[float(x) for x in row] for row in pmap.sigma])
-    xi = sample_gaussian(sigma, rng, n, out=scratch, scratch=out)
+    if root is None:
+        root = sym_sqrt(np.array([[float(x) for x in row] for row in pmap.sigma]))
+    xi = sample_gaussian(None, rng, n, out=scratch, scratch=out, root=root)
     if out is None:
         out = xi.copy()
     else:
         np.copyto(out, xi)
+    if work is None:
+        work = np.empty((3, n))
     for k in range(1, r + 1):
         p = pmap.gradients[k - 1]
         for j in range(pmap.dimension):
-            out[:, j] += eps ** k * p[j](xi)
+            term = p[j].evaluate_into(xi, *work)
+            term *= eps ** k
+            out[:, j] += term
     return out
 
 

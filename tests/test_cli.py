@@ -48,6 +48,9 @@ GOLDEN = {
     "clt-rate-perturbed": "0fa2072a26a189d321842f8cf2323f53630ffe6a9f9ccb42cd64172bcda1f5bb",
     "edgeworth-build": "cd0e17870c960713cdce6f29f280cda43952a733f8dfab1d3b20dfa66451a489",
     "edgeworth-build-sigma": "00146694405456e9158ea7530adb1a22dd1171eeeef966308e673f109ccde8fc",
+    "edgeworth-build-q2-r5": "49e03098ef8458dbd5919832e8a24182fc51be1eb821d06316719ddf01f5edcc",
+    "edgeworth-build-q4-r2-sigma": "3a222d147179b5daf444bd9dd693cdc05562b9751f1653165299358a79d7bb48",
+    "clt-rate-sampled-perturbed": "1cc789921767b33c39d2dfb16ad71b1ac3b9cfc8137eeb41b86a816b453e229f",
 }
 EDGEWORTH_R3 = "law = centered-exponential\nr = 3\n"
 #: q = 3 rational cumulants up to order 5 with a non-diagonal covariance
@@ -57,10 +60,34 @@ SIGMA_CUM = (
     "4 0 0 -1\n2 2 0 1/4\n0 1 3 1/2\n"
     "5 0 0 1/2\n1 2 2 -1/3\n0 0 5 1/5\n"
 )
+
+
+def formula_cumulants(q: int, order: int, cov) -> str:
+    """A cumulant file in q variables up to `order`: the covariance cov,
+    and each cumulant of order 3 and up n/d, with n in [-5, 5] and d in
+    [1, 4] fixed by its place in the file."""
+    lines = []
+    for total in range(2, order + 1):
+        for n, alpha in enumerate(multi_indices(q, total)):
+            if total == 2:
+                i, j = [k for k, a in enumerate(alpha) for _ in range(a)]
+                value = Fraction(cov[i][j])
+            else:
+                value = Fraction((5 * n + 3 * total) % 11 - 5, 1 + (n + total) % 4)
+            lines.append(" ".join(map(str, alpha)) + f" {value}")
+    return "\n".join(lines) + "\n"
+
+
+#: q = 2 up to order 7 with a diagonal covariance, for r = 5
+Q2R5_CUM = formula_cumulants(2, 7, [[2, 0], [0, Fraction(3, 2)]])
+#: q = 4 up to order 4 with a tridiagonal covariance, for r = 2
+Q4R2_CUM = formula_cumulants(4, 4, [[2 if i == j else Fraction(1, 2) if abs(i - j) == 1 else 0
+                                     for j in range(4)] for i in range(4)])
 #: (experiment, config, files in the working directory) of each golden
-#: case: TINY with 2 replicates, the exact-quantile clt-rate path,
-#: edgeworth-build of the centered exponential at r = 3, and
-#: edgeworth-build of SIGMA_CUM at r = 3
+#: case: TINY with 2 replicates, the exact-quantile clt-rate path and the
+#: sampled perturbed one (p = 4), edgeworth-build of the centered
+#: exponential at r = 3, of SIGMA_CUM at r = 3, of Q2R5_CUM at r = 5 and
+#: of Q4R2_CUM at r = 2
 GOLDEN_CASES = {
     "jump-coupling": ("jump-coupling", TINY["jump-coupling"].format(reps=2), {}),
     "sde-convergence": ("sde-convergence", TINY["sde-convergence"].format(reps=2), {}),
@@ -68,7 +95,16 @@ GOLDEN_CASES = {
     "edgeworth-build": ("edgeworth-build", EDGEWORTH_R3, {}),
     "edgeworth-build-sigma": ("edgeworth-build", "cumulants = sigma.cum\nr = 3\n",
                               {"sigma.cum": SIGMA_CUM}),
+    "edgeworth-build-q2-r5": ("edgeworth-build", "cumulants = q2r5.cum\nr = 5\n",
+                              {"q2r5.cum": Q2R5_CUM}),
+    "edgeworth-build-q4-r2-sigma": ("edgeworth-build", "cumulants = q4r2.cum\nr = 2\n",
+                                    {"q4r2.cum": Q4R2_CUM}),
+    "clt-rate-sampled-perturbed": ("clt-rate", TINY["clt-rate"].format(reps=2)
+                                   + "mode = perturbed\np = 4\n", {}),
 }
+
+#: probe-cramer's measure, annulus and rho
+PROBE = "q = 2\nalpha = 1.5\nr = 3\nrho = 8\n"
 
 #: jump-coupling whose last eps, 2^-14, is over the jump-intensity budget
 OVER_BUDGET = MEASURE + (
@@ -197,6 +233,30 @@ class TestExitCodes:
         eps_list = [2.0 ** -3, 2.0 ** -4, 2.0 ** -5, 2.0 ** -6]
         jumps = sum(e * AnnulusDecomposition(meas, e).intensity for e in eps_list) * 2000 * 20
         assert 1.7e9 < jumps and 8 * jumps <= cli.MAX_TOTAL_JUMPS
+
+    def test_probe_cramer_grid_cap_is_2_before_allocating(self, tmp_path, monkeypatch, capsys):
+        # 10^12 points: (grid_n, 400) arrays would need petabytes; the cap
+        # is checked before the grid is made
+        def refuse(*args, **kwargs):
+            raise AssertionError("the grid was made")
+
+        monkeypatch.setattr(cli.np, "linspace", refuse)
+        cfg = write(tmp_path, "pc.cfg", PROBE + "grid_n = 1000000000000\n")
+        assert cli.main(["probe-cramer", "--config", cfg, "--no-timestamp"]) == 2
+        assert "grid cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", [
+        "rho = nan", "grid_lo = nan", "grid_hi = nan", "grid_hi = inf", "delta = nan",
+        "delta = 0", "delta = -0.5", "delta = 1", "delta = 2",
+        "rho = 0.5\ngrid_lo = 8\ndelta = 0.75",
+    ])
+    def test_probe_cramer_bad_value_is_2(self, tmp_path, monkeypatch, capsys, line):
+        calls = []
+        monkeypatch.setattr(cli, "cramer_probe", lambda *a: calls.append(1) or 0.5)
+        cfg = write(tmp_path, "pc.cfg", PROBE + "grid_n = 50\n" + line + "\n")
+        assert cli.main(["probe-cramer", "--config", cfg, "--no-timestamp"]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert calls == []
 
     @pytest.mark.parametrize("line", ["3 abc", "a 2", "2 1/0"])
     def test_malformed_cumulant_file_is_2(self, tmp_path, capsys, line):
@@ -455,8 +515,9 @@ class TestOutputs:
         assert "residual check: all zero (exact)" in open(out).read().splitlines()
 
     def test_edgeworth_build_inverts_sigma_once_per_stage(self, tmp_path, monkeypatch):
-        # one Sigma^{-1} each for the Hermite step, the recursion (which
-        # hands it to every level's solve) and the residual lines
+        # one Sigma^{-1} each for the Hermite step and the recursion, which
+        # hands it to every level's solve; the residual lines read the
+        # L_Sigma u_k that the recursion checked
         calls = []
         real = polycore.rational_inverse
 
@@ -470,7 +531,7 @@ class TestOutputs:
         cfg = write(tmp_path, "eb.cfg", EDGEWORTH_R3)
         out = str(tmp_path / "out.txt")
         assert cli.main(["edgeworth-build", "--config", cfg, "--out", out, "--no-timestamp"]) == 0
-        assert len(calls) == 3
+        assert len(calls) == 2
         assert "residual check: all zero (exact)" in open(out).read().splitlines()
 
     @pytest.mark.parametrize("experiment", list(TINY))

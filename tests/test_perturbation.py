@@ -20,7 +20,6 @@ from levyedge.perturbation import (
     GradientPolyMap,
     PerturbationError,
     _operator_matrix,
-    _x_dot_inv_grad,
     apply_L,
     compute_S_tilde,
     invert_S_map,
@@ -35,6 +34,7 @@ from levyedge.polycore import (
     hermite_1d,
     hermite_sigma,
     rational_inverse,
+    x_dot_inv_grad,
 )
 
 
@@ -354,14 +354,14 @@ class TestClosedFormOperator:
                            for k, alpha in enumerate(
                                a for d in range(5) for a in multi_indices(q, d))})
         for p in (u, hermite_sigma((1,) * q, inv), Polynomial.zero(q)):
-            got = _x_dot_inv_grad(p, inv)
+            got = x_dot_inv_grad(p, inv)
             assert got == x_dot_inv_grad_products(p, inv)
             assert all(type(v) is Fraction for v in got.terms.values())
 
     def test_x_dot_inv_grad_float_inverse(self):
         inv = [[0.75, -0.25], [-0.25, 0.5]]
         u = x(0) ** 3 * x(1) + Fraction(1, 3) * x(1) ** 2 - x(0)
-        got, want = _x_dot_inv_grad(u, inv), x_dot_inv_grad_products(u, inv)
+        got, want = x_dot_inv_grad(u, inv), x_dot_inv_grad_products(u, inv)
         assert set(got.terms) == set(want.terms)
         assert all(got.terms[a] == want.terms[a] for a in want.terms)
 

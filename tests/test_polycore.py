@@ -245,6 +245,30 @@ class TestPolynomial:
         assert float(exact) == pytest.approx(p(np.array([a, b], dtype=float)))
 
 
+    def test_equal_polynomials_compare_and_hash_alike(self):
+        # one canonical form however the coefficients were reached
+        p = x(0) * Fraction(2, 3) + x(1) * Fraction(1, 6)
+        q = (x(0) * 4 + x(1)) * Fraction(1, 6)
+        assert p == q and hash(p) == hash(q)
+        assert p * 6 - x(1) == 4 * x(0)
+        half = Polynomial(2, {(1, 0): 0.5})
+        assert half == Fraction(1, 2) * x(0) and hash(half) == hash(Fraction(1, 2) * x(0))
+        with pytest.raises(TypeError):
+            p.terms[(1, 0)] = 1  # a read-only view
+
+    @given(polynomials(3, 5), st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=60)
+    def test_evaluate_into_equals_call(self, p, seed):
+        # the same floats bit for bit, on the strided columns of a sample
+        xs = np.random.default_rng(seed).standard_normal((257, 3)) * 3
+        want = p(xs)
+        got = np.empty(257)
+        assert p.evaluate_into(xs, got, np.empty(257), np.empty(257)) is got
+        assert want.tobytes() == got.tobytes()
+        half = p * 0.5 + 0.25 * x(1, q=3)  # a float polynomial evaluates too
+        assert half(xs).tobytes() == half.evaluate_into(xs, got, np.empty(257),
+                                                        np.empty(257)).tobytes()
+
     @given(product_case())
     @settings(deadline=None, max_examples=200)
     def test_product_equals_pairwise_reference(self, case):
@@ -551,6 +575,90 @@ class TestSumOfProducts:
         assert sum_of_products(2, [(high, 2)]) == high * 2
         with pytest.raises(PolynomialError, match="degree exceeds cap"):
             sum_of_products(2, [(high, x(1))])
+
+
+def plain_terms(pairs) -> dict:
+    """Reference terms: each (alpha, c) added in turn to a dict of
+    Fractions, zero sums dropped at the end."""
+    terms = {}
+    for alpha, c in pairs:
+        terms[alpha] = terms.get(alpha, 0) + c
+    return {a: c for a, c in terms.items() if c}
+
+
+def shifted(alpha: tuple, j: int, by: int) -> tuple:
+    return alpha[:j] + (alpha[j] + by,) + alpha[j + 1:]
+
+
+@st.composite
+def hermite_step_case(draw):
+    """A rational polynomial h in q <= 3 variables, a rational row and an
+    index j < q."""
+    q = draw(st.integers(1, 3))
+    row = [draw(st.fractions(-3, 3, max_denominator=6)) for _ in range(q)]
+    return draw(polynomials(q, 5)), row, draw(st.integers(0, q - 1))
+
+
+class TestFractionReference:
+    """The integer-numerator kernels against plain term-by-term Fraction
+    arithmetic on random rational polynomials: the same terms, in the
+    same dict order, each a Fraction."""
+
+    @given(sum_case(), st.sampled_from([1, Fraction(-2, 3), Fraction(7, 4)]))
+    @settings(deadline=None, max_examples=100)
+    def test_sum_of_products(self, case, scale):
+        q, pairs = case
+        want = plain_terms((tuple(map(add, a1, a2)), c1 * c2 * scale)
+                           for a, b in pairs
+                           for a1, c1 in a.terms.items() for a2, c2 in b.terms.items())
+        got = sum_of_products(q, pairs, scale)
+        assert list(got.terms.items()) == list(want.items())
+        assert all(type(c) is Fraction for c in got.terms.values())
+
+    @given(product_case())
+    @settings(deadline=None, max_examples=100)
+    def test_partial_and_laplacian(self, case):
+        p = case[0]
+        q = p.dimension
+        for j in range(q):
+            want = plain_terms((shifted(a, j, -1), c * a[j]) for a, c in p.terms.items() if a[j])
+            assert list(p.partial(j).terms.items()) == list(want.items())
+        want = plain_terms((shifted(a, j, -2), c * a[j] * (a[j] - 1))
+                           for j in range(q) for a, c in p.terms.items() if a[j] > 1)
+        got = p.laplacian()
+        assert list(got.terms.items()) == list(want.items())
+        assert all(type(c) is Fraction for c in got.terms.values())
+
+    @given(hermite_step_case())
+    @settings(deadline=None, max_examples=100)
+    def test_hermite_step(self, case):
+        h, row, j = case
+        # the product's terms, less those that cancel, then the derivative's
+        want = plain_terms((shifted(a, i, 1), s * c)
+                           for i, s in enumerate(row) if s for a, c in h.terms.items())
+        for a, c in h.terms.items():
+            if a[j]:
+                key = shifted(a, j, -1)
+                want[key] = want.get(key, 0) - c * a[j]
+        want = {a: c for a, c in want.items() if c}
+        got = polycore._hermite_step(h, row, j)
+        assert list(got.terms.items()) == list(want.items())
+        assert all(type(c) is Fraction for c in got.terms.values())
+
+    @given(expectation_case())
+    @settings(deadline=None, max_examples=60)
+    def test_expectations(self, case):
+        sigma, p, alphas = case
+        table = GaussianMoments(sigma, len(sigma))
+        want = []
+        for alpha in alphas:
+            total = Fraction(0)
+            for beta, c in p.terms.items():
+                gamma = tuple(map(add, alpha, beta))
+                total += c * isserlis(tuple(j for j, a in enumerate(gamma) for _ in range(a)), sigma)
+            want.append(total)
+        got = table.expectations(p, alphas)
+        assert got == want and all(type(v) is Fraction for v in got)
 
 
 class TestExactKernels:
