@@ -1,6 +1,6 @@
 """Experiment harness: named rate experiments behind one command.
 
-Subcommands reproduce the headline convergence rates (central-limit
+Experiments reproduce the headline convergence rates (central-limit
 distance decay, plain and perturbed; small-jump Gaussian substitution;
 SDE strong error) and expose the symbolic pipeline (expansion build,
 smoothness probe).  Configs are flat ``key = value`` text; outputs are
@@ -520,7 +520,7 @@ def run_edgeworth_build(cfg: Dict[str, str], seed: int, threads: int) -> List[st
             lines.append(f"p_{k},{j + 1}(x) = {g.to_text()}")
         # Q_k - S~_k - L_Sigma u_k, with the L_Sigma u_k that the build checked
         resid = Q[k - 1] - pmap.s_tilde[k - 1] - pmap.l_sigma[k - 1]
-        zero = not resid.terms
+        zero = resid.is_zero()
         lines.append(f"residual_{k}: {'0 (exact)' if zero else resid.to_text()}")
         all_zero = all_zero and zero
     lines.append("")
@@ -535,7 +535,7 @@ def run_edgeworth_build(cfg: Dict[str, str], seed: int, threads: int) -> List[st
         raise ConfigError("m_probe must be a positive perfect square")
     eps = Fraction(1, math.isqrt(m_probe))
     order = min(cset.order, r + 2)
-    left = edgeworth_signed_moments(cset, Q, eps, order)
+    left = edgeworth_signed_moments(cset, Q, eps, order, pmap.moments)
     right = scaled_sum_moments(cset, m_probe, order)
     lines.append(f"moment match at m = {m_probe} up to order {order}:")
     ok = True
@@ -559,6 +559,14 @@ def run_probe_cramer(cfg: Dict[str, str], seed: int, threads: int) -> List[str]:
     except (LevyError, KeyError, ValueError) as exc:
         raise ConfigError(f"bad measure config: {exc}") from exc
     r = _get_int(cfg, "r", 4)
+    try:
+        a, b = meas.annulus_bounds(r)
+        math.ldexp(1.0, r)  # the 2^r rescaling of the annulus law
+    except OverflowError as exc:
+        raise ConfigError(f"annulus index r = {r} is out of the float range") from exc
+    if not a < b:
+        raise ConfigError(f"annulus r = {r}, radii [2^-(r+1), 2^-r], is empty "
+                          f"in (0, tau = {meas.tau}]")
     rho = _get_float(cfg, "rho", 8.0)
     lo = _get_float(cfg, "grid_lo", rho)
     hi = _get_float(cfg, "grid_hi", 60.0)
@@ -599,18 +607,17 @@ _EXPERIMENTS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser: the experiment, then the options every experiment takes."""
     ap = argparse.ArgumentParser(prog="levyedge", description=__doc__)
-    sub = ap.add_subparsers(dest="experiment", required=True)
-    for name in _EXPERIMENTS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", default=None, help="flat key = value config file")
-        sp.add_argument("--seed", type=int, default=0, help="master seed (u64)")
-        sp.add_argument("--out", default=None, help="output path (default stdout)")
-        sp.add_argument("--threads", type=int, default=1, help="replicate worker threads")
-        sp.add_argument("--no-timestamp", action="store_true",
-                        help="suppress the timestamp line for byte-identical re-runs")
-        sp.add_argument("--force", action="store_true",
-                        help="overwrite outputs whose config hash differs")
+    ap.add_argument("experiment", choices=list(_EXPERIMENTS), help="the experiment to run")
+    ap.add_argument("--config", default=None, help="flat key = value config file")
+    ap.add_argument("--seed", type=int, default=0, help="master seed (u64)")
+    ap.add_argument("--out", default=None, help="output path (default stdout)")
+    ap.add_argument("--threads", type=int, default=1, help="replicate worker threads")
+    ap.add_argument("--no-timestamp", action="store_true",
+                    help="suppress the timestamp line for byte-identical re-runs")
+    ap.add_argument("--force", action="store_true",
+                    help="overwrite outputs whose config hash differs")
     return ap
 
 

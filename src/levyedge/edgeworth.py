@@ -32,7 +32,7 @@ from .polycore import (
     GaussianMoments,
     Polynomial,
     grlex_key,
-    hermite_sigma,
+    hermite_sum,
     multi_indices,
     positive_definite,
     rational_inverse,
@@ -262,11 +262,7 @@ def _hermite_form(c: CumulantSet, ps: list) -> list:
     c.check_nonsingular()
     sigma_inv = rational_inverse(c.covariance)
     memo: dict = {}
-    return [
-        sum_of_products(c.dimension, [(hermite_sigma(alpha, sigma_inv, memo), b)
-                                      for alpha, b in p.terms.items()])
-        for p in ps
-    ]
+    return [hermite_sum(p, sigma_inv, memo) for p in ps]
 
 
 def gaussian_density(sigma: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -294,19 +290,25 @@ def edgeworth_density(c: CumulantSet, r: int, eps: float, x) -> np.ndarray:
     return base * corr
 
 
-def edgeworth_signed_moments(c: CumulantSet, qs: list, eps, max_order: int) -> Dict[tuple, Coeff]:
+def edgeworth_signed_moments(c: CumulantSet, qs: list, eps, max_order: int,
+                             moments=None) -> Dict[tuple, Coeff]:
     """Moments of the signed density phi_Sigma (1 + sum eps^k Q_k), exact.
 
     qs is Q_1..Q_r as build_Q(c, r) gives them (empty for the Gaussian
     alone).  The factor 1 + sum eps^k Q_k is built once, and every
-    E[x^alpha (1 + sum eps^k Q_k)] is read off one moment table for Sigma.
-    eps is rational (e.g. the reciprocal square root of a perfect-square m).
+    E[x^alpha (1 + sum eps^k Q_k)] is read off one moment table for Sigma:
+    moments, a GaussianMoments table of c.covariance from a caller that
+    already made one (invert_S_map keeps its recursion's on the map),
+    or a new one.  eps is rational (e.g. the reciprocal square root of a
+    perfect-square m).
     """
     q = c.dimension
+    if moments is None:
+        moments = GaussianMoments(c.covariance, q)
     factor = sum_of_products(q, [(Polynomial.constant(q, Fraction(1)), 1)]
                              + [(qk, eps ** k) for k, qk in enumerate(qs, start=1)])
     alphas = [a for d in range(1, max_order + 1) for a in multi_indices(q, d)]
-    return dict(zip(alphas, GaussianMoments(c.covariance, q).expectations(factor, alphas)))
+    return dict(zip(alphas, moments.expectations(factor, alphas)))
 
 
 def scaled_sum_moments(c: CumulantSet, m, max_order: int) -> Dict[tuple, Coeff]:

@@ -59,20 +59,23 @@ class GradientPolyMap:
 
     When invert_S_map built the potentials, s_tilde holds S~_1..S~_r
     (S~_1 = 0) of its recursion, gradients the grad u_k that the
-    recursion built, and l_sigma the L_Sigma u_k = x . Sigma^{-1} grad u_k
-    - Lap u_k that it checked; otherwise s_tilde and l_sigma are None and
-    the gradients are built here.
+    recursion built, l_sigma the L_Sigma u_k = x . Sigma^{-1} grad u_k
+    - Lap u_k that it checked and moments its GaussianMoments table of
+    Sigma; otherwise s_tilde, l_sigma and moments are None and the
+    gradients are built here.
     """
 
     def __init__(self, sigma, potentials: Sequence[Polynomial],
                  s_tilde: Optional[Sequence[Polynomial]] = None,
                  gradients: Optional[Sequence[list]] = None,
-                 l_sigma: Optional[Sequence[Polynomial]] = None):
+                 l_sigma: Optional[Sequence[Polynomial]] = None,
+                 moments: Optional[GaussianMoments] = None):
         self.sigma = [list(row) for row in sigma]
         self.dimension = len(self.sigma)
         self.potentials = list(potentials)
         self.s_tilde = None if s_tilde is None else list(s_tilde)
         self.l_sigma = None if l_sigma is None else list(l_sigma)
+        self.moments = moments
         self.gradients = ([u.gradient() for u in self.potentials] if gradients is None
                           else list(gradients))
         for k, (u, p) in enumerate(zip(self.potentials, self.gradients), start=1):
@@ -138,10 +141,10 @@ def solve_hermite_pde(rhs: Polynomial, sigma, inv=None, moments=None) -> Polynom
     parts = [Polynomial.zero(q)] * (top + 3)  # parts[d]: degree-d part of u
     for d in range(top, 0, -1):
         lap = parts[d + 2].laplacian()
-        monos = list(multi_indices(q, d))
         if diagonal:
-            parts[d] = diagonal_degree_solve([rhs, lap], monos, [inv[i][i] for i in range(q)])
+            parts[d] = diagonal_degree_solve([rhs, lap], d, [inv[i][i] for i in range(q)])
             continue
+        monos = list(multi_indices(q, d))
         b = [rhs.coefficient(a) + lap.coefficient(a) for a in monos]
         if any(b):
             sol = [row[0] for row in solve_linear(_operator_matrix(monos, inv), [[v] for v in b])]
@@ -318,9 +321,10 @@ def invert_S_map(Q: Sequence[Polynomial], sigma) -> GradientPolyMap:
 
     Solves the level-by-level recursion S~_k + L_Sigma u_k = Q_k with
     S~_1 = 0, in one pass of the balance recursion, and keeps each S~_k,
-    grad u_k and L_Sigma u_k on the map; Q and Sigma are rational.  Each
-    level's L_Sigma u_k is built once, by the solve's residual check, and
-    the right-hand side Q_k - S~_k it equals stands for it after that.
+    grad u_k, L_Sigma u_k and the moment table on the map; Q and Sigma
+    are rational.  Each level's L_Sigma u_k is built once, by the solve's
+    residual check, and the right-hand side Q_k - S~_k it equals stands
+    for it after that.
     """
     rec = _Recursion(sigma, len(Q))
     pots: List[Polynomial] = []
@@ -330,7 +334,7 @@ def invert_S_map(Q: Sequence[Polynomial], sigma) -> GradientPolyMap:
         rhs = qk - rec.s_tilde
         pots.append(solve_hermite_pde(rhs, sigma, rec.inv, rec.moments))
         rec.level(pots[-1], qk, rhs)
-    return GradientPolyMap(sigma, pots, s_tilde, rec.grads, rec.l_sigma)
+    return GradientPolyMap(sigma, pots, s_tilde, rec.grads, rec.l_sigma, rec.moments)
 
 
 def pushforward_density_1d(u: Polynomial, eps: float, ys: np.ndarray, lam: float = 1.0) -> np.ndarray:

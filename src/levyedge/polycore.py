@@ -1,17 +1,20 @@
 """Exact sparse multivariate polynomial algebra.
 
 A polynomial keeps its exact coefficients as integer numerators over one
-common denominator, in lowest terms, in a dict keyed by exponent tuples.
+common denominator, in lowest terms, in a dict keyed by packed monomials:
+one integer per monomial, with the exponent of each variable in its own
+fixed-width bit field and the total degree above them, so that a product
+of monomials is one integer addition and a derivative one subtraction.
 Every kernel (sums, scalar and polynomial products, derivatives, the
 Hermite step, the diagonal degree solve, Gaussian moments) works on those
-integers and raises PolynomialError for a float; a `fractions.Fraction`
-is made only where a caller reads the coefficients, prints or evaluates
-exactly, and a polynomial holds floats only to be evaluated.  On top of
-the carrier type this module provides probabilists' Hermite polynomials
-and their counterparts H^Sigma_alpha for a general covariance, small
-linear solves (Gauss-Jordan), Gaussian moments (one memoised table per
-covariance) and truncated formal power series in an auxiliary small
-parameter, with polynomial coefficients.
+integers and keys and raises PolynomialError for a float; exponent tuples
+and `fractions.Fraction`s are made only where a caller reads the
+coefficients or evaluates, and a polynomial holds floats only to be
+evaluated.  On top of the carrier type this module provides
+probabilists' Hermite polynomials and their counterparts H^Sigma_alpha
+for a general covariance, small linear solves (Gauss-Jordan), Gaussian
+moments (one memoised table per covariance) and truncated formal power
+series in an auxiliary small parameter, with polynomial coefficients.
 
 All values are treated as immutable after construction; every operation
 returns a fresh object.
@@ -22,7 +25,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, ge, sub
+from operator import ge, index
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -32,6 +35,14 @@ Coeff = Union[Fraction, float]
 
 #: hard cap on total degree, to bound combinatorial blowup
 MAX_DEGREE = 64
+
+#: bits of one exponent field in a packed monomial
+_FIELD_BITS = 8
+
+#: largest exponent of one variable that a polynomial may hold: a packed
+#: field never carries into the next, because every kernel that raises an
+#: exponent checks MAX_DEGREE first
+MAX_EXPONENT = (1 << _FIELD_BITS) - 1
 
 #: most bits in a printed numerator or denominator: about 4200 digits,
 #: inside the interpreter's default limit on int-to-str conversion
@@ -67,6 +78,61 @@ def grlex_key(alpha: tuple) -> tuple:
     return (sum(alpha), tuple(-a for a in alpha))
 
 
+class _Layout:
+    """The packed monomials in q variables.
+
+    The exponent of x_j sits in bits [shifts[j], shifts[j] + _FIELD_BITS),
+    x_1 highest, and the total degree in the bits from `top` up, so a key
+    k has degree k >> top, units[j] is the key of x_j, the key of
+    x^alpha x^beta is the sum of theirs, and keys of one degree compare
+    as their exponent tuples do; k ^ low is therefore a graded-lex sort key.
+    """
+
+    __slots__ = ("q", "shifts", "units", "top", "low", "_texts")
+
+    def __init__(self, q: int):
+        self.q = q
+        self.top = q * _FIELD_BITS
+        self.shifts = tuple((q - 1 - j) * _FIELD_BITS for j in range(q))
+        self.units = tuple((1 << s) + (1 << self.top) for s in self.shifts)
+        self.low = (1 << self.top) - 1
+        self._texts: dict = {}
+
+    def pack(self, alpha) -> int:
+        """The key of an exponent tuple whose entries are in [0, MAX_EXPONENT]."""
+        return sum(a * u for a, u in zip(alpha, self.units))
+
+    def find(self, alpha) -> int:
+        """The key of alpha, or -1 (no key) if alpha is not an exponent
+        tuple in q variables."""
+        try:
+            alpha = tuple(map(index, alpha))
+        except TypeError:
+            return -1
+        if len(alpha) != self.q or not all(0 <= a <= MAX_EXPONENT for a in alpha):
+            return -1
+        return self.pack(alpha)
+
+    def unpack(self, key: int) -> tuple:
+        return tuple(key >> s & MAX_EXPONENT for s in self.shifts)
+
+    def text(self, key: int) -> str:
+        """The monomial as printed: "x1^2 x3", "" for the constant; kept
+        once made, as the same monomials recur in every printed
+        polynomial of a build."""
+        mono = self._texts.get(key)
+        if mono is None:
+            mono = self._texts[key] = " ".join(
+                f"x{j + 1}^{e}" if e > 1 else f"x{j + 1}"
+                for j, e in enumerate(self.unpack(key)) if e)
+        return mono
+
+
+@lru_cache(maxsize=None)
+def _layout(q: int) -> _Layout:
+    return _Layout(q)
+
+
 def _rational(c) -> Fraction:
     """c as a Fraction for an exact kernel; a float raises PolynomialError."""
     c = _as_coeff(c)
@@ -83,39 +149,53 @@ def _integer_row(values: Sequence) -> tuple:
     return [v.numerator * (l // v.denominator) for v in values], l
 
 
+def _ratio_text(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0, from the integers; a reduced
+    numerator or denominator over MAX_PRINT_BITS raises PolynomialError."""
+    g = math.gcd(n, d)
+    if g != 1:
+        n, d = n // g, d // g
+    if max(n.bit_length(), d.bit_length()) > MAX_PRINT_BITS:
+        raise PolynomialError(f"a coefficient has over {MAX_PRINT_BITS} bits, too long to print")
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
 def coefficient_text(c: Coeff) -> str:
     """str(c); a Fraction over MAX_PRINT_BITS raises PolynomialError."""
-    if isinstance(c, Fraction) and max(c.numerator.bit_length(),
-                                       c.denominator.bit_length()) > MAX_PRINT_BITS:
-        raise PolynomialError(f"a coefficient has over {MAX_PRINT_BITS} bits, too long to print")
+    if isinstance(c, Fraction):
+        return _ratio_text(c.numerator, c.denominator)
     return str(c)
 
 
 class Polynomial:
-    """Sparse multivariate polynomial over exponent tuples.
+    """Sparse multivariate polynomial over packed monomials.
 
-    Exact coefficients are the integers _num[alpha] over the one
+    Exact coefficients are the integers _num[key] over the one
     denominator _den, with the gcd of _den and every numerator 1, so
     equal polynomials have equal integers.  A polynomial with a float
     coefficient has _den None and keeps its coefficients as given in _num.
-    Zero coefficients are never stored; the dict order is the order the
-    terms were made in, and __call__ sums in it.
+    The keys are those of _layout(dimension), each exponent at most
+    MAX_EXPONENT.  Zero coefficients are never stored; the dict order is
+    the order the terms were made in, and __call__ sums in it.
     """
 
-    __slots__ = ("dimension", "_num", "_den", "_terms")
+    __slots__ = ("dimension", "_num", "_den", "_terms", "_evals")
 
     def __init__(self, dimension: int, terms: Mapping[tuple, Coeff] | None = None):
         if dimension < 1:
             raise PolynomialError("dimension must be >= 1")
+        find = _layout(dimension).find
         clean = {}
         if terms:
             for alpha, c in terms.items():
                 alpha = tuple(int(a) for a in alpha)
-                if len(alpha) != dimension or any(a < 0 for a in alpha):
-                    raise PolynomialError(f"bad exponent tuple {alpha} for dimension {dimension}")
+                key = find(alpha)
+                if key < 0:
+                    raise PolynomialError(f"bad exponent tuple {alpha} for dimension {dimension}: "
+                                          f"each exponent must lie in [0, {MAX_EXPONENT}]")
                 c = _as_coeff(c)
                 if c != 0:
-                    clean[alpha] = c
+                    clean[key] = c
         Polynomial._init(self, dimension, clean)
 
     def __setattr__(self, *a):
@@ -130,7 +210,7 @@ class Polynomial:
             den = math.lcm(*(c.denominator for c in coeffs.values()))
             coeffs = {a: c.numerator * (den // c.denominator) for a, c in coeffs.items()}
         for name, value in (("dimension", dimension), ("_num", coeffs), ("_den", den),
-                            ("_terms", None)):
+                            ("_terms", None), ("_evals", None)):
             object.__setattr__(p, name, value)
         return p
 
@@ -160,14 +240,19 @@ class Polynomial:
             raise PolynomialError("exact arithmetic needs rational coefficients, not floats")
         return self._num, self._den
 
+    def _coeffs(self) -> dict:
+        """key -> coefficient: a Fraction each, or as given where a float is."""
+        den = self._den
+        return self._num if den is None else {a: Fraction(n, den) for a, n in self._num.items()}
+
     @property
     def terms(self) -> Mapping[tuple, Coeff]:
         """Read-only view exponent tuple -> coefficient (Fraction, or as
         given where a float is), in term order; made on first read."""
         if self._terms is None:
-            den = self._den
+            unpack = _layout(self.dimension).unpack
             object.__setattr__(self, "_terms", MappingProxyType(
-                self._num if den is None else {a: Fraction(n, den) for a, n in self._num.items()}))
+                {unpack(a): c for a, c in self._coeffs().items()}))
         return self._terms
 
     # -- constructors -------------------------------------------------
@@ -190,29 +275,33 @@ class Polynomial:
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max(map(sum, self._num), default=-1)
+        return max(self._num) >> _layout(self.dimension).top if self._num else -1
 
     def is_zero(self) -> bool:
         return not self._num
 
-    def coefficient(self, alpha: Sequence[int]) -> Coeff:
+    def _at(self, key: int) -> Coeff:
         if self._den is None:
-            return self._num.get(tuple(alpha), Fraction(0))
-        return Fraction(self._num.get(tuple(alpha), 0), self._den)
+            return self._num.get(key, Fraction(0))
+        return Fraction(self._num.get(key, 0), self._den)
+
+    def coefficient(self, alpha: Sequence[int]) -> Coeff:
+        return self._at(_layout(self.dimension).find(alpha))
 
     def constant_term(self) -> Coeff:
-        return self.coefficient((0,) * self.dimension)
+        return self._at(0)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial) or self.dimension != other.dimension:
             return False
         if self._den is None or other._den is None:
-            return self.terms == other.terms
+            return self._coeffs() == other._coeffs()
         return self._den == other._den and self._num == other._num
 
     def __hash__(self):
         if self._den is None:  # as the polynomial of the floats' exact values
-            return hash(Polynomial(self.dimension, {a: Fraction(c) for a, c in self._num.items()}))
+            return hash(Polynomial._init(object.__new__(Polynomial), self.dimension,
+                                         {a: Fraction(c) for a, c in self._num.items()}))
         return hash((self.dimension, self._den, frozenset(self._num.items())))
 
     # -- arithmetic ---------------------------------------------------
@@ -221,26 +310,27 @@ class Polynomial:
         if self.dimension != other.dimension:
             raise PolynomialError("dimension mismatch")
 
-    def _combine(self, other, op) -> "Polynomial":
-        """op(self, other) termwise in one pass: self's terms, then
+    def _combine(self, other, sign: int) -> "Polynomial":
+        """self + sign * other termwise in one pass: self's terms, then
         other's new ones, those that cancel dropped."""
         if not isinstance(other, Polynomial):
             other = Polynomial.constant(self.dimension, other)
         self._check_dim(other)
         if self._den is None or other._den is None:
-            terms = dict(self.terms)
-            for alpha, c in other.terms.items():
-                terms[alpha] = op(terms.get(alpha, 0), c)
+            terms = dict(self._coeffs())
+            for a, c in other._coeffs().items():
+                terms[a] = terms.get(a, 0) + c if sign > 0 else terms.get(a, 0) - c
             return Polynomial._mixed(self.dimension, terms)
         den = math.lcm(self._den, other._den)
-        f, g = den // self._den, den // other._den
+        f, g = den // self._den, (den // other._den) * sign
         terms = {a: n * f for a, n in self._num.items()} if f != 1 else dict(self._num)
-        for alpha, n in other._num.items():
-            terms[alpha] = op(terms.get(alpha, 0), n * g)
+        get = terms.get
+        for a, n in other._num.items():
+            terms[a] = get(a, 0) + n * g
         return Polynomial._exact(self.dimension, terms, den)
 
     def __add__(self, other):
-        return self._combine(other, add)
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
@@ -251,7 +341,7 @@ class Polynomial:
 
     def __sub__(self, other):
         """self + (-other) in one pass: the same terms, in the same order."""
-        return self._combine(other, sub)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -264,7 +354,7 @@ class Polynomial:
         if c == 0:
             return Polynomial.zero(self.dimension)
         if self._den is None or isinstance(c, float):  # evaluation only
-            return Polynomial._mixed(self.dimension, {a: v * c for a, v in self.terms.items()})
+            return Polynomial._mixed(self.dimension, {a: v * c for a, v in self._coeffs().items()})
         n = c.numerator
         return Polynomial._exact(self.dimension, {a: v * n for a, v in self._num.items()},
                                  self._den * c.denominator)
@@ -289,11 +379,13 @@ class Polynomial:
 
     def partial(self, j: int) -> "Polynomial":
         num, den = self._integers()
-        terms = {}
-        for alpha, n in num.items():
-            k = alpha[j]
+        lay = _layout(self.dimension)
+        s, unit = lay.shifts[j], lay.units[j]
+        terms: dict = {}
+        for a, n in num.items():
+            k = a >> s & MAX_EXPONENT
             if k:
-                key = alpha[:j] + (k - 1,) + alpha[j + 1:]
+                key = a - unit
                 terms[key] = terms.get(key, 0) + n * k
         return Polynomial._exact(self.dimension, terms, den)
 
@@ -303,23 +395,27 @@ class Polynomial:
     def laplacian(self) -> "Polynomial":
         """sum_j d_j d_j, in closed form: x^alpha -> alpha_j (alpha_j - 1) x^(alpha - 2 e_j)."""
         num, den = self._integers()
+        lay = _layout(self.dimension)
         terms: dict = {}
-        for j in range(self.dimension):
-            for alpha, n in num.items():
-                k = alpha[j]
+        for s, unit in zip(lay.shifts, lay.units):
+            two = 2 * unit
+            for a, n in num.items():
+                k = a >> s & MAX_EXPONENT
                 if k > 1:
-                    key = alpha[:j] + (k - 2,) + alpha[j + 1:]
+                    key = a - two
                     terms[key] = terms.get(key, 0) + n * (k * (k - 1))
         return Polynomial._exact(self.dimension, terms, den)
 
     # -- evaluation / substitution ------------------------------------
 
-    def _floats(self):
-        """(alpha, float coefficient) in term order."""
-        den = self._den
-        if den is None:
-            return [(a, float(c)) for a, c in self._num.items()]
-        return [(a, n / den) for a, n in self._num.items()]  # int / int rounds as float(Fraction)
+    def _floats(self) -> tuple:
+        """(alpha, float coefficient) in term order; made on first evaluation."""
+        if self._evals is None:
+            unpack, den = _layout(self.dimension).unpack, self._den
+            object.__setattr__(self, "_evals", tuple(
+                (unpack(a), float(c)) for a, c in self._num.items()) if den is None else tuple(
+                (unpack(a), n / den) for a, n in self._num.items()))  # rounds as float(Fraction)
+        return self._evals
 
     def __call__(self, x):
         """Evaluate at a point or along the last axis of an array."""
@@ -406,22 +502,18 @@ class Polynomial:
 
     # -- output -------------------------------------------------------
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]))
-
     def to_text(self) -> str:
-        """Deterministic form: graded-lex terms, exact fractions; a
-        coefficient too long to print raises PolynomialError."""
+        """Deterministic form: graded-lex terms, exact fractions printed
+        from the integer numerators; a coefficient too long to print
+        raises PolynomialError."""
         if not self._num:
             return "0"
+        lay, num, den = _layout(self.dimension), self._num, self._den
         parts = []
-        for alpha, c in self.sorted_terms():
-            mono = " ".join(
-                f"x{j + 1}^{e}" if e > 1 else f"x{j + 1}"
-                for j, e in enumerate(alpha)
-                if e
-            )
-            parts.append(f"{coefficient_text(c)} {mono}".strip())
+        for a in sorted(num, key=lay.low.__xor__):
+            c = coefficient_text(num[a]) if den is None else _ratio_text(num[a], den)
+            mono = lay.text(a)
+            parts.append(f"{c} {mono}" if mono else c)
         return " + ".join(parts)
 
     def __repr__(self):
@@ -433,11 +525,11 @@ def sum_of_products(dimension: int, pairs: Iterable, scale=1) -> Polynomial:
     variables; each a_i is a Polynomial, each b_i a Polynomial or a scalar.
 
     Each pair's integer numerators are convolved over one common
-    denominator of all the pairs.  A float coefficient, b_i or scale
-    raises PolynomialError, as does a pair of polynomials whose degrees
-    add up to more than MAX_DEGREE.
+    denominator of all the pairs, a product of monomials being the sum of
+    their keys.  A float coefficient, b_i or scale raises PolynomialError,
+    as does a pair of polynomials whose degrees add up to more than
+    MAX_DEGREE, before any key is added.
     """
-    const = (0,) * dimension
     nums, den = [], 1
     for a, b in pairs:
         if isinstance(b, Polynomial):
@@ -447,21 +539,24 @@ def sum_of_products(dimension: int, pairs: Iterable, scale=1) -> Polynomial:
                 raise PolynomialError(f"product degree exceeds cap {MAX_DEGREE}")
             (n1, l1), (n2, l2) = a._integers(), b._integers()
         else:
-            b = _rational(b)
+            if not isinstance(b, (int, Fraction)):  # an int is its own numerator
+                b = _rational(b)
             if not (a._num and b):
                 continue
-            (n1, l1), (n2, l2) = a._integers(), ({const: b.numerator}, b.denominator)
+            (n1, l1), (n2, l2) = a._integers(), ({0: b.numerator}, b.denominator)
         nums.append((n1, n2, l1 * l2))
         den = math.lcm(den, l1 * l2)
-    scale = _rational(scale)
+    if not isinstance(scale, (int, Fraction)):
+        scale = _rational(scale)
     acc: dict = {}
+    get = acc.get
     for n1, n2, l in nums:
         f = den // l
         for a1, c1 in n1.items():
             c1 *= f
             for a2, c2 in n2.items():
-                key = tuple(map(add, a1, a2))
-                acc[key] = acc.get(key, 0) + c1 * c2
+                key = a1 + a2
+                acc[key] = get(key, 0) + c1 * c2
     num = scale.numerator
     if num != 1:
         acc = {a: n * num for a, n in acc.items()}
@@ -472,8 +567,10 @@ def x_dot_inv_grad(u: Polynomial, inv) -> Polynomial:
     """x . Sigma^{-1} grad u, given inv = Sigma^{-1}, in closed form:
     x . Sigma^{-1} grad x^beta = sum_ij (Sigma^{-1})_ij beta_j x^(beta - e_j + e_i).
 
-    A float entry of inv gives the float polynomial of the product form
-    sum_ij x_i (d_j u) (Sigma^{-1})_ij, for evaluation only."""
+    Each x_i d_j u is a product of degree deg u, so a u over MAX_DEGREE
+    raises PolynomialError.  A float entry of inv gives the float
+    polynomial of the product form sum_ij x_i (d_j u) (Sigma^{-1})_ij,
+    for evaluation only."""
     q = u.dimension
     if any(isinstance(s, (float, np.floating)) for row in inv for s in row):
         out = Polynomial.zero(q)
@@ -483,19 +580,21 @@ def x_dot_inv_grad(u: Polynomial, inv) -> Polynomial:
                     out = out + Polynomial.variable(q, i) * u.partial(j) * inv[i][j]
         return out
     num, den = u._integers()
+    if u.degree() > MAX_DEGREE:
+        raise PolynomialError(f"product degree exceeds cap {MAX_DEGREE}")
     s, l = _integer_row([c for row in inv for c in row])
+    shifts = _layout(q).shifts
     terms: dict = {}
     for i in range(q):
         for j in range(q):
             sij = s[i * q + j]
             if sij:
+                sj = shifts[j]
+                step = (1 << shifts[i]) - (1 << sj)  # x_i d_j keeps the degree
                 for beta, n in num.items():
-                    k = beta[j]
+                    k = beta >> sj & MAX_EXPONENT
                     if k:
-                        a = list(beta)
-                        a[j] -= 1
-                        a[i] += 1
-                        a = tuple(a)
+                        a = beta + step
                         terms[a] = terms.get(a, 0) + n * k * sij
     return Polynomial._exact(q, terms, den * l)
 
@@ -506,12 +605,15 @@ def taylor_terms(S: Polynomial, top: int) -> list:
     c_alpha prod_j C(alpha_j, beta_j) x^(alpha - beta)."""
     num, den = S._integers()
     q = S.dimension
+    lay = _layout(q)
+    items = [(lay.unpack(a), a, n) for a, n in num.items()]
     out = []
     for m in range(1, min(top, S.degree()) + 1):
         for beta in multi_indices(q, m):
+            b = lay.pack(beta)
             terms = {
-                tuple(map(sub, alpha, beta)): n * math.prod(map(math.comb, alpha, beta))
-                for alpha, n in num.items()
+                a - b: n * math.prod(map(math.comb, alpha, beta))
+                for alpha, a, n in items
                 if all(map(ge, alpha, beta))
             }
             if terms:
@@ -519,24 +621,26 @@ def taylor_terms(S: Polynomial, top: int) -> list:
     return out
 
 
-def diagonal_degree_solve(parts: Sequence[Polynomial], monos: Sequence[tuple],
-                          diag: Sequence) -> Polynomial:
-    """The u_d with x . diag(diag) grad u_d = b on the span of monos, for
-    b_a the sum over parts of their coefficients of x^a: each x^a is an
-    eigenvector, of eigenvalue sum_i diag_i a_i (nonzero), so u_d has the
-    coefficients b_a / (sum_i diag_i a_i), in the order of monos."""
+def diagonal_degree_solve(parts: Sequence[Polynomial], d: int, diag: Sequence) -> Polynomial:
+    """The u_d with x . diag(diag) grad u_d = b on the degree-d monomials,
+    for b_a the sum over parts of their coefficients of x^a: each x^a is
+    an eigenvector, of eigenvalue sum_i diag_i a_i (nonzero), so u_d has
+    the coefficients b_a / (sum_i diag_i a_i), in the order of
+    multi_indices(q, d), which is that of the keys."""
     ints = [p._integers() for p in parts]
-    den = math.lcm(*(d for _, d in ints))
-    scaled = [(n, den // d) for n, d in ints]
+    den = math.lcm(*(l for _, l in ints))
+    scaled = [(n, den // l) for n, l in ints]
     w, l = _integer_row(diag)
+    q = parts[0].dimension
+    lay = _layout(q)
+    top, shifts = lay.top, lay.shifts
     b = {}
-    for a in monos:
+    for a in sorted({a for n, _ in scaled for a in n if a >> top == d}):
         v = sum(n.get(a, 0) * f for n, f in scaled)
         if v:
-            b[a] = (v * l, sum(map(math.prod, zip(w, a))))
+            b[a] = (v * l, sum(wi * (a >> s & MAX_EXPONENT) for wi, s in zip(w, shifts)))
     m = math.lcm(*(lam for _, lam in b.values()))
-    return Polynomial._exact(len(monos[0]), {a: v * (m // lam) for a, (v, lam) in b.items()},
-                             den * m)
+    return Polynomial._exact(q, {a: v * (m // lam) for a, (v, lam) in b.items()}, den * m)
 
 
 # ---------------------------------------------------------------------------
@@ -556,8 +660,9 @@ def hermite_sigma(alpha: Sequence[int], sigma_inv, memo: dict | None = None) -> 
 
     sigma_inv is Sigma^(-1), rational; the result is exact.  Built by the
     recurrence H_(alpha+e_j) = (Sigma^(-1) x)_j H_alpha - d_j H_alpha; a
-    dict passed as memo shares the lower orders between calls with the
-    same sigma_inv.  For Sigma = diag(lam) this is
+    dict passed as memo shares the lower orders, by packed alpha, and the
+    integer rows of sigma_inv between calls with the same sigma_inv.
+    For Sigma = diag(lam) this is
     prod_j lam_j^(-alpha_j/2) H_(alpha_j)(lam_j^(-1/2) x_j), and
     E[H_alpha H_beta] = [alpha == beta] alpha! prod_j lam_j^(-alpha_j).
     """
@@ -567,38 +672,72 @@ def hermite_sigma(alpha: Sequence[int], sigma_inv, memo: dict | None = None) -> 
         raise PolynomialError(f"bad Hermite index {alpha} for dimension {len(sigma_inv)}")
     if sum(alpha) > MAX_DEGREE:
         raise PolynomialError(f"product degree exceeds cap {MAX_DEGREE}")
+    lay = _layout(q)
+    return _hermite(lay, lay.pack(alpha), *_hermite_table(sigma_inv, memo))
+
+
+def hermite_sum(p: Polynomial, sigma_inv, memo: dict | None = None) -> Polynomial:
+    """sum_alpha b_alpha H^Sigma_alpha over the terms b_alpha x^alpha of p,
+    exact, in the order of p's terms; memo as for hermite_sigma."""
+    num, den = p._integers()
+    q = p.dimension
+    if len(sigma_inv) != q:
+        raise PolynomialError(f"bad Hermite dimension {q} for dimension {len(sigma_inv)}")
+    if p.degree() > MAX_DEGREE:
+        raise PolynomialError(f"product degree exceeds cap {MAX_DEGREE}")
+    lay, (rows, memo) = _layout(q), _hermite_table(sigma_inv, memo)
+    return sum_of_products(q, [(_hermite(lay, a, rows, memo), n) for a, n in num.items()],
+                           Fraction(1, den))
+
+
+def _hermite_table(sigma_inv, memo: dict | None) -> tuple:
+    """(the integer rows of sigma_inv, memo): the rows are made once per
+    memo and kept in it under the key None."""
     if memo is None:
         memo = {}
-    if alpha not in memo:
-        j = next((i for i, a in enumerate(alpha) if a), None)
-        if j is None:
-            memo[alpha] = Polynomial.constant(q, Fraction(1))
+    rows = memo.get(None)
+    if rows is None:
+        rows = memo[None] = [_integer_row(row) for row in sigma_inv]
+    return rows, memo
+
+
+def _hermite(lay: _Layout, key: int, rows: list, memo: dict) -> Polynomial:
+    """H^Sigma of the packed index key, by its first nonzero exponent."""
+    h = memo.get(key)
+    if h is None:
+        if not key:
+            h = Polynomial.constant(lay.q, Fraction(1))
         else:
-            lower = list(alpha)
-            lower[j] -= 1
-            memo[alpha] = _hermite_step(hermite_sigma(lower, sigma_inv, memo), sigma_inv[j], j)
-    return memo[alpha]
+            j = next(j for j, s in enumerate(lay.shifts) if key >> s & MAX_EXPONENT)
+            h = _hermite_step(_hermite(lay, key - lay.units[j], rows, memo), rows[j], j)
+        memo[key] = h
+    return h
 
 
-def _hermite_step(h: Polynomial, row: Sequence, j: int) -> Polynomial:
-    """y_j h - d_j h for y_j = sum_i row[i] x_i, row = (Sigma^(-1))_j, in
-    one pass.  The terms come in the order of `y_j * h - h.partial(j)`:
-    the product's, less those that cancel, then the derivative's new ones.
-    They are summed as integer numerators over one common denominator."""
+def _hermite_step(h: Polynomial, row: tuple, j: int) -> Polynomial:
+    """y_j h - d_j h for y_j = sum_i s_i x_i / l, row = (s, l) the
+    integer row of (Sigma^(-1))_j, in one pass.  The terms come in the
+    order of `y_j * h - h.partial(j)`: the product's, less those that
+    cancel, then the derivative's new ones.  They are summed as integer
+    numerators over one common denominator."""
     hn, lh = h._integers()
-    row, ly = _integer_row(row)
+    s_row, ly = row
+    lay = _layout(h.dimension)
     terms: dict = {}
-    for i, s in enumerate(row):
+    get = terms.get
+    for s, unit in zip(s_row, lay.units):
         if s:
             for a, n in hn.items():
-                key = a[:i] + (a[i] + 1,) + a[i + 1:]
-                terms[key] = terms.get(key, 0) + s * n
+                key = a + unit
+                terms[key] = get(key, 0) + s * n
     terms = {a: n for a, n in terms.items() if n}
+    get = terms.get
+    sj, unit = lay.shifts[j], lay.units[j]
     for a, n in hn.items():
-        k = a[j]
+        k = a >> sj & MAX_EXPONENT
         if k:
-            key = a[:j] + (k - 1,) + a[j + 1:]
-            terms[key] = terms.get(key, 0) - n * k * ly
+            key = a - unit
+            terms[key] = get(key, 0) - n * k * ly
     return Polynomial._exact(h.dimension, terms, ly * lh)
 
 
@@ -678,8 +817,8 @@ class GaussianMoments:
     sigma is rational (a float raises PolynomialError).  It is checked
     once, when the table is made: symmetric, and positive semi-definite by
     the exact pivots of positive_definite.  Calling the table with an
-    exponent tuple gives its moment, memoised for the life of the table
-    and built by Gaussian integration by parts,
+    exponent tuple gives its moment, memoised by packed gamma for the life
+    of the table and built by Gaussian integration by parts,
 
         E[x_i x^gamma] = sum_j sigma_ij gamma_j E[x^(gamma - e_j)].
 
@@ -688,7 +827,7 @@ class GaussianMoments:
     recurrence with S for sigma.
     """
 
-    __slots__ = ("sigma", "_s", "_den", "_memo")
+    __slots__ = ("sigma", "_s", "_den", "_memo", "_lay")
 
     def __init__(self, sigma, q: int):
         self.sigma = tuple(tuple(_rational(sigma[i][j]) for j in range(q)) for i in range(q))
@@ -701,28 +840,32 @@ class GaussianMoments:
         self._den = math.lcm(*(c.denominator for r in self.sigma for c in r))
         self._s = tuple(tuple(c.numerator * (self._den // c.denominator) for c in r)
                         for r in self.sigma)
-        self._memo = {(0,) * q: 1}
+        self._lay = _layout(q)
+        self._memo = {0: 1}
 
-    def _numerator(self, gamma: tuple) -> int:
-        """N(gamma)."""
+    def _numerator(self, gamma: int) -> int:
+        """N(gamma), gamma a packed key."""
         n = self._memo.get(gamma)
         if n is None:
             n = 0
-            if sum(gamma) % 2 == 0:
-                i = next(i for i, g in enumerate(gamma) if g)
-                low = list(gamma)
-                low[i] -= 1
-                for j, s in enumerate(self._s[i]):
-                    g = low[j]
-                    if g and s:
-                        low[j] -= 1
-                        n += s * g * self._numerator(tuple(low))
-                        low[j] += 1
+            lay = self._lay
+            if not gamma >> lay.top & 1:
+                shifts, units = lay.shifts, lay.units
+                i = next(i for i, s in enumerate(shifts) if gamma >> s & MAX_EXPONENT)
+                low = gamma - units[i]
+                for s, shift, unit in zip(self._s[i], shifts, units):
+                    if s:
+                        g = low >> shift & MAX_EXPONENT
+                        if g:
+                            n += s * g * self._numerator(low - unit)
             self._memo[gamma] = n
         return n
 
     def __call__(self, gamma: tuple) -> Fraction:
-        return Fraction(self._numerator(gamma), self._den ** (sum(gamma) // 2))
+        key = self._lay.find(gamma)
+        if key < 0:
+            raise PolynomialError(f"bad exponent tuple {tuple(gamma)} for dimension {self._lay.q}")
+        return Fraction(self._numerator(key), self._den ** (sum(gamma) // 2))
 
     def expectation(self, p: Polynomial) -> Fraction:
         """E[p(x)]."""
@@ -735,26 +878,30 @@ class GaussianMoments:
         p's integer numerators n_beta over its denominator l are read
         as they are (a float coefficient raises PolynomialError), and each
         moment is one Fraction,
-        sum_beta n_beta N(alpha+beta) D^((top-|beta|)/2) / (l D^((|alpha|+top)/2)),
+        sum_beta n_beta N(alpha+beta) D^((high-|beta|)/2) / (l D^((|alpha|+high)/2)),
         over the terms with |beta| of the parity of |alpha| (the others meet
-        odd moments), top the largest such |beta|.
+        odd moments), high the largest such |beta|; alpha + beta is the sum
+        of the packed keys.
         """
         nums, l = p._integers()
         den, memo, num = self._den, self._memo, self._numerator
-        by_parity = []  # (top, [(beta, n_beta D^((top - |beta|)/2))]) per parity of |beta|
+        pack, top = self._lay.pack, self._lay.top
+        by_parity = []  # (high, [(beta, n_beta D^((high - |beta|)/2))]) per parity of |beta|
         for parity in (0, 1):
-            part = [(b, n, sum(b)) for b, n in nums.items() if sum(b) % 2 == parity]
-            top = max((d for _, _, d in part), default=0)
-            by_parity.append((top, [(b, n * den ** ((top - d) // 2)) for b, n, d in part]))
+            part = [(b, n, b >> top) for b, n in nums.items() if b >> top & 1 == parity]
+            high = max((d for _, _, d in part), default=0)
+            by_parity.append((high, [(b, n * den ** ((high - d) // 2)) for b, n, d in part]))
         out = []
         for alpha in alphas:
-            top, part = by_parity[sum(alpha) % 2]
+            a = pack(alpha)
+            d = a >> top
+            high, part = by_parity[d & 1]
             total = 0
             for b, n in part:
-                g = tuple(map(add, alpha, b))
-                m = memo[g] if g in memo else num(g)
-                total += n * m
-            out.append(Fraction(total, l * den ** ((sum(alpha) + top) // 2)))
+                g = a + b
+                m = memo.get(g)
+                total += n * (num(g) if m is None else m)
+            out.append(Fraction(total, l * den ** ((d + high) // 2)))
         return out
 
 

@@ -258,6 +258,30 @@ class TestExitCodes:
         assert "config error" in capsys.readouterr().err
         assert calls == []
 
+    @pytest.mark.parametrize("r", [-2000, -1, 2000])
+    def test_probe_cramer_bad_annulus_is_2_before_the_grid(self, tmp_path, monkeypatch, capsys,
+                                                           r):
+        # 2^2001 overflows; annulus -1 lies past tau = 1; 2^-2001 underflows
+        def refuse(*args, **kwargs):
+            raise AssertionError("the grid was made")
+
+        monkeypatch.setattr(cli.np, "linspace", refuse)
+        cfg = write(tmp_path, "pc.cfg", PROBE.replace("r = 3", f"r = {r}") + "grid_n = 50\n")
+        assert cli.main(["probe-cramer", "--config", cfg, "--no-timestamp"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"r = {r}" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["no-such-experiment"],
+        ["probe-cramer", "--seed", "1.5"],
+        [],
+    ])
+    def test_bad_arguments_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "usage: levyedge" in capsys.readouterr().err
+
     @pytest.mark.parametrize("line", ["3 abc", "a 2", "2 1/0"])
     def test_malformed_cumulant_file_is_2(self, tmp_path, capsys, line):
         cum = write(tmp_path, "bad.cum", line + "\n")
@@ -533,6 +557,33 @@ class TestOutputs:
         assert cli.main(["edgeworth-build", "--config", cfg, "--out", out, "--no-timestamp"]) == 0
         assert len(calls) == 2
         assert "residual check: all zero (exact)" in open(out).read().splitlines()
+
+    def test_edgeworth_build_computes_each_moment_once(self, tmp_path, monkeypatch):
+        # the moment check reads the recursion's Gaussian moment table:
+        # one table for Sigma, and no entry of it computed twice
+        tables, computed = [], []
+        real_init = polycore.GaussianMoments.__init__
+        real_numerator = polycore.GaussianMoments._numerator
+
+        def init(table, *args):
+            tables.append(1)
+            real_init(table, *args)
+
+        def numerator(table, gamma):
+            if gamma not in table._memo:
+                computed.append(gamma)
+            return real_numerator(table, gamma)
+
+        monkeypatch.setattr(polycore.GaussianMoments, "__init__", init)
+        monkeypatch.setattr(polycore.GaussianMoments, "_numerator", numerator)
+        cfg = write(tmp_path, "eb.cfg", "cumulants = sigma.cum\nr = 3\n")
+        write(tmp_path, "sigma.cum", SIGMA_CUM)
+        monkeypatch.chdir(tmp_path)
+        out = str(tmp_path / "out.txt")
+        assert cli.main(["edgeworth-build", "--config", cfg, "--out", out, "--no-timestamp"]) == 0
+        assert tables == [1]
+        assert computed and len(set(computed)) == len(computed)
+        assert "moment check: all equal (exact)" in open(out).read().splitlines()
 
     @pytest.mark.parametrize("experiment", list(TINY))
     def test_threads_do_not_change_results(self, tmp_path, experiment):

@@ -14,18 +14,25 @@ from levyedge import polycore
 from levyedge.perturbation import invert_S_map
 from levyedge.polycore import (
     MAX_DEGREE,
+    MAX_EXPONENT,
     EpsSeries,
     GaussianMoments,
     Polynomial,
     PolynomialError,
+    diagonal_degree_solve,
     gaussian_expectation,
     gaussian_moment,
+    grlex_key,
     hermite_1d,
     hermite_sigma,
+    hermite_sum,
+    multi_indices,
     positive_definite,
     rational_inverse,
     solve_linear,
     sum_of_products,
+    taylor_terms,
+    x_dot_inv_grad,
 )
 
 
@@ -136,15 +143,15 @@ def polynomials(draw, q, max_degree, coeffs=RATIONALS, max_terms=6):
 
 @st.composite
 def product_case(draw):
-    """Two rational polynomials in q <= 3 variables."""
-    q = draw(st.integers(1, 3))
+    """Two rational polynomials in q <= 6 variables."""
+    q = draw(st.integers(1, 6))
     return draw(polynomials(q, 6)), draw(polynomials(q, 6))
 
 
 @st.composite
 def sum_case(draw):
-    """q <= 3 and 0-4 pairs of rational polynomials in q variables."""
-    q = draw(st.integers(1, 3))
+    """q <= 6 and 0-4 pairs of rational polynomials in q variables."""
+    q = draw(st.integers(1, 6))
     pairs = [(draw(polynomials(q, 4)), draw(polynomials(q, 4)))
              for _ in range(draw(st.integers(0, 4)))]
     return q, pairs
@@ -180,11 +187,13 @@ def ldl_moment_case(draw):
 
 @st.composite
 def expectation_case(draw):
-    """A rational Sigma = L D L^T, q <= 3, non-diagonal when q > 1 (every
+    """A rational Sigma = L D L^T, q <= 6, non-diagonal when q > 1 (every
     entry of L below the diagonal nonzero) and with an entry whose
     denominator is not 1; a rational polynomial of degree <= 5 and a few
-    exponent tuples alpha with |alpha| <= 3."""
-    q = draw(st.integers(1, 3))
+    exponent tuples alpha with |alpha| <= 3 (degree <= 3 and |alpha| <= 2
+    for q > 3)."""
+    q = draw(st.integers(1, 6))
+    small = q > 3
     below = st.fractions(-2, 2, max_denominator=3).filter(bool)
     L = [[Fraction(int(i == j)) if j >= i else draw(below) for j in range(q)] for i in range(q)]
     D = [draw(st.sampled_from([Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(2)]))
@@ -193,12 +202,12 @@ def expectation_case(draw):
     assume(any(c.denominator > 1 for row in sigma for c in row))
     alphas = []
     for _ in range(draw(st.integers(1, 4))):
-        left, alpha = draw(st.integers(0, 3)), []
+        left, alpha = draw(st.integers(0, 2 if small else 3)), []
         for _ in range(q):
             alpha.append(draw(st.integers(0, left)))
             left -= alpha[-1]
         alphas.append(tuple(alpha))
-    return sigma, draw(polynomials(q, 5)), alphas
+    return sigma, draw(polynomials(q, 3 if small else 5)), alphas
 
 
 class TestPolynomial:
@@ -592,17 +601,35 @@ def shifted(alpha: tuple, j: int, by: int) -> tuple:
 
 @st.composite
 def hermite_step_case(draw):
-    """A rational polynomial h in q <= 3 variables, a rational row and an
+    """A rational polynomial h in q <= 6 variables, a rational row and an
     index j < q."""
-    q = draw(st.integers(1, 3))
+    q = draw(st.integers(1, 6))
     row = [draw(st.fractions(-3, 3, max_denominator=6)) for _ in range(q)]
     return draw(polynomials(q, 5)), row, draw(st.integers(0, q - 1))
 
 
+@st.composite
+def matrix_case(draw):
+    """A rational polynomial in q <= 6 variables and a q x q rational
+    matrix, some entries zero."""
+    q = draw(st.integers(1, 6))
+    mat = [[draw(st.fractions(-3, 3, max_denominator=4)) for _ in range(q)] for _ in range(q)]
+    return draw(polynomials(q, 4)), mat
+
+
+def mono_text(alpha: tuple) -> str:
+    return " ".join(f"x{j + 1}^{e}" if e > 1 else f"x{j + 1}" for j, e in enumerate(alpha) if e)
+
+
+def items(p: Polynomial) -> list:
+    return list(p.terms.items())
+
+
 class TestFractionReference:
-    """The integer-numerator kernels against plain term-by-term Fraction
-    arithmetic on random rational polynomials: the same terms, in the
-    same dict order, each a Fraction."""
+    """The integer-numerator kernels on packed monomial keys against
+    plain term-by-term Fraction arithmetic on exponent tuples, on random
+    rational polynomials in 1 to 6 variables: the same terms, in the same
+    dict order, each a Fraction."""
 
     @given(sum_case(), st.sampled_from([1, Fraction(-2, 3), Fraction(7, 4)]))
     @settings(deadline=None, max_examples=100)
@@ -641,7 +668,7 @@ class TestFractionReference:
                 key = shifted(a, j, -1)
                 want[key] = want.get(key, 0) - c * a[j]
         want = {a: c for a, c in want.items() if c}
-        got = polycore._hermite_step(h, row, j)
+        got = polycore._hermite_step(h, polycore._integer_row(row), j)
         assert list(got.terms.items()) == list(want.items())
         assert all(type(c) is Fraction for c in got.terms.values())
 
@@ -659,6 +686,112 @@ class TestFractionReference:
             want.append(total)
         got = table.expectations(p, alphas)
         assert got == want and all(type(v) is Fraction for v in got)
+
+    @given(product_case())
+    @settings(deadline=None, max_examples=80)
+    def test_add_and_sub(self, case):
+        a, b = case
+        for sign, got in ((1, a + b), (-1, a - b)):
+            want = plain_terms(list(a.terms.items()) + [(k, sign * c) for k, c in b.terms.items()])
+            assert items(got) == list(want.items())
+
+    @given(matrix_case())
+    @settings(deadline=None, max_examples=80)
+    def test_x_dot_inv_grad(self, case):
+        u, inv = case
+        q = u.dimension
+        want = plain_terms((shifted(shifted(b, j, -1), i, 1), c * b[j] * inv[i][j])
+                           for i in range(q) for j in range(q) if inv[i][j]
+                           for b, c in u.terms.items() if b[j])
+        got = x_dot_inv_grad(u, inv)
+        assert items(got) == list(want.items())
+        assert all(type(c) is Fraction for c in got.terms.values())
+
+    @given(product_case(), st.integers(1, 4))
+    @settings(deadline=None, max_examples=60)
+    def test_taylor_terms(self, case, top):
+        S = case[0]
+        q = S.dimension
+        want = []
+        for m in range(1, min(top, S.degree()) + 1):
+            for beta in multi_indices(q, m):
+                terms = {tuple(a - b for a, b in zip(alpha, beta)):
+                         c * math.prod(math.comb(a, b) for a, b in zip(alpha, beta))
+                         for alpha, c in S.terms.items() if all(a >= b for a, b in zip(alpha, beta))}
+                if terms:
+                    want.append((beta, list(terms.items())))
+        assert [(beta, items(t)) for beta, t in taylor_terms(S, top)] == want
+
+    @given(st.integers(1, 6), st.data())
+    @settings(deadline=None, max_examples=30)
+    def test_hermite_sigma_and_sum(self, q, data):
+        # a non-diagonal rational Sigma^(-1) and shared memos: H^Sigma of
+        # each index of low degree, and their combination over the terms
+        # of a polynomial
+        inv = [[Fraction(2) if i == j else Fraction(-1, 2) if abs(i - j) == 1 else 0
+                for j in range(q)] for i in range(q)]
+        memo, ref = {}, {}
+        for alpha in (a for d in range(3 if q > 3 else 4) for a in multi_indices(q, d)):
+            got, want = hermite_sigma(alpha, inv, memo), reference_hermite(alpha, inv, ref)
+            assert items(got) == items(want)
+        p = data.draw(polynomials(q, 3, max_terms=4))
+        want = sum_of_products(q, [(reference_hermite(a, inv, ref), c) for a, c in p.terms.items()])
+        assert items(hermite_sum(p, inv, memo)) == items(want)
+
+    @given(product_case(), st.integers(1, 4), st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_diagonal_degree_solve(self, case, d, data):
+        a, b = case
+        q = a.dimension
+        diag = [data.draw(st.fractions(Fraction(1, 3), 3, max_denominator=3)) for _ in range(q)]
+        want = {}
+        for alpha in multi_indices(q, d):
+            v = a.coefficient(alpha) + b.coefficient(alpha)
+            if v:
+                want[alpha] = v / sum(w * e for w, e in zip(diag, alpha))
+        assert items(diagonal_degree_solve([a, b], d, diag)) == list(want.items())
+
+    @given(product_case(), st.sampled_from([None, 0.5]))
+    @settings(deadline=None, max_examples=80)
+    def test_to_text(self, case, half):
+        p = case[0] if half is None else case[0] * half  # a float polynomial prints too
+        want = " + ".join(f"{c} {mono_text(a)}".strip()
+                          for a, c in sorted(p.terms.items(), key=lambda kv: grlex_key(kv[0])))
+        assert p.to_text() == (want or "0")
+
+
+class TestPackedKeys:
+    """Exponents at the edges of what a packed key holds."""
+
+    @pytest.mark.parametrize("q", [1, 2, 6])
+    def test_product_reaching_max_degree_in_one_variable(self, q):
+        for j in range(q):
+            low = x(j, q) ** (MAX_DEGREE // 2)
+            top = tuple(MAX_DEGREE if k == j else 0 for k in range(q))
+            got = low * low * Fraction(1, 3)
+            assert items(got) == [(top, Fraction(1, 3))] and got.degree() == MAX_DEGREE
+            assert got.partial(j).terms == {shifted(top, j, -1): Fraction(MAX_DEGREE, 3)}
+            with pytest.raises(PolynomialError, match="degree exceeds cap"):
+                low * low * x(j, q)
+
+    def test_constructed_high_exponents(self):
+        high = Polynomial(2, {(MAX_DEGREE + 1, 0): 1})
+        assert items(high * Fraction(2, 3)) == [((MAX_DEGREE + 1, 0), Fraction(2, 3))]
+        assert high.degree() == MAX_DEGREE + 1
+        assert high.partial(0).terms == {(MAX_DEGREE, 0): MAX_DEGREE + 1}
+        widest = Polynomial(3, {(0, MAX_EXPONENT, 0): 5, (1, 0, MAX_EXPONENT): 1})
+        assert items(widest) == [((0, MAX_EXPONENT, 0), 5), ((1, 0, MAX_EXPONENT), 1)]
+        assert widest.to_text() == f"5 x2^{MAX_EXPONENT} + 1 x1 x3^{MAX_EXPONENT}"
+        with pytest.raises(PolynomialError, match="degree exceeds cap"):
+            x_dot_inv_grad(widest, [[1, 1, 0], [1, 1, 0], [0, 0, 1]])
+
+    @pytest.mark.parametrize("alpha", [(MAX_EXPONENT + 1, 0), (0, MAX_EXPONENT + 1), (1, 2 ** 40)])
+    def test_exponent_past_the_field_raises(self, alpha):
+        with pytest.raises(PolynomialError, match=f"in \\[0, {MAX_EXPONENT}\\]"):
+            Polynomial(2, {alpha: 1})
+        # no key aliases a tuple that no polynomial can hold
+        p = Polynomial(2, {(1, 0): 1, (0, 1): 2, (1, 1): 3, (0, 0): 4})
+        assert p.coefficient(alpha) == 0
 
 
 class TestExactKernels:
