@@ -287,11 +287,15 @@ def run_clt_rate(cfg: Dict[str, str], seed: int, threads: int) -> List[list]:
         per_m_reps = []
         for m in m_list:
             qs = law.sum_quantile(m)
-            disp = pmap.displacement(1.0 / math.sqrt(m))
 
-            def qref(t, disp=disp):
+            def qref(t, eps=1.0 / math.sqrt(m)):
+                # the map at xi: each p_k(xi), then scaled by eps^k, as
+                # sample_perturbed_normal adds them
                 x = special.ndtri(t) * math.sqrt(sigma[0, 0])
-                return x + float(disp[0](np.array([x])))
+                xi = np.array([x])
+                for k, pk in enumerate(pmap.gradients, start=1):
+                    x = x + float(pk[0](xi)) * eps ** k
+                return x
 
             w = wp_1d_exact(qs, qref, p)
             per_m_reps.append([w])
@@ -567,6 +571,15 @@ def run_probe_cramer(cfg: Dict[str, str], seed: int, threads: int) -> List[str]:
     if not a < b:
         raise ConfigError(f"annulus r = {r}, radii [2^-(r+1), 2^-r], is empty "
                           f"in (0, tau = {meas.tau}]")
+    # the quadrature weighs the radial density on the annulus, largest at
+    # its inner radius for a power law
+    with np.errstate(over="ignore", divide="ignore"):
+        inner = meas.radial_mass_density(np.array([a]))[0]
+    if not math.isfinite(inner):
+        raise ConfigError(f"annulus index r = {r}: the radial density at its inner radius "
+                          f"{a!r} is out of the float range")
+    if not meas.interval_mass(a, b) > 0:
+        raise ConfigError(f"annulus r = {r}, radii [{a!r}, {b!r}], carries no mass")
     rho = _get_float(cfg, "rho", 8.0)
     lo = _get_float(cfg, "grid_lo", rho)
     hi = _get_float(cfg, "grid_hi", 60.0)

@@ -37,6 +37,7 @@ from .polycore import (
     positive_definite,
     rational_inverse,
     sum_of_products,
+    truncate,
 )
 
 
@@ -53,10 +54,6 @@ def _factorial_alpha(alpha: Tuple[int, ...]) -> int:
     return math.prod(math.factorial(a) for a in alpha)
 
 
-def _truncate(p: Polynomial, n: int) -> Polynomial:
-    return Polynomial(p.dimension, {a: c for a, c in p.terms.items() if sum(a) <= n})
-
-
 def _poly_log1p(p: Polynomial, n: int) -> Polynomial:
     """log(1+p) truncated at total degree n; p must have zero constant term."""
     if p.constant_term() != 0:
@@ -64,7 +61,7 @@ def _poly_log1p(p: Polynomial, n: int) -> Polynomial:
     out = Polynomial.zero(p.dimension)
     power = Polynomial.constant(p.dimension, Fraction(1))
     for l in range(1, n + 1):
-        power = _truncate(power * p, n)
+        power = truncate(power * p, n)
         if power.is_zero():
             break
         out = out + power * Fraction((-1) ** (l + 1), l)
@@ -242,8 +239,7 @@ def build_P(c: CumulantSet, r: int) -> list:
     expanded = EpsSeries(coeffs, r).exp()
     ps = [expanded[k] for k in range(1, r + 1)]
     for k, p in enumerate(ps, start=1):
-        degs = [sum(a) for a in p.terms]
-        if degs and (min(degs) < k + 2 or max(degs) > 3 * k):
+        if p.degree() > 3 * k or not truncate(p, k + 1).is_zero():
             raise AssertionError("P_k degree window violated")
     return ps
 

@@ -229,8 +229,12 @@ class StableLikeMeasure(LevyMeasureSpec):
 class CustomRadialMeasure(LevyMeasureSpec):
     """Measure from a tabulated radial density g: nu(dz) = g(|z|) dz.
 
-    The table covers [r_min, tau]; integrals use the trapezoid rule on
-    the given grid and sampling inverts the interpolated radial CDF.
+    The table covers [r_min, tau].  Every primitive uses one law: the
+    radial mass density m(rho) = S_(q-1) rho^(q-1) g(rho) interpolated
+    linearly between the nodes, and zero off the table.  Its CDF is
+    quadratic on each cell, so interval masses and radial second moments
+    are closed-form sums over cells and sample_radius solves the
+    quadratic.
     """
 
     def __init__(self, q: int, radii: Sequence[float], density: Sequence[float]):
@@ -247,11 +251,19 @@ class CustomRadialMeasure(LevyMeasureSpec):
         self.surface = sphere_surface(q)
         mass = self.surface * radii ** (q - 1) * density
         self._mass_density = mass
+        self._slope = np.diff(mass) / np.diff(radii)
+        # nu(|z| <= radii[k]) by the trapezoid rule, exact on linear cells
         cdf = np.concatenate([[0.0], np.cumsum(0.5 * (mass[1:] + mass[:-1]) * np.diff(radii))])
         self._cdf = cdf
 
     def _cdf_at(self, x: float) -> float:
-        return float(np.interp(x, self.radii, self._cdf))
+        """nu(|z| <= x): the node's value plus the trapezoid over the part
+        of its cell up to x, equal to the node value at every node."""
+        r = self.radii
+        x = min(max(x, r[0]), self.tau)
+        k = min(int(np.searchsorted(r, x, side="right")) - 1, r.size - 2)
+        return float(self._cdf[k] + 0.5 * (x - r[k]) * (self._mass_density[k]
+                                                         + self.radial_mass_density(x)))
 
     def interval_mass(self, a: float, b: float) -> float:
         return self._cdf_at(b) - self._cdf_at(a)
@@ -260,12 +272,16 @@ class CustomRadialMeasure(LevyMeasureSpec):
         lo, hi = max(a, self.radii[0]), min(b, self.tau)
         if lo >= hi:
             return 0.0  # the interval misses the table
-        grid = np.linspace(lo, hi, 2001)
-        md = np.interp(grid, self.radii, self._mass_density)
-        return float(np.trapezoid(grid ** 2 * md, grid))
+        r = self.radii
+        x = np.concatenate([[lo], r[(r > lo) & (r < hi)], [hi]])
+        m = self.radial_mass_density(x)
+        # rho^2 m(rho) is a cubic on each piece: Simpson's rule is exact
+        mid = 0.5 * (x[1:] + x[:-1])
+        cubic = x[:-1] ** 2 * m[:-1] + 2.0 * mid ** 2 * (m[:-1] + m[1:]) + x[1:] ** 2 * m[1:]
+        return float(np.sum(np.diff(x) * cubic) / 6.0)
 
     def radial_mass_density(self, rho: np.ndarray) -> np.ndarray:
-        return np.interp(rho, self.radii, self._mass_density)
+        return np.interp(rho, self.radii, self._mass_density, left=0.0, right=0.0)
 
     def sample_radius(self, a: float, b: float, u: np.ndarray) -> np.ndarray:
         lo, hi = self._cdf_at(a), self._cdf_at(b)
@@ -273,7 +289,18 @@ class CustomRadialMeasure(LevyMeasureSpec):
             raise LevyError("interval carries no mass")
         u *= hi - lo
         u += lo
-        u[...] = np.interp(u, self._cdf, self.radii)
+        # the cell k with cdf[k] < u <= cdf[k + 1] carries mass; on it the
+        # offset t solves m_k t + slope_k t^2 / 2 = u - cdf[k], taken in
+        # the form 2w / (m_k + sqrt(m_k^2 + 2 slope_k w)) that a zero
+        # slope or a zero m_k does not break
+        r = self.radii
+        k = np.searchsorted(self._cdf, u, side="left") - 1
+        np.clip(k, 0, r.size - 2, out=k)
+        w = u - self._cdf[k]
+        m = self._mass_density[k]
+        den = m + np.sqrt(np.maximum(m * m + 2.0 * self._slope[k] * w, 0.0))
+        t = np.divide(2.0 * w, den, out=np.zeros_like(w), where=den > 0)
+        u[...] = r[k] + np.minimum(t, r[k + 1] - r[k])
         return u
 
 

@@ -57,6 +57,10 @@ def is_curl_free(U: Sequence[Polynomial]) -> bool:
 class GradientPolyMap:
     """Potentials u_1..u_r and their gradient fields p_k for one covariance.
 
+    The fields stay exact; the map x -> x + sum_k eps^k p_k(x) is
+    evaluated at float points by its users, each p_k[j] at the points
+    and then scaled by eps^k.
+
     When invert_S_map built the potentials, s_tilde holds S~_1..S~_r
     (S~_1 = 0) of its recursion, gradients the grad u_k that the
     recursion built, l_sigma the L_Sigma u_k = x . Sigma^{-1} grad u_k
@@ -89,15 +93,6 @@ class GradientPolyMap:
     @property
     def order(self) -> int:
         return len(self.potentials)
-
-    def displacement(self, eps: float) -> List[Polynomial]:
-        """The vector field x -> sum_k eps^k p_k(x) at a fixed eps."""
-        q = self.dimension
-        out = [Polynomial.zero(q) for _ in range(q)]
-        for k, p in enumerate(self.gradients, start=1):
-            for j in range(q):
-                out[j] = out[j] + p[j] * (eps ** k)
-        return out
 
 
 def apply_L(u: Polynomial, sigma, inv=None) -> Polynomial:

@@ -7,10 +7,11 @@ fixed-width bit field and the total degree above them, so that a product
 of monomials is one integer addition and a derivative one subtraction.
 Every kernel (sums, scalar and polynomial products, derivatives, the
 Hermite step, the diagonal degree solve, Gaussian moments) works on those
-integers and keys and raises PolynomialError for a float; exponent tuples
-and `fractions.Fraction`s are made only where a caller reads the
-coefficients or evaluates, and a polynomial holds floats only to be
-evaluated.  On top of the carrier type this module provides
+integers and keys; exponent tuples and `fractions.Fraction`s are made
+only where a caller reads the coefficients.  Coefficients are rational
+only: a float coefficient, scalar factor or matrix entry raises
+PolynomialError, and floats exist only as the results of evaluation.
+On top of the carrier type this module provides
 probabilists' Hermite polynomials and their counterparts H^Sigma_alpha
 for a general covariance, small linear solves (Gauss-Jordan), Gaussian
 moments (one memoised table per covariance) and truncated formal power
@@ -27,11 +28,11 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import ge, index
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-Coeff = Union[Fraction, float]
+Coeff = Fraction
 
 #: hard cap on total degree, to bound combinatorial blowup
 MAX_DEGREE = 64
@@ -51,16 +52,6 @@ MAX_PRINT_BITS = 14_000
 
 class PolynomialError(ValueError):
     pass
-
-
-def _as_coeff(c) -> Coeff:
-    if isinstance(c, (Fraction, float)):
-        return c
-    if isinstance(c, (int, np.integer)):
-        return Fraction(int(c))
-    if isinstance(c, np.floating):
-        return float(c)
-    raise PolynomialError(f"unsupported coefficient type {type(c)!r}")
 
 
 def multi_indices(q: int, total: int):
@@ -134,11 +125,15 @@ def _layout(q: int) -> _Layout:
 
 
 def _rational(c) -> Fraction:
-    """c as a Fraction for an exact kernel; a float raises PolynomialError."""
-    c = _as_coeff(c)
-    if isinstance(c, float):
+    """c, a Fraction or an integer, as a Fraction; a float or any other
+    type raises PolynomialError."""
+    if isinstance(c, Fraction):
+        return c
+    if isinstance(c, (int, np.integer)):
+        return Fraction(int(c))
+    if isinstance(c, (float, np.floating)):
         raise PolynomialError(f"exact arithmetic needs rational input, not the float {c!r}")
-    return c
+    raise PolynomialError(f"unsupported coefficient type {type(c)!r}")
 
 
 def _integer_row(values: Sequence) -> tuple:
@@ -160,23 +155,22 @@ def _ratio_text(n: int, d: int) -> str:
     return str(n) if d == 1 else f"{n}/{d}"
 
 
-def coefficient_text(c: Coeff) -> str:
-    """str(c); a Fraction over MAX_PRINT_BITS raises PolynomialError."""
-    if isinstance(c, Fraction):
-        return _ratio_text(c.numerator, c.denominator)
-    return str(c)
+def coefficient_text(c) -> str:
+    """str(Fraction(c)) for a rational c; one over MAX_PRINT_BITS raises
+    PolynomialError."""
+    c = _rational(c)
+    return _ratio_text(c.numerator, c.denominator)
 
 
 class Polynomial:
     """Sparse multivariate polynomial over packed monomials.
 
-    Exact coefficients are the integers _num[key] over the one
+    The coefficients are the integers _num[key] over the one
     denominator _den, with the gcd of _den and every numerator 1, so
-    equal polynomials have equal integers.  A polynomial with a float
-    coefficient has _den None and keeps its coefficients as given in _num.
-    The keys are those of _layout(dimension), each exponent at most
-    MAX_EXPONENT.  Zero coefficients are never stored; the dict order is
-    the order the terms were made in, and __call__ sums in it.
+    equal polynomials have equal integers.  The keys are those of
+    _layout(dimension), each exponent at most MAX_EXPONENT.  Zero
+    coefficients are never stored; the dict order is the order the terms
+    were made in, and __call__ sums in it.
     """
 
     __slots__ = ("dimension", "_num", "_den", "_terms", "_evals")
@@ -185,7 +179,7 @@ class Polynomial:
         if dimension < 1:
             raise PolynomialError("dimension must be >= 1")
         find = _layout(dimension).find
-        clean = {}
+        coeffs = {}
         if terms:
             for alpha, c in terms.items():
                 alpha = tuple(int(a) for a in alpha)
@@ -193,23 +187,17 @@ class Polynomial:
                 if key < 0:
                     raise PolynomialError(f"bad exponent tuple {alpha} for dimension {dimension}: "
                                           f"each exponent must lie in [0, {MAX_EXPONENT}]")
-                c = _as_coeff(c)
-                if c != 0:
-                    clean[key] = c
-        Polynomial._init(self, dimension, clean)
+                coeffs[key] = c
+        nums, den = _integer_row(coeffs.values())
+        Polynomial._init(self, dimension, {a: n for a, n in zip(coeffs, nums) if n}, den)
 
     def __setattr__(self, *a):
         raise AttributeError("Polynomial is immutable")
 
     @staticmethod
-    def _init(p: "Polynomial", dimension: int, coeffs: dict, den=None) -> "Polynomial":
-        """Set p from nonzero coefficients: Fractions and floats (den None;
-        all-Fraction ones are brought to integers over their lcm) or
-        integer numerators over den, in lowest terms."""
-        if den is None and not any(isinstance(c, float) for c in coeffs.values()):
-            den = math.lcm(*(c.denominator for c in coeffs.values()))
-            coeffs = {a: c.numerator * (den // c.denominator) for a, c in coeffs.items()}
-        for name, value in (("dimension", dimension), ("_num", coeffs), ("_den", den),
+    def _init(p: "Polynomial", dimension: int, num: dict, den: int) -> "Polynomial":
+        """Set p from nonzero integer numerators over den, in lowest terms."""
+        for name, value in (("dimension", dimension), ("_num", num), ("_den", den),
                             ("_terms", None), ("_evals", None)):
             object.__setattr__(p, name, value)
         return p
@@ -226,33 +214,14 @@ class Polynomial:
             den //= g
         return Polynomial._init(object.__new__(Polynomial), dimension, num, den)
 
-    @staticmethod
-    def _mixed(dimension: int, coeffs: dict) -> "Polynomial":
-        """The polynomial of Fraction and float coefficients that this
-        module's evaluation-only arithmetic made; zeros are dropped."""
-        return Polynomial._init(object.__new__(Polynomial), dimension,
-                                {a: c for a, c in coeffs.items() if c})
-
-    def _integers(self) -> tuple:
-        """(numerators, denominator) for an exact kernel; a float
-        coefficient raises PolynomialError."""
-        if self._den is None:
-            raise PolynomialError("exact arithmetic needs rational coefficients, not floats")
-        return self._num, self._den
-
-    def _coeffs(self) -> dict:
-        """key -> coefficient: a Fraction each, or as given where a float is."""
-        den = self._den
-        return self._num if den is None else {a: Fraction(n, den) for a, n in self._num.items()}
-
     @property
     def terms(self) -> Mapping[tuple, Coeff]:
-        """Read-only view exponent tuple -> coefficient (Fraction, or as
-        given where a float is), in term order; made on first read."""
+        """Read-only view exponent tuple -> Fraction coefficient, in term
+        order; made on first read."""
         if self._terms is None:
-            unpack = _layout(self.dimension).unpack
+            unpack, den = _layout(self.dimension).unpack, self._den
             object.__setattr__(self, "_terms", MappingProxyType(
-                {unpack(a): c for a, c in self._coeffs().items()}))
+                {unpack(a): Fraction(n, den) for a, n in self._num.items()}))
         return self._terms
 
     # -- constructors -------------------------------------------------
@@ -281,8 +250,6 @@ class Polynomial:
         return not self._num
 
     def _at(self, key: int) -> Coeff:
-        if self._den is None:
-            return self._num.get(key, Fraction(0))
         return Fraction(self._num.get(key, 0), self._den)
 
     def coefficient(self, alpha: Sequence[int]) -> Coeff:
@@ -294,14 +261,9 @@ class Polynomial:
     def __eq__(self, other):
         if not isinstance(other, Polynomial) or self.dimension != other.dimension:
             return False
-        if self._den is None or other._den is None:
-            return self._coeffs() == other._coeffs()
         return self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        if self._den is None:  # as the polynomial of the floats' exact values
-            return hash(Polynomial._init(object.__new__(Polynomial), self.dimension,
-                                         {a: Fraction(c) for a, c in self._num.items()}))
         return hash((self.dimension, self._den, frozenset(self._num.items())))
 
     # -- arithmetic ---------------------------------------------------
@@ -316,11 +278,6 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             other = Polynomial.constant(self.dimension, other)
         self._check_dim(other)
-        if self._den is None or other._den is None:
-            terms = dict(self._coeffs())
-            for a, c in other._coeffs().items():
-                terms[a] = terms.get(a, 0) + c if sign > 0 else terms.get(a, 0) - c
-            return Polynomial._mixed(self.dimension, terms)
         den = math.lcm(self._den, other._den)
         f, g = den // self._den, (den // other._den) * sign
         terms = {a: n * f for a, n in self._num.items()} if f != 1 else dict(self._num)
@@ -335,8 +292,6 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self):
-        if self._den is None:
-            return Polynomial._mixed(self.dimension, {a: -c for a, c in self._num.items()})
         return Polynomial._exact(self.dimension, {a: -n for a, n in self._num.items()}, self._den)
 
     def __sub__(self, other):
@@ -350,11 +305,9 @@ class Polynomial:
         if isinstance(other, Polynomial):
             self._check_dim(other)
             return sum_of_products(self.dimension, [(self, other)])
-        c = _as_coeff(other)
+        c = _rational(other)
         if c == 0:
             return Polynomial.zero(self.dimension)
-        if self._den is None or isinstance(c, float):  # evaluation only
-            return Polynomial._mixed(self.dimension, {a: v * c for a, v in self._coeffs().items()})
         n = c.numerator
         return Polynomial._exact(self.dimension, {a: v * n for a, v in self._num.items()},
                                  self._den * c.denominator)
@@ -378,7 +331,7 @@ class Polynomial:
     # -- calculus -----------------------------------------------------
 
     def partial(self, j: int) -> "Polynomial":
-        num, den = self._integers()
+        num, den = self._num, self._den
         lay = _layout(self.dimension)
         s, unit = lay.shifts[j], lay.units[j]
         terms: dict = {}
@@ -394,7 +347,7 @@ class Polynomial:
 
     def laplacian(self) -> "Polynomial":
         """sum_j d_j d_j, in closed form: x^alpha -> alpha_j (alpha_j - 1) x^(alpha - 2 e_j)."""
-        num, den = self._integers()
+        num, den = self._num, self._den
         lay = _layout(self.dimension)
         terms: dict = {}
         for s, unit in zip(lay.shifts, lay.units):
@@ -413,7 +366,6 @@ class Polynomial:
         if self._evals is None:
             unpack, den = _layout(self.dimension).unpack, self._den
             object.__setattr__(self, "_evals", tuple(
-                (unpack(a), float(c)) for a, c in self._num.items()) if den is None else tuple(
                 (unpack(a), n / den) for a, n in self._num.items()))  # rounds as float(Fraction)
         return self._evals
 
@@ -488,17 +440,9 @@ class Polynomial:
         """Return self(A x) for a square rational matrix A (rows index the
         old variables)."""
         q = self.dimension
-        coords = []
-        for j in range(q):
-            row = {}
-            for i in range(q):
-                c = _as_coeff(A[j][i])
-                if c != 0:
-                    e = [0] * q
-                    e[i] = 1
-                    row[tuple(e)] = c
-            coords.append(Polynomial(q, row))
-        return self.substitute(coords)
+        units = [tuple(int(k == i) for k in range(q)) for i in range(q)]
+        return self.substitute([Polynomial(q, {units[i]: A[j][i] for i in range(q)})
+                                for j in range(q)])
 
     # -- output -------------------------------------------------------
 
@@ -511,7 +455,7 @@ class Polynomial:
         lay, num, den = _layout(self.dimension), self._num, self._den
         parts = []
         for a in sorted(num, key=lay.low.__xor__):
-            c = coefficient_text(num[a]) if den is None else _ratio_text(num[a], den)
+            c = _ratio_text(num[a], den)
             mono = lay.text(a)
             parts.append(f"{c} {mono}" if mono else c)
         return " + ".join(parts)
@@ -520,15 +464,22 @@ class Polynomial:
         return f"Polynomial({self.dimension}, {self.to_text()})"
 
 
+def truncate(p: Polynomial, n: int) -> Polynomial:
+    """The terms of p of total degree at most n, in p's order."""
+    top = _layout(p.dimension).top
+    return Polynomial._exact(p.dimension, {a: c for a, c in p._num.items() if a >> top <= n},
+                             p._den)
+
+
 def sum_of_products(dimension: int, pairs: Iterable, scale=1) -> Polynomial:
     """scale * sum_i a_i b_i over the pairs (a_i, b_i), in `dimension`
     variables; each a_i is a Polynomial, each b_i a Polynomial or a scalar.
 
     Each pair's integer numerators are convolved over one common
     denominator of all the pairs, a product of monomials being the sum of
-    their keys.  A float coefficient, b_i or scale raises PolynomialError,
-    as does a pair of polynomials whose degrees add up to more than
-    MAX_DEGREE, before any key is added.
+    their keys.  A float b_i or scale raises PolynomialError, as does a
+    pair of polynomials whose degrees add up to more than MAX_DEGREE,
+    before any key is added.
     """
     nums, den = [], 1
     for a, b in pairs:
@@ -537,13 +488,13 @@ def sum_of_products(dimension: int, pairs: Iterable, scale=1) -> Polynomial:
                 continue
             if a.degree() + b.degree() > MAX_DEGREE:
                 raise PolynomialError(f"product degree exceeds cap {MAX_DEGREE}")
-            (n1, l1), (n2, l2) = a._integers(), b._integers()
+            n1, l1, n2, l2 = a._num, a._den, b._num, b._den
         else:
             if not isinstance(b, (int, Fraction)):  # an int is its own numerator
                 b = _rational(b)
             if not (a._num and b):
                 continue
-            (n1, l1), (n2, l2) = a._integers(), ({0: b.numerator}, b.denominator)
+            n1, l1, n2, l2 = a._num, a._den, {0: b.numerator}, b.denominator
         nums.append((n1, n2, l1 * l2))
         den = math.lcm(den, l1 * l2)
     if not isinstance(scale, (int, Fraction)):
@@ -568,18 +519,9 @@ def x_dot_inv_grad(u: Polynomial, inv) -> Polynomial:
     x . Sigma^{-1} grad x^beta = sum_ij (Sigma^{-1})_ij beta_j x^(beta - e_j + e_i).
 
     Each x_i d_j u is a product of degree deg u, so a u over MAX_DEGREE
-    raises PolynomialError.  A float entry of inv gives the float
-    polynomial of the product form sum_ij x_i (d_j u) (Sigma^{-1})_ij,
-    for evaluation only."""
+    raises PolynomialError, as does a float entry of inv."""
     q = u.dimension
-    if any(isinstance(s, (float, np.floating)) for row in inv for s in row):
-        out = Polynomial.zero(q)
-        for i in range(q):
-            for j in range(q):
-                if inv[i][j] != 0:
-                    out = out + Polynomial.variable(q, i) * u.partial(j) * inv[i][j]
-        return out
-    num, den = u._integers()
+    num, den = u._num, u._den
     if u.degree() > MAX_DEGREE:
         raise PolynomialError(f"product degree exceeds cap {MAX_DEGREE}")
     s, l = _integer_row([c for row in inv for c in row])
@@ -603,7 +545,7 @@ def taylor_terms(S: Polynomial, top: int) -> list:
     """(beta, d^beta S / beta!) for 1 <= |beta| <= top, nonzero ones only:
     the coefficient of S(x + d) on d^beta.  d^beta S / beta! has the terms
     c_alpha prod_j C(alpha_j, beta_j) x^(alpha - beta)."""
-    num, den = S._integers()
+    num, den = S._num, S._den
     q = S.dimension
     lay = _layout(q)
     items = [(lay.unpack(a), a, n) for a, n in num.items()]
@@ -627,7 +569,7 @@ def diagonal_degree_solve(parts: Sequence[Polynomial], d: int, diag: Sequence) -
     an eigenvector, of eigenvalue sum_i diag_i a_i (nonzero), so u_d has
     the coefficients b_a / (sum_i diag_i a_i), in the order of
     multi_indices(q, d), which is that of the keys."""
-    ints = [p._integers() for p in parts]
+    ints = [(p._num, p._den) for p in parts]
     den = math.lcm(*(l for _, l in ints))
     scaled = [(n, den // l) for n, l in ints]
     w, l = _integer_row(diag)
@@ -679,7 +621,7 @@ def hermite_sigma(alpha: Sequence[int], sigma_inv, memo: dict | None = None) -> 
 def hermite_sum(p: Polynomial, sigma_inv, memo: dict | None = None) -> Polynomial:
     """sum_alpha b_alpha H^Sigma_alpha over the terms b_alpha x^alpha of p,
     exact, in the order of p's terms; memo as for hermite_sigma."""
-    num, den = p._integers()
+    num, den = p._num, p._den
     q = p.dimension
     if len(sigma_inv) != q:
         raise PolynomialError(f"bad Hermite dimension {q} for dimension {len(sigma_inv)}")
@@ -720,7 +662,7 @@ def _hermite_step(h: Polynomial, row: tuple, j: int) -> Polynomial:
     order of `y_j * h - h.partial(j)`: the product's, less those that
     cancel, then the derivative's new ones.  They are summed as integer
     numerators over one common denominator."""
-    hn, lh = h._integers()
+    hn, lh = h._num, h._den
     s_row, ly = row
     lay = _layout(h.dimension)
     terms: dict = {}
@@ -876,14 +818,13 @@ class GaussianMoments:
         terms p_beta x^beta of p of p_beta E[x^(alpha+beta)].
 
         p's integer numerators n_beta over its denominator l are read
-        as they are (a float coefficient raises PolynomialError), and each
-        moment is one Fraction,
+        as they are, and each moment is one Fraction,
         sum_beta n_beta N(alpha+beta) D^((high-|beta|)/2) / (l D^((|alpha|+high)/2)),
         over the terms with |beta| of the parity of |alpha| (the others meet
         odd moments), high the largest such |beta|; alpha + beta is the sum
         of the packed keys.
         """
-        nums, l = p._integers()
+        nums, l = p._num, p._den
         den, memo, num = self._den, self._memo, self._numerator
         pack, top = self._lay.pack, self._lay.top
         by_parity = []  # (high, [(beta, n_beta D^((high - |beta|)/2))]) per parity of |beta|

@@ -258,10 +258,11 @@ class TestExitCodes:
         assert "config error" in capsys.readouterr().err
         assert calls == []
 
-    @pytest.mark.parametrize("r", [-2000, -1, 2000])
+    @pytest.mark.parametrize("r", [-2000, -1, 2000, 408, 1023])
     def test_probe_cramer_bad_annulus_is_2_before_the_grid(self, tmp_path, monkeypatch, capsys,
-                                                           r):
-        # 2^2001 overflows; annulus -1 lies past tau = 1; 2^-2001 underflows
+                                                           recwarn, r):
+        # 2^2001 overflows; annulus -1 lies past tau = 1; 2^-2001 underflows;
+        # from r = 408 the density |z|^-3.5 overflows at the inner radius
         def refuse(*args, **kwargs):
             raise AssertionError("the grid was made")
 
@@ -270,6 +271,26 @@ class TestExitCodes:
         assert cli.main(["probe-cramer", "--config", cfg, "--no-timestamp"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and f"r = {r}" in err
+        assert not recwarn.list
+
+    def test_probe_cramer_massless_annulus_is_2(self, tmp_path, capsys, recwarn):
+        # a custom measure has no mass below its table: annulus 5,
+        # (1/64, 1/32], lies under radii from 0.05 and has no conditional law
+        radii = ",".join(str(0.05 + 0.19 * i) for i in range(6))
+        dens = ",".join(str((0.05 + 0.19 * i) ** -3.5) for i in range(6))
+        cfg = write(tmp_path, "pc.cfg", f"kind = custom-radial\nq = 2\nradii = {radii}\n"
+                    f"density = {dens}\nrho = 8\ngrid_n = 50\nr = 5\n")
+        assert cli.main(["probe-cramer", "--config", cfg, "--no-timestamp"]) == 2
+        assert "carries no mass" in capsys.readouterr().err
+        assert not recwarn.list
+
+    def test_probe_cramer_deepest_annulus_keeps_its_value(self, tmp_path, capsys, recwarn):
+        # r = 407, the last annulus whose density is finite at the inner
+        # radius: the rescaled annulus law does not depend on r
+        cfg = write(tmp_path, "pc.cfg", PROBE.replace("r = 3", "r = 407") + "grid_n = 50\n")
+        assert cli.main(["probe-cramer", "--config", cfg, "--no-timestamp"]) == 0
+        assert "sup |char| over grid = 0.10068287537405027\n" in capsys.readouterr().out
+        assert not recwarn.list
 
     @pytest.mark.parametrize("argv", [
         ["no-such-experiment"],

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import stats
+from scipy import integrate, stats
 
 from levyedge.levy import (
     AnnulusDecomposition,
@@ -88,6 +88,17 @@ class TestSampling:
         hist, _ = np.histogram(ang, bins=8, range=(-np.pi, np.pi))
         assert hist.min() > 0.9 * z.shape[0] / 8
 
+    def test_custom_radial_samples_the_law_it_reports(self):
+        # a coarse table, where a sampler of another interpolation than
+        # the one the closed forms integrate shows: the sampled E|z|^2 on
+        # (0.05, 1] against the reported second moment over the mass
+        radii = np.linspace(0.05, 1.0, 6)
+        cm = CustomRadialMeasure(2, radii, radii ** -3.5)
+        z = cm.sample_interval(0.05, 1.0, 200_000, np.random.default_rng(5))
+        r2 = (z ** 2).sum(axis=1)
+        want = cm.interval_radial_second_moment(0.05, 1.0) / cm.interval_mass(0.05, 1.0)
+        assert abs(r2.mean() - want) < 4 * r2.std() / math.sqrt(r2.size)
+
     def test_custom_radial_matches_stable_like(self, meas):
         # a dense tabulation of the per-Lebesgue power-law density
         # |z|^(-q-alpha) reproduces the closed-form interval masses
@@ -123,12 +134,63 @@ def _custom_measure(q):
 
 def _radial_cdf(m, a, b, rho):
     """The exact radial CDF of m restricted to (a, b]: closed form for the
-    power law, the interpolated table for the custom measure."""
+    power law; for the custom measure, that of the radial mass density
+    rho^(q-1) g(rho) interpolated linearly between the table's nodes (the
+    surface factor cancels), by the trapezoid rule over the nodes up to
+    each point, which is exact on linear pieces."""
     if isinstance(m, StableLikeMeasure):
         al = m.alpha
         return (a ** -al - rho ** -al) / (a ** -al - b ** -al)
-    lo, hi = m._cdf_at(a), m._cdf_at(b)
-    return (np.interp(rho, m.radii, m._cdf) - lo) / (hi - lo)
+    r = m.radii
+    mass = r ** (m.dimension - 1) * m.density
+
+    def F(x):
+        x = np.asarray(x, dtype=float)
+        k = np.clip(np.searchsorted(r, x, side="right") - 1, 0, r.size - 2)
+        at_nodes = np.concatenate([[0.0], np.cumsum(np.diff(r) * (mass[1:] + mass[:-1]) / 2)])
+        return at_nodes[k] + (x - r[k]) * (mass[k] + np.interp(x, r, mass)) / 2
+
+    return (F(rho) - F(a)) / (F(b) - F(a))
+
+
+class TestCustomRadius:
+    """sample_radius of a custom measure inverts the reference CDF."""
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    @pytest.mark.parametrize("a, b", [(0.05, 1.0), (0.1, 0.4), (0.0731, 0.0744), (0.0, 2.0)])
+    def test_inverse_of_reference_cdf(self, q, a, b):
+        m = _custom_measure(q)
+        u = np.linspace(0.0, 1.0, 1001)
+        rho = m.sample_radius(a, b, u.copy())
+        lo, hi = max(a, m.radii[0]), min(b, m.tau)
+        assert np.all((rho >= lo) & (rho <= hi))
+        assert np.allclose(_radial_cdf(m, lo, hi, rho), u, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("a, b", [(0.05, 1.0), (0.1, 0.4), (0.0731, 0.0744), (0.0, 2.0)])
+    def test_mass_and_second_moment_integrate_the_law(self, a, b):
+        # against adaptive quadrature of the interpolated radial mass
+        # density, split at the table's nodes
+        m = _custom_measure(2)
+        lo, hi = max(a, m.radii[0]), min(b, m.tau)
+        nodes = [r for r in m.radii if lo < r < hi]
+        for power, got in ((0, m.interval_mass(a, b)), (2, m.interval_radial_second_moment(a, b))):
+            want = sum(integrate.quad(lambda t: t ** power * m.radial_mass_density(t), x0, x1)[0]
+                       for x0, x1 in zip([lo] + nodes, nodes + [hi]))
+            assert got == pytest.approx(want, rel=1e-10)
+
+    def test_zero_slope_and_zero_density_cells(self):
+        radii = [0.1, 0.2, 0.3, 0.4, 0.5]
+        u = np.linspace(0.0, 1.0, 101)
+        # a flat density at q = 1: zero slopes, uniform radii
+        flat = CustomRadialMeasure(1, radii, [1.0] * 5)
+        assert np.allclose(flat.sample_radius(0.1, 0.5, u.copy()), 0.1 + 0.4 * u,
+                           rtol=0, atol=1e-15)
+        # density 0 at the inner node: F(rho) = ((rho - 0.1) / 0.1)^2 on
+        # the first cell; the massless last cell is never drawn
+        ramp = CustomRadialMeasure(1, radii, [0.0, 1.0, 1.0, 0.0, 0.0])
+        assert np.allclose(ramp.sample_radius(0.1, 0.2, u.copy()), 0.1 + 0.1 * np.sqrt(u),
+                           rtol=0, atol=1e-15)
+        assert ramp.sample_radius(0.1, 0.5, u.copy()).max() == pytest.approx(0.4, abs=1e-15)
 
 
 class TestIntervalLaw:

@@ -238,14 +238,15 @@ class TestPolynomial:
         for dim, terms in [(2, {(1,): 1}), (2, {(1, -1): 1}), (1, {(1,): "a"})]:
             with pytest.raises(PolynomialError):
                 Polynomial(dim, terms)
-        assert Polynomial(2, {(1, 0): 0, (0, 1): Fraction(0), (1, 1): 0.0, (2, 0): 5}).terms == {
-            (2, 0): 5
-        }
-        p = Polynomial(1, {(np.int64(2),): np.int64(3), (1,): np.float32(0.5)})
+        for c in (0.5, 0.0, np.float32(0.5), np.float64(2.0)):
+            with pytest.raises(PolynomialError, match="rational"):
+                Polynomial(1, {(1,): c})
+        assert Polynomial(2, {(1, 0): 0, (0, 1): Fraction(0), (2, 0): 5}).terms == {(2, 0): 5}
+        p = Polynomial(1, {(np.int64(2),): np.int64(3), (1,): Fraction(1, 2)})
         assert list(p.terms) == [(2,), (1,)]
         assert all(type(e) is int for alpha in p.terms for e in alpha)
-        assert type(p.terms[(2,)]) is Fraction and p.terms[(2,)] == 3
-        assert type(p.terms[(1,)]) is float and p.terms[(1,)] == 0.5
+        assert all(type(c) is Fraction for c in p.terms.values())
+        assert p.terms == {(2,): 3, (1,): Fraction(1, 2)}
 
     @given(st.integers(-5, 5), st.integers(-5, 5))
     def test_evaluate_exact_matches_float(self, a, b):
@@ -260,8 +261,10 @@ class TestPolynomial:
         q = (x(0) * 4 + x(1)) * Fraction(1, 6)
         assert p == q and hash(p) == hash(q)
         assert p * 6 - x(1) == 4 * x(0)
-        half = Polynomial(2, {(1, 0): 0.5})
+        half = Polynomial(2, {(1, 0): Fraction(2, 4)})
         assert half == Fraction(1, 2) * x(0) and hash(half) == hash(Fraction(1, 2) * x(0))
+        with pytest.raises(PolynomialError, match="rational"):
+            x(0) * 0.5  # no float polynomial to compare
         with pytest.raises(TypeError):
             p.terms[(1, 0)] = 1  # a read-only view
 
@@ -274,9 +277,6 @@ class TestPolynomial:
         got = np.empty(257)
         assert p.evaluate_into(xs, got, np.empty(257), np.empty(257)) is got
         assert want.tobytes() == got.tobytes()
-        half = p * 0.5 + 0.25 * x(1, q=3)  # a float polynomial evaluates too
-        assert half(xs).tobytes() == half.evaluate_into(xs, got, np.empty(257),
-                                                        np.empty(257)).tobytes()
 
     @given(product_case())
     @settings(deadline=None, max_examples=200)
@@ -308,8 +308,10 @@ class TestPolynomial:
         assert list(p.terms) == list(pairwise_product(x(0) + x(1), x(0) - x(1)))
         half = Fraction(1, 2) * x(0) - Fraction(1, 3) * x(1)
         assert (half * (3 * x(0) + 2 * x(1))).terms == {(2, 0): Fraction(3, 2), (0, 2): Fraction(-2, 3)}
-        for zero in (Polynomial.zero(2), x(0) * 0, x(0) * 0.0):
+        for zero in (Polynomial.zero(2), x(0) * 0, x(0) * Fraction(0)):
             assert (zero * half).is_zero() and (half * zero).is_zero()
+        with pytest.raises(PolynomialError, match="rational"):
+            x(0) * 0.0
 
     def test_product_degree_cap_and_dimension(self):
         low = x(0) ** (MAX_DEGREE // 2)
@@ -751,10 +753,18 @@ class TestFractionReference:
                 want[alpha] = v / sum(w * e for w, e in zip(diag, alpha))
         assert items(diagonal_degree_solve([a, b], d, diag)) == list(want.items())
 
-    @given(product_case(), st.sampled_from([None, 0.5]))
+    @given(product_case(), st.integers(-1, 7))
+    @settings(deadline=None, max_examples=60)
+    def test_truncate(self, case, n):
+        p = case[0]
+        want = {a: c for a, c in p.terms.items() if sum(a) <= n}
+        got = polycore.truncate(p, n)
+        assert items(got) == list(want.items()) and got == Polynomial(p.dimension, want)
+
+    @given(product_case())
     @settings(deadline=None, max_examples=80)
-    def test_to_text(self, case, half):
-        p = case[0] if half is None else case[0] * half  # a float polynomial prints too
+    def test_to_text(self, case):
+        p = case[0]
         want = " + ".join(f"{c} {mono_text(a)}".strip()
                           for a, c in sorted(p.terms.items(), key=lambda kv: grlex_key(kv[0])))
         assert p.to_text() == (want or "0")
@@ -796,26 +806,31 @@ class TestPackedKeys:
 
 class TestExactKernels:
     def test_float_reaching_a_kernel_raises(self):
-        # the symbolic kernels take rationals only; a float polynomial may
-        # still be built and evaluated
-        half = 0.5 * x(0) + x(1)
-        assert half(np.array([2.0, 1.0])) == 2.0
+        # coefficients are rational only: no float polynomial can be built,
+        # and a float scalar or matrix entry reaching a kernel raises
         calls = [
-            lambda: sum_of_products(2, [(half, x(1))]),
+            lambda: 0.5 * x(0) + x(1),
+            lambda: x(0) + 0.5,
+            lambda: Polynomial.constant(2, np.float64(1.0)),
             lambda: sum_of_products(2, [(x(0), 0.5)]),
             lambda: sum_of_products(2, [(x(0), x(1))], 0.5),
-            lambda: half * x(0),
+            lambda: x(0).compose_affine([[1.0, 0], [0, 1]]),
+            lambda: x_dot_inv_grad(x(0) ** 2, [[1, 0.5], [0.5, 1]]),
+            lambda: x_dot_inv_grad(x(0) ** 2, np.eye(2)),
             lambda: hermite_sigma((2, 1), [[1, 0.5], [0.5, 1]]),
             lambda: GaussianMoments([[1.0, 0], [0, 1]], 2),
-            lambda: GaussianMoments([[1, 0], [0, 1]], 2).expectation(half),
             lambda: solve_linear([[2, 1], [1, 0.5]], [[1], [0]]),
             lambda: solve_linear([[2, 1], [1, 3]], [[1], [0.25]]),
             lambda: invert_S_map([Polynomial(1, {(3,): 0.5, (1,): -1.5})], [[1]]),
             lambda: invert_S_map([hermite_1d(3)], np.array([[1.0]])),
+            lambda: polycore.coefficient_text(0.5),
         ]
         for call in calls:
             with pytest.raises(PolynomialError, match="rational"):
                 call()
+        # an integer prints as its Fraction does
+        texts = [polycore.coefficient_text(c) for c in (0, -3, Fraction(-3, 6))]
+        assert texts == ["0", "-3", "-1/2"]
 
 
 class TestEpsSeries:
