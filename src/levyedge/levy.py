@@ -183,7 +183,9 @@ class LevyMeasureSpec:
         w = 0.5 * (b - a) * weights * self.radial_mass_density(rho)
         w /= w.sum()
         s = np.asarray(s_mags, dtype=float)
-        u = (2.0 ** r) * s[:, None] * rho[None, :]
+        # 2^r rho lies in [1/2, 1] on the annulus: scale it first, exactly,
+        # so that 2^r s cannot overflow where s (2^r rho) does not
+        u = s[:, None] * ((2.0 ** r) * rho)[None, :]
         vals = (_sphere_char(self.dimension, u) * w[None, :]).sum(axis=1)
         if not np.all(np.isfinite(vals)):
             raise LevyError("quadrature failure in characteristic probe")

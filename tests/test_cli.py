@@ -1,5 +1,6 @@
 """Command-line harness: config parsing, hashing, exit codes, CSV output."""
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -13,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from levyedge import cli, edgeworth, laws, perturbation, polycore, sampling
 from levyedge.edgeworth import multi_indices
@@ -290,6 +291,15 @@ class TestExitCodes:
         cfg = write(tmp_path, "pc.cfg", PROBE.replace("r = 3", "r = 407") + "grid_n = 50\n")
         assert cli.main(["probe-cramer", "--config", cfg, "--no-timestamp"]) == 0
         assert "sup |char| over grid = 0.10068287537405027\n" in capsys.readouterr().out
+        assert not recwarn.list
+
+    def test_probe_cramer_wide_grid_on_deep_annulus(self, tmp_path, capsys, recwarn):
+        # 2^400 s overflows at s = 1e200, but s (2^400 rho), with 2^400 rho
+        # in [1/2, 1], does not
+        cfg = write(tmp_path, "pc.cfg", PROBE.replace("r = 3", "r = 400")
+                    + "grid_n = 50\ngrid_hi = 1e200\n")
+        assert cli.main(["probe-cramer", "--config", cfg, "--no-timestamp"]) == 0
+        assert "sup |char| over grid = 0.07259592947712991\n" in capsys.readouterr().out
         assert not recwarn.list
 
     @pytest.mark.parametrize("argv", [
@@ -750,6 +760,16 @@ class TestImport:
                              check=True, env={**os.environ, "PYTHONPATH": src})
         assert out.stdout.strip() == "False"
 
+    def test_cli_import_builds_no_parser(self):
+        # the arguments are read per call, not by a parser made at import
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = ("import argparse\n"
+                "def refuse(*a, **k): raise AssertionError('a parser was built')\n"
+                "argparse.ArgumentParser.__init__ = refuse\n"
+                "import levyedge.cli")
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": src})
+
 
 class TestExitCodeFuzz:
     @given(
@@ -791,3 +811,78 @@ class TestExitCodeFuzz:
             rc = cli.main(["sde-convergence", "--config", str(path),
                            "--out", str(Path(tmp) / "out.csv"), "--no-timestamp"])
         assert rc in (0, 2, 3)
+
+
+def reference_parser():
+    """The argparse parser the CLI once built on every call, kept here
+    only as the reference that cli.parse_args must agree with."""
+    import argparse
+
+    ap = argparse.ArgumentParser(prog="levyedge")
+    ap.add_argument("experiment", choices=list(cli._EXPERIMENTS))
+    ap.add_argument("--config", default=None)
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--out", default=None)
+    ap.add_argument("--threads", type=int, default=1)
+    ap.add_argument("--no-timestamp", action="store_true")
+    ap.add_argument("--force", action="store_true")
+    return ap
+
+
+def parse_outcome(parse, argv):
+    """("ok", the values) or ("exit", the code) of one parse; what it
+    prints is discarded."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return "ok", parse(argv)
+        except SystemExit as exc:
+            return "exit", exc.code
+
+
+_LONG = ["--config", "--seed", "--out", "--threads", "--no-timestamp", "--force", "--help"]
+_VALUES = ["0", "7", "-1", "-12", "-1.5", "-.5", "1.5", "x", "", "1_0", " 3", "-1\n", "a b",
+           "-a b", "-", "-x"]
+#: argv tokens: experiments, options and their unique prefixes, with and
+#: without '=value', values, negative numbers and junk
+ARG_TOKENS = st.one_of(
+    st.sampled_from(list(cli._EXPERIMENTS) + ["bogus", "-h"] + _LONG),
+    st.builds(lambda o, k: o[:k], st.sampled_from(_LONG), st.integers(2, 8)),
+    st.builds(lambda o, k, v: o[:k] + "=" + v, st.sampled_from(_LONG), st.integers(2, 14),
+              st.sampled_from(_VALUES)),
+    st.sampled_from(_VALUES),
+    st.sampled_from(["--", "-hh", "-hx", "-h=", "-h=h", "-h h", "--bogus", "--=x", "---",
+                     "-1e3", "-1.", "--x y", "-x=1"]),
+)
+
+
+class TestArguments:
+    @given(argv=st.lists(ARG_TOKENS, max_size=6))
+    # argparse keeps a '--' only next to the experiment, and reads '-1\n'
+    # as a negative number
+    @example(argv=["clt-rate", "--force", "--"])
+    @example(argv=["--", "clt-rate", "--seed", "-1\n"])
+    @settings(deadline=None, max_examples=500)
+    def test_parser_agrees_with_argparse(self, argv):
+        want = parse_outcome(lambda a: vars(reference_parser().parse_args(a)), argv)
+        assert parse_outcome(cli.parse_args, argv) == want
+
+    @pytest.mark.parametrize("flag", ["-h", "--help", "--he"])
+    def test_help_exits_0(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["clt-rate", flag])
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: levyedge") and "--no-timestamp" in out and not err
+
+    def test_console_script_reads_sys_argv_without_argparse(self, tmp_path, monkeypatch, capsys):
+        import argparse
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an argparse parser was built")
+
+        monkeypatch.setattr(argparse, "ArgumentParser", refuse)
+        cfg = write(tmp_path, "pc.cfg", PROBE + "grid_n = 50\n")
+        monkeypatch.setattr(sys, "argv", ["levyedge", "--no-t", "probe-cramer", f"--config={cfg}",
+                                          "--seed", "-3"])
+        assert cli.main() == 0
+        assert "sup |char| over grid" in capsys.readouterr().out
