@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from levyedge import cli, edgeworth, laws, perturbation, polycore, sampling
+from levyedge import cli, cliargs, edgeworth, laws, perturbation, polycore, sampling
 from levyedge.edgeworth import multi_indices
 from levyedge.levy import AnnulusDecomposition, StableLikeMeasure
 
@@ -815,7 +815,7 @@ class TestExitCodeFuzz:
 
 def reference_parser():
     """The argparse parser the CLI once built on every call, kept here
-    only as the reference that cli.parse_args must agree with."""
+    only as the reference that cliargs.parse_args must agree with."""
     import argparse
 
     ap = argparse.ArgumentParser(prog="levyedge")
@@ -864,7 +864,7 @@ class TestArguments:
     @settings(deadline=None, max_examples=500)
     def test_parser_agrees_with_argparse(self, argv):
         want = parse_outcome(lambda a: vars(reference_parser().parse_args(a)), argv)
-        assert parse_outcome(cli.parse_args, argv) == want
+        assert parse_outcome(lambda a: cliargs.parse_args(a, cli._EXPERIMENTS), argv) == want
 
     @pytest.mark.parametrize("flag", ["-h", "--help", "--he"])
     def test_help_exits_0(self, flag, capsys):
