@@ -380,14 +380,14 @@ def run_jump_coupling(cfg: Dict[str, str], seed: int, threads: int) -> List[list
     rows: List[list] = [["eps", "t", "p", "distance", "replicate"]]
     per_eps = []
     for ei, (eps, dec) in enumerate(zip(eps_list, decs)):
-        sig = meas.small_jump_covariance(eps)
-        sig_root = sym_sqrt(sig)  # one eigendecomposition for every replicate
+        # one eigendecomposition of Sigma_eps for every replicate
+        sig_root = sym_sqrt(meas.small_jump_covariance(eps))
         t = t_factor * eps
 
-        def one(rep, eps=eps, ei=ei, dec=dec, sig=sig, sig_root=sig_root, t=t):
+        def one(rep, eps=eps, ei=ei, dec=dec, sig_root=sig_root, t=t):
             g = root.child(rep, ei, "jump").generator
             z = sample_small_jumps(dec, t, g, n)
-            ref = math.sqrt(t) * sample_gaussian(sig, g, n, root=sig_root)
+            ref = math.sqrt(t) * sample_gaussian(None, g, n, root=sig_root)
             if meas.dimension == 1:
                 return wp_1d_exact(z[:, 0], ref[:, 0], p)
             return wp_empirical(z, ref, p)
@@ -619,6 +619,7 @@ _EXPERIMENTS = {
     "edgeworth-build": (run_edgeworth_build, "text"),
     "probe-cramer": (run_probe_cramer, "text"),
 }
+
 
 def main(argv=None) -> int:
     args = parse_args(argv, _EXPERIMENTS, __doc__ or "")
