@@ -74,8 +74,9 @@ class NumericalFailure(RuntimeError):
     pass
 
 
-#: most expected jumps one jump-coupling run may draw, summed over eps,
-#: samples and replicates; the default configuration needs about 1.75e9
+#: most expected jumps one jump-coupling or sde-convergence run may draw,
+#: summed over its eps or h and its samples or replicates; the default
+#: configurations need about 1.75e9 and 1.2e9
 MAX_TOTAL_JUMPS = 2e10
 
 #: most samples per clt-rate replicate: a worker thread's workspace holds
@@ -167,6 +168,13 @@ def _get_float(cfg, key, default):
         return float(cfg.get(key, default))
     except ValueError as exc:
         raise ConfigError(f"{key} must be a number") from exc
+
+
+def _check_jump_budget(jumps: float, advice: str) -> None:
+    """Refuse a run whose expected jump count exceeds MAX_TOTAL_JUMPS."""
+    if not jumps <= MAX_TOTAL_JUMPS:
+        raise ConfigError(f"the run needs about {jumps:.3g} jumps, over the budget of "
+                          f"{MAX_TOTAL_JUMPS:.3g}; {advice}")
 
 
 def _check_even_p(p: float) -> int:
@@ -319,7 +327,7 @@ def run_clt_rate(cfg: Dict[str, str], seed: int, threads: int) -> List[list]:
             g = root.child(rep, mi, "clt").generator
             ym = law.sample_sum(m, n, g, out=ws[0])
             if mode == "gaussian":
-                ref = sample_gaussian(sigma, g, n, out=ws[1], scratch=ws[2], root=sigma_root)
+                ref = sample_gaussian(sigma_root, g, n, out=ws[1], scratch=ws[2])
             else:
                 ref = sample_perturbed_normal(pmap, 1.0 / math.sqrt(m), r_order, g, n,
                                               out=ws[1], scratch=ws[2], work=work,
@@ -371,23 +379,19 @@ def run_jump_coupling(cfg: Dict[str, str], seed: int, threads: int) -> List[list
     # a run over the total jump budget, fails before any sampling
     decs = [AnnulusDecomposition(meas, eps) for eps in eps_list]
     jumps = sum(t_factor * eps * dec.intensity for eps, dec in zip(eps_list, decs)) * n * reps
-    if not jumps <= MAX_TOTAL_JUMPS:
-        raise ConfigError(
-            f"the run needs about {jumps:.3g} jumps, over the budget of {MAX_TOTAL_JUMPS:.3g}; "
-            "use a smaller t_factor, fewer samples or replicates, or larger eps"
-        )
+    _check_jump_budget(jumps, "use a smaller t_factor, fewer samples or replicates, or larger eps")
     root = RngStream(seed, 1)
     rows: List[list] = [["eps", "t", "p", "distance", "replicate"]]
     per_eps = []
     for ei, (eps, dec) in enumerate(zip(eps_list, decs)):
-        # one eigendecomposition of Sigma_eps for every replicate
-        sig_root = sym_sqrt(meas.small_jump_covariance(eps))
+        # Sigma_eps = s^2 I: the surrogate is a scaled standard normal
+        s = math.sqrt(meas.small_jump_variance(eps))
         t = t_factor * eps
 
-        def one(rep, eps=eps, ei=ei, dec=dec, sig_root=sig_root, t=t):
+        def one(rep, ei=ei, dec=dec, s=s, t=t):
             g = root.child(rep, ei, "jump").generator
             z = sample_small_jumps(dec, t, g, n)
-            ref = math.sqrt(t) * sample_gaussian(None, g, n, root=sig_root)
+            ref = math.sqrt(t) * (g.standard_normal((n, meas.dimension)) * s)
             if meas.dimension == 1:
                 return wp_1d_exact(z[:, 0], ref[:, 0], p)
             return wp_empirical(z, ref, p)
@@ -461,6 +465,11 @@ def run_sde_convergence(cfg: Dict[str, str], seed: int, threads: int) -> List[li
             scfg.check_size(T, M, d, q)
     except SdeError as exc:
         raise ConfigError(str(exc)) from exc
+    # as in jump-coupling, an h over the intensity budget, or a run over
+    # the total jump budget, fails before any sampling
+    decs = [AnnulusDecomposition(meas, h) for h in h_list]
+    jumps = sum(dec.intensity + meas.big_jump_mass(h) for h, dec in zip(h_list, decs)) * M * T
+    _check_jump_budget(jumps, "use fewer replicates, a shorter horizon or larger h")
     a = drift * np.array([1.0, -1.0] * (q // 2) + [1.0] * (q % 2))[:q]
     spec = SdeSpec(
         d=d, a=a, B=bscale * np.eye(q), sigma_fn=_sigma_builtin(sigma_name, d, q),

@@ -1,18 +1,18 @@
-"""Levy-measure descriptions over dyadic annuli.
+"""Isotropic Levy-measure descriptions and the small-jump decomposition.
 
-The small jumps of a Levy process with measure nu are split over the
-annuli Omega_r = {2^(-r-1) < |z| <= 2^(-r)}; each annulus carries a
-compensated compound Poisson piece with intensity nu_r = nu(Omega_r).
-This module holds the measure abstractions (exact power-law instance and
-a tabulated radial one), the closed-form small-jump covariances, the
-decomposition bookkeeping, and diagnostics for the uniform Cramer
-condition the normal-approximation theorem requires.
+The jumps |z| <= eps of a Levy process with measure nu are one
+compensated compound Poisson sum over (inner, eps] plus a Gaussian of
+matched variance for those below inner.  This module holds the measure
+abstractions (exact power-law instance and a tabulated radial one), the
+closed-form small-jump variances, that decomposition, and diagnostics
+for the uniform Cramer condition the normal-approximation theorem
+requires, on the annuli Omega_r = {2^(-r-1) < |z| <= 2^(-r)}.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 from scipy import special
@@ -107,19 +107,13 @@ class LevyMeasureSpec:
     def annulus_bounds(self, r: int) -> Tuple[float, float]:
         return self._clip(2.0 ** (-r - 1), 2.0 ** (-r))
 
-    def annulus_mass(self, r: int) -> float:
-        a, b = self.annulus_bounds(r)
-        if a >= b:
-            return 0.0
-        return self.interval_mass(a, b)
-
-    def interval_covariance(self, a: float, b: float) -> np.ndarray:
-        # isotropy spreads the radial second moment evenly over coordinates
-        q = self.dimension
+    def interval_variance(self, a: float, b: float) -> float:
+        """Per-coordinate variance of nu restricted to a < |z| <= b: isotropy
+        spreads the radial second moment evenly over the coordinates."""
         a, b = self._clip(a, b)
         if a >= b:
-            return np.zeros((q, q))
-        return (self.interval_radial_second_moment(a, b) / q) * np.eye(q)
+            return 0.0
+        return self.interval_radial_second_moment(a, b) / self.dimension
 
     def big_jump_mass(self, eps: float) -> float:
         a, b = self._clip(eps, self.tau)
@@ -127,10 +121,12 @@ class LevyMeasureSpec:
             return 0.0
         return self.interval_mass(a, b)
 
-    def small_jump_covariance(self, eps: float) -> np.ndarray:
+    def small_jump_variance(self, eps: float) -> float:
+        """Per-coordinate variance of the jumps |z| <= eps: Sigma_eps is
+        this multiple of I."""
         if not 0 < eps <= self.tau:
             raise LevyError("eps must lie in (0, tau]")
-        return self.interval_covariance(0.0, eps)
+        return self.interval_variance(0.0, eps)
 
     def sample_interval(self, a: float, b: float, n: int, rng) -> np.ndarray:
         """n jumps conditioned on a < |z| <= b: exact radius, uniform direction.
@@ -306,8 +302,8 @@ class CustomRadialMeasure(LevyMeasureSpec):
         return u
 
 
-#: dyadic annuli, from r0 = ceil(-log2 eps) down, that AnnulusDecomposition
-#: resolves into jumps; the variance below them is a matched Gaussian
+#: dyadic annuli below the largest power of two at most eps whose jumps
+#: AnnulusDecomposition draws; the variance below them is a matched Gaussian
 _TAIL_DEPTH = 6
 
 #: largest expected jump intensity AnnulusDecomposition accepts
@@ -315,13 +311,11 @@ _MAX_INTENSITY = 5e8
 
 
 class AnnulusDecomposition:
-    """Finite working set of annuli for sampling Z_t^eps.
-
-    Bands cover (inner, eps] by the dyadic boundaries, _TAIL_DEPTH annuli
-    deep, and drop those without mass; (lo, hi] spans the bands that are
-    kept.  The remaining variance below `inner` is replaced by a matched
-    Gaussian.  An eps whose bands carry a computationally absurd jump
-    intensity is rejected.
+    """Z_t^eps as one compound-Poisson draw over (lo, hi] = (inner, eps],
+    inner = 2^-(ceil(-log2 eps) + _TAIL_DEPTH), with intensity nu(lo, hi],
+    plus a Gaussian of per-coordinate variance tail_variance for the jumps
+    below inner.  An eps whose intensity is computationally absurd, or too
+    large for a float, is rejected.
     """
 
     def __init__(self, spec: LevyMeasureSpec, eps: float):
@@ -329,40 +323,19 @@ class AnnulusDecomposition:
             raise LevyError("eps must lie in (0, tau]")
         self.spec = spec
         self.eps = eps
-        self.r0 = math.ceil(-math.log2(eps))
-        self.R_max = self.r0 + _TAIL_DEPTH - 1
-        self.bands = self._build_bands()
-        intensity = sum(m for _, _, m in self.bands)
-        if intensity > _MAX_INTENSITY:
+        inner = 2.0 ** -(math.ceil(-math.log2(eps)) + _TAIL_DEPTH)
+        self.lo, self.hi = inner, eps
+        try:
+            intensity = spec.interval_mass(inner, eps)
+        except (OverflowError, ZeroDivisionError):
+            intensity = math.inf  # inner ** -alpha overflows, or inner underflowed to 0
+        if not intensity <= _MAX_INTENSITY:
             raise LevyError(
                 f"eps = {eps!r} needs an expected jump intensity of {intensity:.3g}, "
                 f"over the budget of {_MAX_INTENSITY:.3g}; a larger eps is needed"
             )
         self.intensity = intensity
-        inner = 2.0 ** (-self.R_max - 1)
-        # the interval one jump draw covers: from the innermost to the
-        # outermost band that carries mass
-        self.lo, self.hi = (self.bands[-1][0], self.bands[0][1]) if self.bands else (inner, eps)
-        self.tail_covariance = spec.interval_covariance(0.0, inner)
-        self.truncated_variance = float(np.trace(self.tail_covariance))
-
-    def _build_bands(self) -> List[Tuple[float, float, float]]:
-        """(lo, hi, mass) intervals from eps down to 2^(-R_max-1)."""
-        edges = [self.eps]
-        r = self.r0
-        while 2.0 ** (-r) >= self.eps:
-            r += 1  # skip boundaries at or above eps (non-dyadic eps)
-        for k in range(r, self.R_max + 1):
-            edges.append(2.0 ** (-k))
-        edges.append(2.0 ** (-self.R_max - 1))
-        bands = []
-        for hi, lo in zip(edges, edges[1:]):
-            if hi <= lo:
-                continue
-            m = self.spec.interval_mass(lo, hi)
-            if m > 0:
-                bands.append((lo, hi, m))
-        return bands
+        self.tail_variance = spec.interval_variance(0.0, inner)
 
 
 def cramer_probe(spec: LevyMeasureSpec, r: int, rho: float, grid: np.ndarray) -> float:

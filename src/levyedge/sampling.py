@@ -9,6 +9,8 @@ and timesteps be generated in any order or in parallel.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .levy import AnnulusDecomposition, LevyMeasureSpec
@@ -69,18 +71,16 @@ def sym_sqrt(sigma: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
 
 
-def sample_gaussian(sigma, rng, n: int, out=None, scratch=None, root=None) -> np.ndarray:
-    """n draws from N(0, sigma) via the symmetric square root, shape (n, q).
+def sample_gaussian(root, rng, n: int, out=None, scratch=None) -> np.ndarray:
+    """n draws from N(0, root root^T), shape (n, q): standard normals times
+    root^T, with root the sym_sqrt of the covariance.
 
     out and scratch, when given, are distinct C-contiguous float (n, q)
     arrays: the standard normals are drawn into scratch and their product
-    with the root lands in out, which is returned.  root, when given, is
-    sym_sqrt(sigma) from a caller that draws for one sigma many times, and
-    sigma is not read.  The draws are the same bit for bit either way.
+    with the root lands in out, which is returned.  The draws are the same
+    bit for bit either way.
     """
     g = _as_generator(rng)
-    if root is None:
-        root = sym_sqrt(sigma)
     if scratch is None:
         z = g.standard_normal((n, root.shape[0]))
     else:
@@ -96,15 +96,16 @@ def sample_perturbed_normal(pmap: GradientPolyMap, eps: float, r: int, rng, n: i
     drawn into out, xi lands in scratch, and the draws in out.  Each
     p_k[j](xi) is evaluated into the rows of work, a C-contiguous float
     (3, n) array (made here when not given), by Polynomial.evaluate_into,
-    so no n-sized array is made per monomial.  root is as for
-    sample_gaussian: sym_sqrt of the map's Sigma.  The draws are the same
-    bit for bit whichever of these are given.
+    so no n-sized array is made per monomial.  root, when given, is
+    sym_sqrt of the map's Sigma, from a caller that draws for one map many
+    times.  The draws are the same bit for bit whichever of these are
+    given.
     """
     if r < 0 or r > pmap.order:
         raise SamplingError("r must lie in [0, map order]")
     if root is None:
         root = sym_sqrt(np.array([[float(x) for x in row] for row in pmap.sigma]))
-    xi = sample_gaussian(None, rng, n, out=scratch, scratch=out, root=root)
+    xi = sample_gaussian(root, rng, n, out=scratch, scratch=out)
     if out is None:
         out = xi.copy()
     else:
@@ -174,16 +175,16 @@ def sample_compound_poisson(
 def sample_small_jumps(decomposition: AnnulusDecomposition, t: float, rng, n: int) -> np.ndarray:
     """n draws of the compensated small-jump value Z_t^eps of decomposition.spec.
 
-    The bands of the decomposition cover (lo, hi] up to intervals without
-    mass, so their independent compound-Poisson sums add up to one
-    compound-Poisson sum with the total intensity and jumps from nu
-    restricted to (lo, hi]; that one sum is drawn.  The sub-resolution
-    tail is a matched Gaussian.
+    The jumps of (lo, hi] are one compound-Poisson draw with the
+    decomposition's intensity; the sub-resolution tail below lo is a
+    Gaussian with per-coordinate variance t * tail_variance, isotropic
+    like the measure, so it is a scaled standard normal.
     """
     dec = decomposition
     out = sample_compound_poisson(dec.spec, dec.lo, dec.hi, dec.intensity, t, rng, n)
-    if t > 0 and np.trace(dec.tail_covariance) > 0:
-        out += sample_gaussian(t * dec.tail_covariance, rng, n)
+    if t > 0 and dec.tail_variance > 0:
+        out += math.sqrt(t * dec.tail_variance) * _as_generator(rng).standard_normal(
+            (n, dec.spec.dimension))
     return out
 
 

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .levy import AnnulusDecomposition, LevyMeasureSpec
-from .sampling import RngStream, sample_big_jumps, sample_small_jumps, sym_sqrt
+from .sampling import RngStream, sample_big_jumps, sample_small_jumps
 
 #: cap on the elements of one path array, M * (N + 1) * d, and of one
 #: step's noise block, M * fine_substeps * q
@@ -163,9 +163,10 @@ def coupled_paths(spec: SdeSpec, cfg: SchemeConfig, M: int, rng: RngStream) -> C
         raise SdeError("coupling needs at least two replicates")
     cfg.check_size(spec.T, M, spec.d, max(spec.q, spec.B.shape[1]))
     dec = AnnulusDecomposition(spec.measure, cfg.h)
-    # every measure is isotropic, so root is a multiple of I and the
-    # surrogate is spherically symmetric, as the radial coupling needs
-    root = sym_sqrt(spec.measure.small_jump_covariance(cfg.h))
+    # every measure is isotropic, so Sigma_h is a multiple of I and the
+    # surrogate, a scaled standard normal, is spherically symmetric, as the
+    # radial coupling needs
+    s = math.sqrt(spec.measure.small_jump_variance(cfg.h))
     n = cfg.n_steps(spec.T)
     sub = cfg.fine_substeps
 
@@ -182,7 +183,7 @@ def coupled_paths(spec: SdeSpec, cfg: SchemeConfig, M: int, rng: RngStream) -> C
         # approximate side: one coarse step with the small-jump sum
         # replaced by its matched Gaussian surrogate
         y = rng.child(0, k, "surrogate").standard_normal((M, spec.q))
-        surrogate = np.sqrt(cfg.h) * y @ root.T
+        surrogate = (np.sqrt(cfg.h) * y) * s
         matched = _radial_rank_match(small.sum(axis=1), surrogate)
         dzb = spec.a * cfg.h + dw.sum(axis=1) @ spec.B.T + matched + big.sum(axis=1)
         xb = _euler(spec, xb, dzb[:, None])

@@ -24,7 +24,7 @@ from levyedge.perturbation import (
     pushforward_density_1d,
 )
 from levyedge.polycore import Polynomial, hermite_1d
-from levyedge.sampling import RngStream, sample_gaussian, sample_small_jumps
+from levyedge.sampling import RngStream, sample_small_jumps
 from levyedge.sde import SchemeConfig, SdeSpec, coupled_paths
 from levyedge.wasserstein import rate_fit, wp_1d_exact, wp_empirical
 from scipy import stats
@@ -229,11 +229,11 @@ class TestCriterion7JumpCouplingRate:
             mat = np.empty((len(eps_list), reps))
             for i, eps in enumerate(eps_list):
                 dec = AnnulusDecomposition(meas, eps)
-                sig = meas.small_jump_covariance(eps)
+                s = math.sqrt(meas.small_jump_variance(eps))  # Sigma_eps = s^2 I
                 for rep in range(reps):
                     g = root.child(rep, i, "jump").generator
                     z = sample_small_jumps(dec, eps, g, n)
-                    ref = math.sqrt(eps) * sample_gaussian(sig, g, n)
+                    ref = math.sqrt(eps) * (g.standard_normal((n, 2)) * s)
                     mat[i, rep] = wp_empirical(z, ref)
             slope, _ = rate_fit(eps_list, mat.mean(axis=1), bootstrap_reps=200,
                                 replicates=mat, seed=5)

@@ -13,6 +13,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -371,6 +372,80 @@ class TestExitCodes:
         cfg = write(tmp_path, "jc.cfg", OVER_BUDGET)
         assert cli.main(["jump-coupling", "--config", cfg, "--no-timestamp"]) == 3
         assert calls == []
+
+    @pytest.mark.parametrize("experiment,text", [
+        ("jump-coupling", MEASURE + "eps_list = 1e-300, 1e-301, 1e-302\nn_samples = 64\n"
+                          "replicates = 2\n"),
+        ("sde-convergence", MEASURE + "h_list = 1e-300, 1e-301, 1e-302\nT = 1e-299\n"
+                            "replicates = 2\nfine_substeps = 2\n"),
+    ])
+    def test_tiny_cutoff_is_3_before_sampling(self, tmp_path, monkeypatch, capsys, experiment,
+                                              text):
+        # inner ** -alpha overflows a float at these cutoffs: an intensity
+        # over the budget, not an OverflowError traceback
+        def no_draw(*args, **kwargs):
+            raise AssertionError("sampled past the intensity budget")
+
+        for name in ("sample_small_jumps", "coupled_paths"):
+            monkeypatch.setattr(cli, name, no_draw)
+        cfg = write(tmp_path, "c.cfg", text)
+        assert cli.main([experiment, "--config", cfg, "--no-timestamp"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and "larger eps" in err
+        assert "Traceback" not in err
+
+    def test_sde_intensity_budget_is_3_before_sampling(self, tmp_path, monkeypatch, capsys):
+        # h = 2^-13 is over the jump-intensity budget: the two h before it
+        # are not run either
+        calls = []
+        monkeypatch.setattr(cli, "coupled_paths", lambda *args: calls.append(args[1].h))
+        text = TINY["sde-convergence"].format(reps=2).replace(
+            "h_list = 0.25,0.125,0.0625", "h_list = 0.125,0.0625,0.0001220703125")
+        cfg = write(tmp_path, "s.cfg", text)
+        assert cli.main(["sde-convergence", "--config", cfg, "--no-timestamp"]) == 3
+        assert "larger eps" in capsys.readouterr().err
+        assert calls == []
+
+    def test_sde_total_jump_budget_is_2_before_sampling(self, tmp_path, monkeypatch, capsys):
+        # the default replicates and horizon at h 2^-9..2^-11 need about
+        # 7.5e10 jumps, hours of work: refused before the first path
+        calls = []
+        monkeypatch.setattr(cli, "coupled_paths", lambda *args: calls.append(args[1].h))
+        text = MEASURE + "h_list = 0.001953125,0.0009765625,0.00048828125\n"
+        cfg = write(tmp_path, "s.cfg", text)
+        assert cli.main(["sde-convergence", "--config", cfg, "--no-timestamp"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "7.52e+10 jumps" in err
+        assert calls == []
+
+    @pytest.mark.parametrize("experiment", ["jump-coupling", "sde-convergence"])
+    def test_jump_side_makes_no_eigendecomposition(self, tmp_path, monkeypatch, experiment):
+        # every measure is isotropic: each jump-side Gaussian is a scaled
+        # standard normal, drawn without sym_sqrt or np.linalg.eigh
+        calls = []
+        real_sqrt, real_eigh = sampling.sym_sqrt, np.linalg.eigh
+
+        def counted_sqrt(*args):
+            calls.append("sym_sqrt")
+            return real_sqrt(*args)
+
+        def counted_eigh(*args, **kwargs):
+            calls.append("eigh")
+            return real_eigh(*args, **kwargs)
+
+        for mod in list(sys.modules.values()):  # every binding, as `from ... import` makes
+            if mod.__name__.startswith("levyedge") and vars(mod).get("sym_sqrt") is real_sqrt:
+                monkeypatch.setattr(mod, "sym_sqrt", counted_sqrt)
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        cfg = write(tmp_path, "c.cfg", TINY[experiment].format(reps=3))
+        assert cli.main([experiment, "--config", cfg, "--no-timestamp",
+                         "--out", str(tmp_path / "out.csv")]) == 0
+        assert calls == []
+        # the counters see a Gaussian that does take a root
+        cfg = write(tmp_path, "g.cfg", TINY["clt-rate"].format(reps=1))
+        assert cli.main(["clt-rate", "--config", cfg, "--no-timestamp",
+                         "--out", str(tmp_path / "clt.csv")]) == 0
+        assert calls == ["sym_sqrt", "eigh"]
 
     def test_correlated_covariance_builds_exactly(self, tmp_path):
         # off-diagonal covariance 1/2: the build, residuals and moment

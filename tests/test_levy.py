@@ -1,5 +1,6 @@
 """Radial jump-intensity measures: interval masses, dyadic annuli,
-small-jump covariances, and the characteristic-decay probe."""
+small-jump variances, the one-interval decomposition, and the
+characteristic-decay probe."""
 
 import math
 
@@ -37,19 +38,18 @@ class TestClosedForms:
         # nu_r = S_{q-1} (2^alpha - 1) 2^{alpha r} / alpha, geometric in r
         for r in (1, 4, 7):
             want = 2 * math.pi * (2 ** ALPHA - 1) * 2 ** (ALPHA * r) / ALPHA
-            assert meas.annulus_mass(r) == pytest.approx(want, rel=1e-12)
+            assert meas.interval_mass(*meas.annulus_bounds(r)) == pytest.approx(want, rel=1e-12)
 
     def test_small_jump_covariance_closed_form(self, meas):
         # Sigma_eps = (S_{q-1} / (q(2-alpha))) eps^{2-alpha} I; at eps=1/4
         # this is exactly pi I for q=2, alpha=3/2
-        sig = meas.small_jump_covariance(0.25)
-        assert np.allclose(sig, math.pi * np.eye(2), rtol=1e-12)
+        assert meas.small_jump_variance(0.25) == pytest.approx(math.pi, rel=1e-12)
 
     def test_small_jump_covariance_scaling(self, meas):
-        # eps-halving scales the covariance by 2^{-(2-alpha)}
-        s1 = meas.small_jump_covariance(0.125)
-        s2 = meas.small_jump_covariance(0.0625)
-        assert s2[0, 0] / s1[0, 0] == pytest.approx(2.0 ** -(2 - ALPHA), rel=1e-12)
+        # eps-halving scales the variance by 2^{-(2-alpha)}
+        s1 = meas.small_jump_variance(0.125)
+        s2 = meas.small_jump_variance(0.0625)
+        assert s2 / s1 == pytest.approx(2.0 ** -(2 - ALPHA), rel=1e-12)
 
     def test_truncated_variance_additivity(self, meas):
         # band-by-band second moments plus the analytic sub-resolution tail
@@ -240,47 +240,78 @@ class TestIntervalLaw:
         assert d < _ks2_critical(half.sum(), (~half).sum())
 
 
+def dyadic_bands(meas, eps):
+    """The (lo, hi, mass) pieces of the decomposition's one interval, from
+    the dyadic annulus of eps, cut at eps, down to inner."""
+    bands = []
+    for r in range(math.floor(-math.log2(eps)), math.ceil(-math.log2(eps)) + 6):
+        lo, hi = meas.annulus_bounds(r)
+        hi = min(hi, eps)
+        bands.append((lo, hi, meas.interval_mass(lo, hi)))
+    return bands
+
+
 class TestDecomposition:
     def test_band_structure(self, meas):
+        # dyadic eps = 1/4: one interval (2^-8, 1/4], the six annuli
+        # r = 2..7, whose masses add up to its intensity
         dec = AnnulusDecomposition(meas, 0.25)
-        los = [b[0] for b in dec.bands]
-        his = [b[1] for b in dec.bands]
-        assert his[0] == 0.25
-        assert all(h == l for l, h in zip(los[:-1], his[1:]))  # contiguous
+        assert (dec.lo, dec.hi) == (2.0 ** -8, 0.25)
+        assert dec.intensity == meas.interval_mass(2.0 ** -8, 0.25)
+        bands = dyadic_bands(meas, 0.25)
+        assert (bands[0][1], bands[-1][0]) == (dec.hi, dec.lo)
+        assert all(h == l for (l, _, _), (_, h, _) in zip(bands, bands[1:]))  # contiguous
+        assert dec.intensity == pytest.approx(sum(m for _, _, m in bands), rel=1e-12)
+        # S_1 (inner^-alpha - eps^-alpha) / alpha = 2 pi (2^12 - 2^3) / alpha
+        assert dec.intensity == pytest.approx(2 * math.pi * (2.0 ** 12 - 8.0) / ALPHA, rel=1e-14)
 
     def test_non_dyadic_eps_partial_band(self, meas):
+        # eps = 0.2 cuts its annulus (1/8, 1/4] at 0.2: the interval is
+        # (2^-9, 0.2], the partial band and the annuli r = 3..8
         dec = AnnulusDecomposition(meas, 0.2)
-        assert dec.bands[0][1] == 0.2
-        total = sum(m for _, _, m in dec.bands)
-        assert total == pytest.approx(
-            meas.interval_mass(dec.bands[-1][0], 0.2), rel=1e-12
-        )
+        assert (dec.lo, dec.hi) == (2.0 ** -9, 0.2)
+        bands = dyadic_bands(meas, 0.2)
+        assert bands[0][:2] == (0.125, 0.2)
+        assert dec.intensity == pytest.approx(sum(m for _, _, m in bands), rel=1e-12)
+        want = 2 * math.pi * (2.0 ** 13.5 - 0.2 ** -ALPHA) / ALPHA
+        assert dec.intensity == pytest.approx(want, rel=1e-14)
 
     def test_gaussianize_tail_variance_matched(self, meas):
+        # the band second moments plus the sub-resolution tail reassemble
+        # the closed-form small-jump variance
         eps = 0.25
         dec = AnnulusDecomposition(meas, eps)
         band_var = sum(
-            meas.interval_radial_second_moment(lo, hi) / Q for lo, hi, _ in dec.bands
+            meas.interval_radial_second_moment(lo, hi) / Q for lo, hi, _ in dyadic_bands(meas, eps)
         )
-        assert band_var + dec.tail_covariance[0, 0] == pytest.approx(
-            meas.small_jump_covariance(eps)[0, 0], rel=1e-12
+        assert dec.tail_variance == meas.interval_variance(0.0, dec.lo)
+        assert band_var + dec.tail_variance == pytest.approx(
+            meas.small_jump_variance(eps), rel=1e-12
         )
 
     def test_draw_interval_spans_bands_with_mass(self, meas):
         dec = AnnulusDecomposition(meas, 0.2)
-        assert (dec.lo, dec.hi) == (2.0 ** -9, 0.2)  # inner = 2^-(R_max+1), R_max = 8
-        # zero density on [1/4, 1/2]: the band next to eps = 1/2 is dropped
+        assert (dec.lo, dec.hi) == (2.0 ** -9, 0.2)  # inner = 2^-(ceil(-log2 0.2) + 6)
+        # zero density on [1/4, 1/2]: the band next to eps = 1/2 carries no
+        # mass, so the interval (2^-7, 1/2] has the mass and the radial law
+        # of (2^-7, 1/4], and draws the same jumps
         radii = 2.0 ** (np.arange(-32, 1) / 4)
         gap = CustomRadialMeasure(2, radii, np.where(radii >= 0.25, 0.0, radii ** -3.5))
         dec = AnnulusDecomposition(gap, 0.5)
-        assert (dec.lo, dec.hi) == (dec.bands[-1][0], 0.25)
+        assert (dec.lo, dec.hi) == (2.0 ** -7, 0.5)
+        assert dec.intensity == gap.interval_mass(dec.lo, 0.25)
+        assert dec.intensity == pytest.approx(6160.9401282912295, rel=1e-12)
+        for seed in range(3):
+            wide = gap.sample_interval(dec.lo, dec.hi, 500, np.random.default_rng(seed))
+            cut = gap.sample_interval(dec.lo, 0.25, 500, np.random.default_rng(seed))
+            assert wide.tobytes() == cut.tobytes()
 
     def test_small_jump_covariance_eps_outside_support(self, meas):
         # one rule with AnnulusDecomposition: eps must lie in (0, tau]
         for eps in (0.0, -0.1, 1.5, float("nan")):
             with pytest.raises(LevyError, match="tau"):
-                meas.small_jump_covariance(eps)
-        assert meas.small_jump_covariance(1.0)[0, 0] > 0
+                meas.small_jump_variance(eps)
+        assert meas.small_jump_variance(1.0) > 0
 
     def test_custom_tail_below_table_is_empty(self):
         # the table starts at 0.01, above inner = 2^-7 of eps = 1/2: the
@@ -289,8 +320,7 @@ class TestDecomposition:
         cm = CustomRadialMeasure(2, radii, radii ** -3.5)
         assert cm.interval_radial_second_moment(0.0, 2.0 ** -7) == 0.0
         dec = AnnulusDecomposition(cm, 0.5)
-        assert not dec.tail_covariance.any()
-        assert dec.truncated_variance == 0.0
+        assert dec.tail_variance == 0.0
 
     def test_intensity_guard(self, meas):
         # eps = 2^-14 needs ~4.5e9 jumps per unit time: refuse, not hang
@@ -302,6 +332,15 @@ class TestDecomposition:
         with pytest.raises(LevyError):
             AnnulusDecomposition(meas, 2.0 ** -12)
         assert AnnulusDecomposition(meas, 2.0 ** -11).intensity < 5e8
+
+    @pytest.mark.parametrize("eps", [1e-300, 5e-324])
+    def test_unrepresentable_intensity_is_over_budget(self, meas, eps):
+        # at 1e-300, inner ** -alpha overflows a float; at 5e-324 inner
+        # underflows to 0.0 and 0.0 ** -alpha divides by zero: either is
+        # an intensity over the budget
+        with pytest.raises(LevyError, match="larger eps") as info:
+            AnnulusDecomposition(meas, eps)
+        assert "intensity of inf" in str(info.value)
 
 
 class TestCharacteristicProbe:

@@ -65,16 +65,16 @@ class TestGaussian:
 
     def test_sample_covariance(self):
         sig = np.array([[2.0, 0.5], [0.5, 1.0]])
-        z = sample_gaussian(sig, RngStream(1, 2), 200_000)
+        z = sample_gaussian(sym_sqrt(sig), RngStream(1, 2), 200_000)
         emp = np.cov(z.T)
         assert np.allclose(emp, sig, atol=0.02)
 
     @pytest.mark.parametrize("sig", [np.array([[1.5]]), np.array([[2.0, 0.5], [0.5, 1.0]])])
     def test_into_buffers_equals_allocating(self, sig):
-        n, q = 1000, sig.shape[0]
-        want = sample_gaussian(sig, RngStream(1, 3), n)
+        n, q, root = 1000, sig.shape[0], sym_sqrt(sig)
+        want = sample_gaussian(root, RngStream(1, 3), n)
         out, scratch = np.empty((n, q)), np.empty((n, q))
-        got = sample_gaussian(sig, RngStream(1, 3), n, out=out, scratch=scratch)
+        got = sample_gaussian(root, RngStream(1, 3), n, out=out, scratch=scratch)
         assert got is out and want.tobytes() == out.tobytes()
 
 
@@ -168,7 +168,7 @@ class TestCompoundPoisson:
     @pytest.mark.parametrize("draw", ["compound", "small", "small-no-bands", "big"])
     def test_negative_time_rejected(self, draw):
         meas = StableLikeMeasure(2, 1.5, 1.0)
-        # zero density: the decomposition has no bands to draw from
+        # zero density: the decomposition's interval carries no mass
         empty = CustomRadialMeasure(2, np.linspace(0.1, 1.0, 16), np.zeros(16))
         calls = {
             "compound": lambda: sample_compound_poisson(
@@ -236,8 +236,8 @@ class TestSmallJumpLaw:
     ], ids=["q1", "q2", "zero-mass-band", "zero-mass-edge-band"])
     def test_one_draw_spreads_jumps_over_bands(self, meas, monkeypatch):
         # one compound-Poisson draw over (inner, eps] puts a share
-        # mass_b / intensity of its jumps in each band b, as the sum of
-        # one draw per band would
+        # mass_b / intensity of its jumps in each dyadic band b, as the sum
+        # of one draw per band would, and none in a band without mass
         dec = AnnulusDecomposition(meas, 0.5)
         radii, calls = [], []
         draw = meas.sample_interval
@@ -255,15 +255,19 @@ class TestSmallJumpLaw:
         monkeypatch.setattr(sampling, "sample_compound_poisson", counted)
         for seed in range(3):
             sample_small_jumps(dec, 0.5, RngStream(11, seed), 200)
-        # one draw over (lo, hi], the span of the bands with mass
-        assert calls == [(meas, dec.bands[-1][0], dec.bands[0][1], dec.intensity)] * 3
+        # one draw over (lo, hi] = (inner, eps], inner = 2^-(1 + 6)
+        assert calls == [(meas, 2.0 ** -7, 0.5, dec.intensity)] * 3
+        # the six annuli r = 1..6 tile (lo, hi]
+        bounds = np.array([meas.annulus_bounds(r) for r in range(1, 7)])
+        mass = np.array([meas.interval_mass(a, b) for a, b in bounds])
+        assert (bounds[0, 1], bounds[-1, 0]) == (dec.hi, dec.lo)
+        assert mass.sum() == pytest.approx(dec.intensity, rel=1e-12)
         rho = np.concatenate(radii)
-        lo = np.array([b[0] for b in dec.bands])
-        hi = np.array([b[1] for b in dec.bands])
-        inside = (rho[:, None] > lo) & (rho[:, None] <= hi)
-        assert (inside.sum(axis=1) == 1).all()  # no jump outside the bands
-        share = np.array([b[2] for b in dec.bands]) / dec.intensity
+        inside = (rho[:, None] > bounds[:, 0]) & (rho[:, None] <= bounds[:, 1])
+        assert (inside.sum(axis=1) == 1).all()  # no jump outside the interval
+        share = mass / dec.intensity
         counts = inside.sum(axis=0)
+        assert (counts[share == 0] == 0).all()  # no jump in a band without mass
         bound = 5 * np.sqrt(rho.size * share * (1 - share))
         assert (np.abs(counts - rho.size * share) <= bound).all(), (counts, rho.size * share)
 
@@ -275,19 +279,19 @@ class TestLevyIncrement:
         eps, t = 0.5, 0.5
         dec = AnnulusDecomposition(self.MEAS, eps)
         z = sample_small_jumps(dec, t, RngStream(3, 1), 40_000)
-        want = t * self.MEAS.small_jump_covariance(eps)
+        want = t * self.MEAS.small_jump_variance(eps) * np.eye(2)
         emp = np.cov(z.T)
         assert np.allclose(emp, want, rtol=0.08, atol=0.08)
 
     def test_gaussianized_matches_exact_moments(self):
         # the driving increment a h + B W_h + small + big keeps its mean
         # and covariance when the exact small-jump sum is replaced by its
-        # Gaussian surrogate sqrt(h) Sigma_eps^(1/2) xi
+        # Gaussian surrogate sqrt(h) Sigma_eps^(1/2) xi, Sigma_eps = s^2 I
         a = np.array([0.2, -0.1])
         B = 0.4 * np.eye(2)
         eps, h, n = 0.5, 0.5, 25_000
         dec = AnnulusDecomposition(self.MEAS, eps)
-        root = sym_sqrt(self.MEAS.small_jump_covariance(eps))
+        s = math.sqrt(self.MEAS.small_jump_variance(eps))
 
         def increment(g, small):
             bw = math.sqrt(h) * g.standard_normal((n, 2)) @ B.T
@@ -295,7 +299,7 @@ class TestLevyIncrement:
 
         ge, gg = RngStream(4, 1), RngStream(4, 2)
         ze = increment(ge, sample_small_jumps(dec, h, ge, n))
-        zg = increment(gg, math.sqrt(h) * gg.standard_normal((n, 2)) @ root.T)
+        zg = increment(gg, math.sqrt(h) * gg.standard_normal((n, 2)) * s)
         assert np.allclose(ze.mean(axis=0), zg.mean(axis=0), atol=0.08)
         assert np.allclose(np.cov(ze.T), np.cov(zg.T), rtol=0.1, atol=0.1)
 
