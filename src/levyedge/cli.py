@@ -25,7 +25,6 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 import numpy as np
-from scipy import special
 
 from .cliargs import parse_args
 from .edgeworth import (
@@ -244,6 +243,10 @@ def _parallel(fn, jobs, threads: int):
         return list(pool.map(fn, jobs))
 
 
+#: the last row of clt-rate and jump-coupling when a mean distance is 0: no log-log fit
+DEGENERATE_SLOPE_ROW = ["slope", "nan", "ci_lo", "nan", "ci_hi", "nan", "degenerate"]
+
+
 # ------------------------------------------------------------ clt-rate
 
 def run_clt_rate(cfg: Dict[str, str], seed: int, threads: int) -> List[list]:
@@ -284,29 +287,30 @@ def run_clt_rate(cfg: Dict[str, str], seed: int, threads: int) -> List[list]:
     if mode == "perturbed":
         if r_order < 1:
             raise ConfigError("perturbed mode needs n >= 4")
+        if target > law.cumulants.order + 1:
+            raise ConfigError(f"perturbed mode with n = {target} needs cumulants up to order "
+                              f"{target - 1}; {law_name} has them up to {law.cumulants.order}")
         Q = build_Q(law.cumulants, r_order)
         pmap = invert_S_map(Q, law.cumulants.covariance)
 
     rows: List[list] = [["m", "p", "mode", "distance", "replicate"]]
     exact_quantile = (
-        mode == "perturbed" and law.dimension == 1 and law.has_sum_quantile and p == 2
+        mode == "perturbed" and law.dimension == 1 and law.sum_quantile is not None and p == 2
     )
     if exact_quantile:
-        # both sides have exact quantile functions: no sampling floor
+        # both sides are exact quantile functions of the normal score: no sampling floor
         per_m_reps = []
         for m in m_list:
-            qs = law.sum_quantile(m)
-
-            def qref(t, eps=1.0 / math.sqrt(m)):
-                # the map at xi: each p_k(xi), then scaled by eps^k, as
-                # sample_perturbed_normal adds them
-                x = special.ndtri(t) * math.sqrt(sigma[0, 0])
-                xi = np.array([x])
+            def qref(z, eps=1.0 / math.sqrt(m)):
+                # the map at xi = z sqrt(sigma): each p_k(xi), then scaled
+                # by eps^k, as sample_perturbed_normal adds them
+                xi = (z * math.sqrt(sigma[0, 0]))[:, None]
+                x = xi[:, 0].copy()
                 for k, pk in enumerate(pmap.gradients, start=1):
-                    x = x + float(pk[0](xi)) * eps ** k
+                    x += pk[0](xi) * eps ** k
                 return x
 
-            w = wp_1d_exact(qs, qref, p)
+            w = wp_1d_exact(law.sum_quantile(m), qref, p)
             per_m_reps.append([w])
             rows.append([m, p, mode, repr(w), 0])
     else:
@@ -345,8 +349,14 @@ def run_clt_rate(cfg: Dict[str, str], seed: int, threads: int) -> List[list]:
             for rep, v in enumerate(vals):
                 rows.append([m, p, mode, repr(float(v)), rep])
     mat = np.array(per_m_reps)
+    means = mat.mean(axis=1)
+    if not np.all(means > 0):
+        # the reference is the law itself, as for the gaussian law in
+        # perturbed mode, whose every p_k is zero
+        rows.append(DEGENERATE_SLOPE_ROW)
+        return rows
     boot = mat.shape[1] > 1
-    slope, ci = rate_fit(m_list, mat.mean(axis=1), bootstrap_reps=200 if boot else 0,
+    slope, ci = rate_fit(m_list, means, bootstrap_reps=200 if boot else 0,
                          replicates=mat if boot else None, seed=seed)
     null_case = law_name == "gaussian" and mode == "gaussian"
     rows.append(["slope", repr(slope), "ci_lo", repr(ci[0]), "ci_hi", repr(ci[1]),
@@ -406,7 +416,7 @@ def run_jump_coupling(cfg: Dict[str, str], seed: int, threads: int) -> List[list
         slope, ci = rate_fit(eps_list, means, bootstrap_reps=200, replicates=mat, seed=seed)
         rows.append(["slope", repr(slope), "ci_lo", repr(ci[0]), "ci_hi", repr(ci[1]), "rate"])
     else:
-        rows.append(["slope", "nan", "ci_lo", "nan", "ci_hi", "nan", "degenerate"])
+        rows.append(DEGENERATE_SLOPE_ROW)
     return rows
 
 
@@ -458,6 +468,8 @@ def run_sde_convergence(cfg: Dict[str, str], seed: int, threads: int) -> List[li
         raise ConfigError("replicates must be >= 2 (the coupling pairs replicates)")
     if not (math.isfinite(T) and T > 0):
         raise ConfigError("T must be a positive number")
+    if any(not 0 < h <= meas.tau for h in h_list):
+        raise ConfigError("h_list must lie in (0, tau]")
     # every h is checked, sizes included, before the first one runs
     try:
         schemes = [SchemeConfig(h=h, fine_substeps=sub) for h in h_list]

@@ -41,8 +41,8 @@ class TestLaw:
     sample_sum(m, n, rng) draws n copies of m^(-1/2) (X_1 + ... + X_m);
     laws with a closed-form sum law give a sampler that fills an
     (n, dimension) array with them, so the cost per draw does not grow
-    with m.  sum_quantile(m), when available, returns the exact quantile
-    function of the normalized sum (1D only).
+    with m.  sum_quantile, None or a factory, maps m to the exact quantile
+    function of the normalized sum in the normal score, z -> F^-1(Phi(z)).
     """
 
     def __init__(
@@ -53,7 +53,7 @@ class TestLaw:
         cumulants: CumulantSet,
         sample: Callable[[int, np.random.Generator], np.ndarray],
         sample_sum: Optional[Callable[[int, np.random.Generator, np.ndarray], None]] = None,
-        sum_quantile: Optional[Callable[[int], Callable[[float], float]]] = None,
+        sum_quantile: Optional[Callable[[int], Callable[[np.ndarray], np.ndarray]]] = None,
     ):
         self.name = name
         self.dimension = dimension
@@ -61,7 +61,7 @@ class TestLaw:
         self.cumulants = cumulants
         self._sample = sample
         self._sample_sum = sample_sum
-        self._sum_quantile = sum_quantile
+        self.sum_quantile = sum_quantile
 
     def sample(self, n: int, rng) -> np.ndarray:
         out = np.asarray(self._sample(n, rng), dtype=float)
@@ -86,15 +86,6 @@ class TestLaw:
         out /= math.sqrt(m)
         return out
 
-    @property
-    def has_sum_quantile(self) -> bool:
-        return self._sum_quantile is not None
-
-    def sum_quantile(self, m: int):
-        if self._sum_quantile is None:
-            raise LawError(f"{self.name} has no closed-form sum quantile")
-        return self._sum_quantile(m)
-
 
 def _exp_cumulants_1d(order: int) -> CumulantSet:
     # centered Exp(1): kappa_j = (j-1)! for j >= 2 (kappa_1 = 0 after centering)
@@ -117,7 +108,8 @@ def centered_exponential(order: int = 6) -> TestLaw:
     Normalized sums use the closed Gamma form: m^(-1/2) sum of m centered
     unit exponentials equals (G - m)/sqrt(m) with G ~ Gamma(m, 1), so a
     single Gamma draw replaces the m-fold sum, and the sum quantile is the
-    Gamma quantile rescaled.
+    Gamma quantile rescaled, each tail from its own side so that none loses
+    digits to 1 - Phi(z).
     """
 
     def sample(n, rng):
@@ -126,8 +118,10 @@ def centered_exponential(order: int = 6) -> TestLaw:
     def sum_quantile(m):
         root = math.sqrt(m)
 
-        def qf(t):
-            return (special.gammaincinv(m, t) - m) / root
+        def qf(z):
+            g = np.where(z < 0, special.gammaincinv(m, special.ndtr(z)),
+                         special.gammainccinv(m, special.ndtr(-z)))
+            return (g - m) / root
 
         return qf
 
@@ -205,11 +199,8 @@ def gaussian_law(order: int = 6) -> TestLaw:
     def sample_sum(m, rng, out):
         rng.standard_normal(out=out)
 
-    def sum_quantile(m):
-        return special.ndtri
-
     return TestLaw("gaussian", 1, order, cs, sample, sample_sum=sample_sum,
-                   sum_quantile=sum_quantile)
+                   sum_quantile=lambda m: lambda z: z)
 
 
 _LATTICE = {

@@ -47,7 +47,7 @@ TINY = {
 GOLDEN = {
     "jump-coupling": "476548feda56aee83dc8ce70b18fa0c04e2ea73fece228c9e8967acac1a4275b",
     "sde-convergence": "432f48517aa8de125383ee475d31876bb97bfae1f5c85337e3222fd42e0f120a",
-    "clt-rate-perturbed": "0fa2072a26a189d321842f8cf2323f53630ffe6a9f9ccb42cd64172bcda1f5bb",
+    "clt-rate-perturbed": "0e326a000259a9c1628a4dc0defb31264e24bd9970b10d4ceb791b1c0b5a9102",
     "edgeworth-build": "cd0e17870c960713cdce6f29f280cda43952a733f8dfab1d3b20dfa66451a489",
     "edgeworth-build-sigma": "00146694405456e9158ea7530adb1a22dd1171eeeef966308e673f109ccde8fc",
     "edgeworth-build-q2-r5": "49e03098ef8458dbd5919832e8a24182fc51be1eb821d06316719ddf01f5edcc",
@@ -171,6 +171,40 @@ class TestExitCodes:
         assert cli.main(["sde-convergence", "--config", cfg, "--no-timestamp"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
+
+    def test_sde_convergence_h_over_tau_is_2_before_decomposing(self, tmp_path, monkeypatch,
+                                                                capsys):
+        # an h beyond the measure's tau is a config error, as an eps beyond
+        # it is in jump-coupling, found before any decomposition is built
+        def no_decomposition(*args, **kwargs):
+            raise AssertionError("decomposed before the config was checked")
+
+        monkeypatch.setattr(cli, "AnnulusDecomposition", no_decomposition)
+        cfg = write(tmp_path, "s.cfg", TINY["sde-convergence"].format(reps=2)
+                    + "tau = 0.25\nh_list = 0.5,0.25,0.125\n")
+        assert cli.main(["sde-convergence", "--config", cfg, "--no-timestamp"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "tau" in err
+
+    @pytest.mark.parametrize("p", ["2", "4"], ids=["exact", "sampled"])
+    def test_clt_rate_perturbed_order_over_cumulants_is_2(self, tmp_path, monkeypatch, capsys, p):
+        # the centered exponential carries cumulants up to order 6: n = 7
+        # (r = 4) uses them all, n = 8 asks for order 7 and is refused
+        # before the expansion is built
+        built = []
+        real = cli.build_Q
+        monkeypatch.setattr(cli, "build_Q", lambda *a: built.append(a) or real(*a))
+
+        def run(n):
+            cfg = write(tmp_path, f"n{n}.cfg", TINY["clt-rate"].format(reps=2)
+                        + f"mode = perturbed\np = {p}\nn = {n}\n")
+            return cli.main(["clt-rate", "--config", cfg, "--no-timestamp",
+                             "--out", str(tmp_path / f"n{n}.csv")])
+
+        assert run(8) == 2 and built == []
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "order 7" in err
+        assert run(7) == 0 and len(built) == 1
 
     def test_sde_convergence_non_finite_rms_is_3(self, tmp_path, capsys):
         # a finite but huge drift overflows the paths: the NaN/inf errors
@@ -552,6 +586,16 @@ class TestOutputs:
         assert rows[1] == ["m", "p", "mode", "distance", "replicate"]
         assert rows[-1][0] == "slope"
 
+    def test_clt_rate_exact_null_case_is_degenerate(self, tmp_path):
+        # the gaussian law against its own perturbed reference: every p_k
+        # is zero, so every distance is exactly 0 and no rate exists
+        cfg = write(tmp_path, "g.cfg", "law = gaussian\nmode = perturbed\nm_list = 16,64,256\n")
+        out = str(tmp_path / "g.csv")
+        assert cli.main(["clt-rate", "--config", cfg, "--out", out, "--no-timestamp"]) == 0
+        rows = list(csv.reader(open(out)))
+        assert [float(r[3]) for r in rows[2:-1]] == [0.0, 0.0, 0.0]
+        assert rows[-1] == ["slope", "nan", "ci_lo", "nan", "ci_hi", "nan", "degenerate"]
+
     @pytest.mark.parametrize("experiment", list(TINY))
     def test_byte_identical_rerun(self, tmp_path, experiment):
         cfg = write(tmp_path, "tiny.cfg", TINY[experiment].format(reps=2))
@@ -828,12 +872,14 @@ def config_values(valid):
 
 class TestImport:
     def test_cli_import_skips_scipy_stats(self):
-        # scipy.stats alone adds about half a second to every CLI start
+        # scipy.stats alone adds about half a second to every CLI start,
+        # and no module of the package needs scipy.integrate
         src = str(Path(cli.__file__).resolve().parents[1])
-        code = "import sys, levyedge.cli; print('scipy.stats' in sys.modules)"
+        code = ("import sys, levyedge.cli\n"
+                "print(sorted({'scipy.stats', 'scipy.integrate'} & set(sys.modules)))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": src})
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[]"
 
     def test_cli_import_builds_no_parser(self):
         # the arguments are read per call, not by a parser made at import

@@ -16,6 +16,7 @@ from levyedge.laws import (
     product_exponential,
     uniform_disk,
 )
+from levyedge.wasserstein import SCORE_RULE
 
 
 class TestCenteredExponential:
@@ -56,28 +57,38 @@ class TestCenteredExponential:
         qf = law.sum_quantile(m)
         rng = np.random.default_rng(2)
         y = np.sort(law.sample_sum(m, 200_000, rng)[:, 0])
-        for t in (0.1, 0.5, 0.9):
+        z = np.array([-1.2815515655446004, 0.0, 1.2815515655446004])  # Phi(z) = 0.1, 0.5, 0.9
+        for t, q in zip((0.1, 0.5, 0.9), qf(z)):
             emp = y[int(t * y.size)]
-            assert qf(t) == pytest.approx(emp, abs=0.02)
+            assert q == pytest.approx(emp, abs=0.02)
 
 
 class TestQuantiles:
-    T = np.concatenate([np.linspace(0.0, 1.0, 1001)[1:-1], [1e-300, 1e-12, 1 - 1e-12]])
+    #: the nodes of wp_1d_exact's rule, out to |z| = 13.4, and a grid to |z| = 8
+    Z = np.concatenate([SCORE_RULE[0], np.linspace(-8.0, 8.0, 161)])
 
-    @pytest.mark.parametrize("m", [1, 16, 1024])
+    @pytest.mark.parametrize("m", [1, 4, 16, 1024])
     def test_gamma_quantile_equals_stats_ppf(self, m):
-        # the same special function scipy.stats' ppf calls, bit for bit
+        # each side the special function scipy.stats calls, bit for bit:
+        # ppf at Phi(z) below the median, isf at Phi(-z) above it
         from scipy import stats
 
         qf = centered_exponential().sum_quantile(m)
-        got = np.array([qf(t) for t in self.T])
-        assert np.array_equal(got, (stats.gamma.ppf(self.T, m) - m) / math.sqrt(m))
+        lo, hi = self.Z[self.Z < 0], self.Z[self.Z >= 0]
+        root = math.sqrt(m)
+        assert np.array_equal(qf(lo), (stats.gamma.ppf(stats.norm.cdf(lo), m) - m) / root)
+        assert np.array_equal(qf(hi), (stats.gamma.isf(stats.norm.cdf(-hi), m) - m) / root)
 
     def test_normal_quantile_equals_stats_ppf(self):
+        # the standard normal's quantile at Phi(z) is z itself, which
+        # scipy.stats' ppf (isf above the median) gives back to rounding
         from scipy import stats
 
         qf = gaussian_law().sum_quantile(16)
-        assert np.array_equal([qf(t) for t in self.T], stats.norm.ppf(self.T))
+        assert np.array_equal(qf(self.Z), self.Z)
+        lo, hi = self.Z[self.Z < 0], self.Z[self.Z >= 0]
+        assert np.allclose(stats.norm.ppf(stats.norm.cdf(lo)), lo, rtol=1e-13, atol=0)
+        assert np.allclose(stats.norm.isf(stats.norm.cdf(-hi)), hi, rtol=1e-13, atol=1e-300)
 
 
 class TestProductExponential:

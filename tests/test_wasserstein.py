@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import stats
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
@@ -25,16 +24,17 @@ class TestOneDimensional:
         assert wp_1d_exact(x, x + 3.0) == pytest.approx(3.0)
 
     def test_quantile_mode_gaussian_shift(self):
-        # W_2(N(0,1), N(m,1)) = |m| exactly
-        f = lambda t: stats.norm.ppf(t)
-        g = lambda t: stats.norm.ppf(t) + 1.5
-        assert wp_1d_exact(f, g) == pytest.approx(1.5, rel=1e-9)
+        # W_2(N(0,1), N(m,1)) = |m|; in the normal score the quantile
+        # functions are z and z + m, and the rule is exact on constants
+        f = lambda z: z
+        g = lambda z: z + 1.5
+        assert wp_1d_exact(f, g) == pytest.approx(1.5, rel=1e-12)
 
     def test_quantile_mode_gaussian_scale(self):
-        # W_2(N(0,1), N(0,s^2)) = |s - 1|
-        f = lambda t: stats.norm.ppf(t)
-        g = lambda t: 2.0 * stats.norm.ppf(t)
-        assert wp_1d_exact(f, g) == pytest.approx(1.0, rel=1e-8)
+        # W_2(N(0,1), N(0,s^2)) = |s - 1|: z against 2z, E Z^2 = 1 exactly
+        f = lambda z: z
+        g = lambda z: 2.0 * z
+        assert wp_1d_exact(f, g) == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize("p", [1, 2, 4])
     def test_in_place_matches_sorted_copies(self, p):
