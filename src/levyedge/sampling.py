@@ -1,10 +1,11 @@
 """Seeded sampling: Gaussians, perturbed normals, and Levy jump sums.
 
-Streams are counter-based (Philox keyed by master seed and stream id),
-so any (master_seed, stream_id) pair reproduces its draws exactly and
-distinct ids are independent.  Stream ids for experiment grids come from
-a splitmix-style hash of (replicate, step, purpose), letting replicates
-and timesteps be generated in any order or in parallel.
+Streams are keyed: PCG64DXSM seeded by SeedSequence([master seed,
+stream id]), so any (master_seed, stream_id) pair reproduces its draws
+exactly and distinct ids are independent.  Stream ids for experiment
+grids come from a splitmix-style hash of (replicate, step, purpose),
+letting replicates and timesteps be generated in any order or in
+parallel.
 """
 
 from __future__ import annotations
@@ -37,14 +38,14 @@ def derive_stream_id(replicate: int, step: int, purpose: str = "") -> int:
 
 
 class RngStream:
-    """One reproducible stream: Philox keyed by (master_seed, stream_id)."""
+    """One reproducible stream: PCG64DXSM seeded by SeedSequence([master_seed,
+    stream_id]), both taken mod 2^64."""
 
     def __init__(self, master_seed: int, stream_id: int = 0):
         self.master_seed = master_seed & _MASK
         self.stream_id = stream_id & _MASK
-        self.generator = np.random.Generator(
-            np.random.Philox(key=[self.master_seed, self.stream_id])
-        )
+        self.generator = np.random.Generator(np.random.PCG64DXSM(
+            np.random.SeedSequence([self.master_seed, self.stream_id])))
 
     def child(self, replicate: int, step: int = 0, purpose: str = "") -> "RngStream":
         return RngStream(self.master_seed, derive_stream_id(replicate, step, purpose))

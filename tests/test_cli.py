@@ -45,14 +45,15 @@ TINY = {
 #: config.  A change that reorders random draws changes these on purpose,
 #: and CHANGES.md says so.
 GOLDEN = {
-    "jump-coupling": "476548feda56aee83dc8ce70b18fa0c04e2ea73fece228c9e8967acac1a4275b",
-    "sde-convergence": "432f48517aa8de125383ee475d31876bb97bfae1f5c85337e3222fd42e0f120a",
+    "jump-coupling": "ea6ca030ec0cbcfab4c1075c8c8ea1501761816bdb358506d534f5173e600e7b",
+    "sde-convergence": "0313f0ae8be149fbf960d789c6a7d7284258c665085ab25951b296c1f1a53561",
     "clt-rate-perturbed": "0e326a000259a9c1628a4dc0defb31264e24bd9970b10d4ceb791b1c0b5a9102",
     "edgeworth-build": "cd0e17870c960713cdce6f29f280cda43952a733f8dfab1d3b20dfa66451a489",
     "edgeworth-build-sigma": "00146694405456e9158ea7530adb1a22dd1171eeeef966308e673f109ccde8fc",
     "edgeworth-build-q2-r5": "49e03098ef8458dbd5919832e8a24182fc51be1eb821d06316719ddf01f5edcc",
     "edgeworth-build-q4-r2-sigma": "3a222d147179b5daf444bd9dd693cdc05562b9751f1653165299358a79d7bb48",
-    "clt-rate-sampled-perturbed": "1cc789921767b33c39d2dfb16ad71b1ac3b9cfc8137eeb41b86a816b453e229f",
+    "clt-rate-sampled-perturbed": "9aee91c58af4ff161a31d37e0b89945e27ca8092db56068a906ac26976435f71",
+    "clt-rate-sampled-gaussian": "41cdb89ef8055a859f1ec090fdcf4a1a5b2cf2ff989b29fc0c5661eaf024b902",
 }
 EDGEWORTH_R3 = "law = centered-exponential\nr = 3\n"
 #: q = 3 rational cumulants up to order 5 with a non-diagonal covariance
@@ -86,10 +87,10 @@ Q2R5_CUM = formula_cumulants(2, 7, [[2, 0], [0, Fraction(3, 2)]])
 Q4R2_CUM = formula_cumulants(4, 4, [[2 if i == j else Fraction(1, 2) if abs(i - j) == 1 else 0
                                      for j in range(4)] for i in range(4)])
 #: (experiment, config, files in the working directory) of each golden
-#: case: TINY with 2 replicates, the exact-quantile clt-rate path and the
-#: sampled perturbed one (p = 4), edgeworth-build of the centered
-#: exponential at r = 3, of SIGMA_CUM at r = 3, of Q2R5_CUM at r = 5 and
-#: of Q4R2_CUM at r = 2
+#: case: TINY with 2 replicates, the exact-quantile clt-rate path, the
+#: sampled perturbed one (p = 4) and the sampled gaussian one,
+#: edgeworth-build of the centered exponential at r = 3, of SIGMA_CUM at
+#: r = 3, of Q2R5_CUM at r = 5 and of Q4R2_CUM at r = 2
 GOLDEN_CASES = {
     "jump-coupling": ("jump-coupling", TINY["jump-coupling"].format(reps=2), {}),
     "sde-convergence": ("sde-convergence", TINY["sde-convergence"].format(reps=2), {}),
@@ -103,6 +104,8 @@ GOLDEN_CASES = {
                                     {"q4r2.cum": Q4R2_CUM}),
     "clt-rate-sampled-perturbed": ("clt-rate", TINY["clt-rate"].format(reps=2)
                                    + "mode = perturbed\np = 4\n", {}),
+    "clt-rate-sampled-gaussian": ("clt-rate", TINY["clt-rate"].format(reps=2)
+                                  + "mode = gaussian\n", {}),
 }
 
 #: probe-cramer's measure, annulus and rho

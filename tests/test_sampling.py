@@ -51,6 +51,19 @@ class TestStreams:
     def test_stream_id_purpose_separation(self, rep, step):
         assert derive_stream_id(rep, step, "bw") != derive_stream_id(rep, step, "jump")
 
+    @pytest.mark.parametrize("seed, stream_id", [(-1, 0), (9, 2**63), (-1, 2**64 - 1),
+                                                 (2024, derive_stream_id(3, 7, "w"))])
+    def test_stream_is_pcg64dxsm_of_its_key(self, seed, stream_id):
+        mask = (1 << 64) - 1
+        want = np.random.Generator(np.random.PCG64DXSM(
+            np.random.SeedSequence([seed & mask, stream_id & mask])))
+        got = RngStream(seed, stream_id)
+        assert got.generator.bit_generator.state == want.bit_generator.state
+        for draw in ("random", "standard_normal", "standard_gamma"):
+            args = (2.5, 64) if draw == "standard_gamma" else (64,)
+            assert getattr(got, draw)(*args).tobytes() == getattr(want, draw)(*args).tobytes()
+        assert got.poisson(3.0, 64).tobytes() == want.poisson(3.0, 64).tobytes()
+
 
 class TestGaussian:
     def test_sym_sqrt_squares_back(self):
