@@ -10,7 +10,7 @@ Run:  python demos/sde_coupling.py   (about two minutes)
 
 import numpy as np
 
-from levyedge.levy import StableLikeMeasure
+from levyedge.levy import AnnulusDecomposition, StableLikeMeasure
 from levyedge.sampling import RngStream
 from levyedge.sde import SchemeConfig, SdeSpec, coupled_paths
 from levyedge.wasserstein import rate_fit
@@ -36,7 +36,7 @@ hs = [2.0 ** -4, 2.0 ** -5, 2.0 ** -6]
 rms = []
 for h in hs:
     cfg = SchemeConfig(h=h, fine_substeps=16)
-    res = coupled_paths(spec, cfg, 128, RngStream(1, 0))
+    res = coupled_paths(spec, cfg, AnnulusDecomposition(meas, h), 128, RngStream(1, 0))
     r = float(np.sqrt(np.mean(res.sup_distance ** 2)))
     rms.append(r)
     print(f"h = eps = {h}:  RMS sup-error = {r:.4f}")

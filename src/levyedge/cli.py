@@ -489,9 +489,9 @@ def run_sde_convergence(cfg: Dict[str, str], seed: int, threads: int) -> List[li
     )
     rows: List[list] = [["h", "eps", "replicates", "rms_sup_error"]]
     rms = []
-    for hi, (h, scfg) in enumerate(zip(h_list, schemes)):
+    for hi, (h, scfg, dec) in enumerate(zip(h_list, schemes, decs)):
         rng = RngStream(seed, 100 + hi)
-        res = coupled_paths(spec, scfg, M, rng)
+        res = coupled_paths(spec, scfg, dec, M, rng)
         r = float(np.sqrt(np.mean(res.sup_distance ** 2)))
         rms.append(r)
         rows.append([h, h, M, repr(r)])

@@ -4,7 +4,8 @@ The jumps |z| <= eps of a Levy process with measure nu are one
 compensated compound Poisson sum over (inner, eps] plus a Gaussian of
 matched variance for those below inner.  This module holds the measure
 abstractions (exact power-law instance and a tabulated radial one), the
-closed-form small-jump variances, that decomposition, and diagnostics
+closed-form small-jump variances, the block sampler whose k candidates
+give i.i.d. jumps on an interval, that decomposition, and diagnostics
 for the uniform Cramer condition the normal-approximation theorem
 requires, on the annuli Omega_r = {2^(-r-1) < |z| <= 2^(-r)}.
 """
@@ -42,37 +43,9 @@ def _sphere_char(q: int, u: np.ndarray) -> np.ndarray:
     return out
 
 
-#: most jumps one pass of sample_interval draws, so that its temporaries
-#: stay in cache; the passes fix the draw order
-_PASS = 1 << 13
-
-#: share of the cube [-1/2, 1/2)^q inside the ball |x| < 1/2, by q
-_BALL_ACCEPT = {1: 1.0, 2: math.pi / 4, 3: math.pi / 6}
-
-
-def _ball_points(q: int, k: int, rng) -> Tuple[np.ndarray, np.ndarray]:
-    """k uniform points of the ball 0 < |x| < 1/2 as a (q, k) array, and
-    their |x|^2: cube candidates, drawn coordinate-major, are kept in draw
-    order, and more are drawn until k are kept."""
-    p = _BALL_ACCEPT[q]
-    xs, r2s, kept = [], [], 0
-    while kept < k:
-        need = k - kept
-        # four standard deviations of the kept count over need: a top-up
-        # is rare
-        m = int((need + 4.0 * math.sqrt(need * (1.0 - p))) / p) + 16
-        c = rng.random((q, m))
-        c -= 0.5
-        d = c[0] * c[0]
-        for j in range(1, q):
-            d += c[j] * c[j]
-        idx = np.flatnonzero((d < 0.25) & (d > 0.0))[:need]
-        xs.append(np.take(c, idx, axis=1))
-        r2s.append(np.take(d, idx))
-        kept += idx.size
-    if len(xs) == 1:
-        return xs[0], r2s[0]
-    return np.concatenate(xs, axis=1), np.concatenate(r2s)
+#: share of sample_interval's candidates that are jumps, by q: the cube
+#: points inside the ball for q <= 3, every candidate beyond
+_ACCEPT = {1: 1.0, 2: math.pi / 4, 3: math.pi / 6}
 
 
 class LevyMeasureSpec:
@@ -128,41 +101,51 @@ class LevyMeasureSpec:
             raise LevyError("eps must lie in (0, tau]")
         return self.interval_variance(0.0, eps)
 
-    def sample_interval(self, a: float, b: float, n: int, rng) -> np.ndarray:
-        """n jumps conditioned on a < |z| <= b: exact radius, uniform direction.
+    def candidates(self, n: int) -> int:
+        """The candidates sample_interval draws to give n jumps, four
+        standard deviations of the kept count to spare: fewer is rare."""
+        p = _ACCEPT.get(self.dimension, 1.0)
+        return int((n + 4.0 * math.sqrt(n * (1.0 - p))) / p) + 16
 
-        For q <= 3 one uniform point x of the ball |x| < 1/2 gives both:
+    def sample_interval(self, a: float, b: float, k: int, rng) -> np.ndarray:
+        """The jumps conditioned on a < |z| <= b that k candidates give, in
+        draw order, as an (m, q) array: exact radius, uniform direction.
+
+        For q <= 3 a candidate is a point x of the cube [-1/2, 1/2)^q,
+        drawn coordinate-major, and those inside the ball 0 < |x| < 1/2
+        are kept (all but a share 1 - pi/4 at q = 2, 1 - pi/6 at q = 3):
         x / |x| is uniform on the sphere and independent of |x|, and
         (2|x|)^q is U(0, 1), so its radial inverse CDF rho makes the jump
-        x * rho / |x|.  The points come in passes of at most _PASS jumps,
-        written coordinate-major; the result is the (n, q) transpose.
+        x * rho / |x|.  For q > 3 every candidate is a jump.
         """
         q = self.dimension
         if q > 3:
             # the ball's acceptance falls fast with q: a radial uniform,
             # then a Gaussian direction normalised coordinate by
             # coordinate, the order np.linalg.norm uses
-            rho = self.sample_radius(a, b, rng.random(n))
-            g = rng.standard_normal((n, q))
+            rho = self.sample_radius(a, b, rng.random(k))
+            g = rng.standard_normal((k, q))
             norm = g[:, 0] * g[:, 0]
             for j in range(1, q):
                 norm += g[:, j] * g[:, j]
             g /= np.sqrt(norm, out=norm)[:, None]
             g *= rho[:, None]
             return g
-        out = np.empty((q, n))
-        done = 0
-        while done < n:
-            k = min(_PASS, n - done)
-            x, r2 = _ball_points(q, k, rng)
-            s = np.sqrt(r2)
-            # w = (2|x|)^q is uniform on (0, 1)
-            w = 2.0 * s if q == 1 else (4.0 * r2 if q == 2 else 8.0 * r2 * s)
-            rho = self.sample_radius(a, b, w)
-            rho /= s
-            np.multiply(x, rho, out=out[:, done:done + k])
-            done += k
-        return out.T
+        c = rng.random((q, k))
+        c -= 0.5
+        d = c[0] * c[0]
+        for j in range(1, q):
+            d += c[j] * c[j]
+        idx = np.flatnonzero((d < 0.25) & (d > 0.0))
+        x = np.take(c, idx, axis=1)
+        r2 = np.take(d, idx)
+        s = np.sqrt(r2)
+        # w = (2|x|)^q is uniform on (0, 1)
+        w = 2.0 * s if q == 1 else (4.0 * r2 if q == 2 else 8.0 * r2 * s)
+        rho = self.sample_radius(a, b, w)
+        rho /= s
+        x *= rho
+        return x.T
 
     def conditional_char(self, r: int, s_mags: np.ndarray) -> np.ndarray:
         """|xi_r(s)| on the rescaled annulus law, by radial quadrature.

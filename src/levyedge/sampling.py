@@ -1,11 +1,14 @@
 """Seeded sampling: Gaussians, perturbed normals, and Levy jump sums.
 
 Streams are keyed: PCG64DXSM seeded by SeedSequence([master seed,
-stream id]), so any (master_seed, stream_id) pair reproduces its draws
-exactly and distinct ids are independent.  Stream ids for experiment
-grids come from a splitmix-style hash of (replicate, step, purpose),
-letting replicates and timesteps be generated in any order or in
-parallel.
+stream id]), or for master seeds of 2^32 and up by the two as fixed
+pairs of 32-bit words and a tag word, so any (master_seed, stream_id)
+pair reproduces its draws exactly and distinct pairs are independent.
+Stream ids for experiment grids come from a splitmix-style hash of
+(replicate, step, purpose), letting replicates and timesteps be
+generated in any order or in parallel.  The jump sums draw their
+Poisson counts first, then their jumps in blocks of at most _BLOCK
+candidates.
 """
 
 from __future__ import annotations
@@ -37,15 +40,26 @@ def derive_stream_id(replicate: int, step: int, purpose: str = "") -> int:
     return h
 
 
+def _stream_key(master_seed: int, stream_id: int) -> list:
+    """The SeedSequence entropy of a stream: [master_seed, stream_id] for a
+    master seed below 2^32.  SeedSequence would join the 32-bit words of
+    larger entries and pad short entropy with zeros, so for a larger
+    master seed both parts are fixed word pairs, tagged by a last word 1."""
+    if master_seed < 1 << 32:
+        return [master_seed, stream_id]
+    m32 = (1 << 32) - 1
+    return [master_seed & m32, master_seed >> 32, stream_id & m32, stream_id >> 32, 1]
+
+
 class RngStream:
-    """One reproducible stream: PCG64DXSM seeded by SeedSequence([master_seed,
-    stream_id]), both taken mod 2^64."""
+    """One reproducible stream: PCG64DXSM seeded by the SeedSequence of
+    _stream_key(master_seed, stream_id), both taken mod 2^64."""
 
     def __init__(self, master_seed: int, stream_id: int = 0):
         self.master_seed = master_seed & _MASK
         self.stream_id = stream_id & _MASK
         self.generator = np.random.Generator(np.random.PCG64DXSM(
-            np.random.SeedSequence([self.master_seed, self.stream_id])))
+            np.random.SeedSequence(_stream_key(self.master_seed, self.stream_id))))
 
     def child(self, replicate: int, step: int = 0, purpose: str = "") -> "RngStream":
         return RngStream(self.master_seed, derive_stream_id(replicate, step, purpose))
@@ -122,9 +136,10 @@ def sample_perturbed_normal(pmap: GradientPolyMap, eps: float, r: int, rng, n: i
     return out
 
 
-#: jumps drawn per sample_interval call, sized so one run's jumps stay in
-#: cache; the slicing fixes the draw order
-_JUMP_BUDGET = 1 << 16
+#: most candidates one sample_interval call draws, so that a block's
+#: temporaries stay in cache and memory stays bounded; the blocks fix the
+#: draw order
+_BLOCK = 1 << 13
 
 
 def sample_compound_poisson(
@@ -135,9 +150,10 @@ def sample_compound_poisson(
 
     The measure is isotropic, so the jumps have mean zero and the sum
     needs no compensator.  The Poisson counts come first; the jumps are
-    then drawn in runs of whole replicates of at most _JUMP_BUDGET jumps
-    each.  A replicate over the budget is drawn in pieces of _JUMP_BUDGET
-    jumps whose sums are added in draw order, so memory stays bounded.
+    then drawn as one stream, in blocks of at most _BLOCK candidates, the
+    last sized by spec.candidates for the jumps still needed and its
+    surplus dropped.  Each row's jumps are a contiguous segment of the
+    stream, summed block by block in draw order.
     """
     if intensity < 0:
         raise SamplingError("intensity must be nonnegative")
@@ -147,29 +163,22 @@ def sample_compound_poisson(
     out = np.zeros((n, spec.dimension))
     if intensity > 0 and t > 0:
         counts = g.poisson(t * intensity, size=n)
-        ends = np.concatenate(([0], np.cumsum(counts)))  # ends[i]: jumps before row i
-        start = 0
-        while start < n:
-            # the longest run of rows from start within the budget
-            stop = int(np.searchsorted(ends, ends[start] + _JUMP_BUDGET, side="right")) - 1
-            if stop < n and ends[stop] == ends[start]:
-                stop += 1  # zero-count rows, then one row over the budget
-            block = int(ends[stop] - ends[start])
-            if block > _JUMP_BUDGET:
-                # one replicate over the budget: the sums of its pieces,
-                # added in draw order; each piece's jumps are freed before
-                # the next piece is drawn
-                for done in range(0, block, _JUMP_BUDGET):
-                    piece = min(_JUMP_BUDGET, block - done)
-                    out[stop - 1] += np.add.reduceat(
-                        spec.sample_interval(lo, hi, piece, g), [0], axis=0)[0]
-            elif block:
-                # each row's jumps are one contiguous segment of the run
-                nonempty = np.flatnonzero(counts[start:stop])
-                first = ends[start:stop][nonempty] - ends[start]
-                out[start + nonempty] = np.add.reduceat(
-                    spec.sample_interval(lo, hi, block, g), first, axis=0)
-            start = stop
+        rows = np.flatnonzero(counts)
+        # first[i]: jumps of the stream before row rows[i]
+        first = np.cumsum(counts)[rows] - counts[rows]
+        total = int(counts.sum())
+        done = 0
+        while done < total:
+            z = spec.sample_interval(lo, hi, min(_BLOCK, spec.candidates(total - done)), g)
+            z = z[:total - done]
+            if len(z):
+                # the rows whose segments meet [done, done + len(z))
+                i = int(np.searchsorted(first, done, side="right")) - 1
+                j = int(np.searchsorted(first, done + len(z)))
+                cuts = first[i:j] - done
+                cuts[0] = 0
+                out[rows[i:j]] += np.add.reduceat(z, cuts, axis=0)
+                done += len(z)
     return out
 
 

@@ -146,7 +146,8 @@ class CoupledResult:
     times: np.ndarray
 
 
-def coupled_paths(spec: SdeSpec, cfg: SchemeConfig, M: int, rng: RngStream) -> CoupledResult:
+def coupled_paths(spec: SdeSpec, cfg: SchemeConfig, dec: AnnulusDecomposition, M: int,
+                  rng: RngStream) -> CoupledResult:
     """Coupled exact/approximate Euler paths sharing their randomness.
 
     Per coarse step both schemes see identical drift, Brownian, and
@@ -156,13 +157,16 @@ def coupled_paths(spec: SdeSpec, cfg: SchemeConfig, M: int, rng: RngStream) -> C
     symmetric laws.  The exact side advances on a grid of
     cfg.fine_substeps sub-intervals per step (an Euler proxy for the
     true solution); the approximate side takes one coarse step.  Jumps
-    up to the cutoff cfg.h are small.  Raises SdeError before any draw
-    when the arrays would exceed MAX_PATH_SIZE (SchemeConfig.check_size).
+    up to the cutoff cfg.h are small: dec is the decomposition of
+    spec.measure at eps = cfg.h, built by the caller.  Raises SdeError
+    before any draw when dec is of another measure or cutoff, or when the
+    arrays would exceed MAX_PATH_SIZE (SchemeConfig.check_size).
     """
     if M < 2:
         raise SdeError("coupling needs at least two replicates")
+    if dec.spec is not spec.measure or dec.eps != cfg.h:
+        raise SdeError("dec must decompose spec.measure at eps = cfg.h")
     cfg.check_size(spec.T, M, spec.d, max(spec.q, spec.B.shape[1]))
-    dec = AnnulusDecomposition(spec.measure, cfg.h)
     # every measure is isotropic, so Sigma_h is a multiple of I and the
     # surrogate, a scaled standard normal, is spherically symmetric, as the
     # radial coupling needs

@@ -237,6 +237,7 @@ class TestCriterion7JumpCouplingRate:
             slope, _ = rate_fit(eps_list, mat.mean(axis=1), bootstrap_reps=200,
                                 replicates=mat, seed=5)
             assert 0.7 <= slope <= 1.3, slope
+            print(f"C7 slope {slope:.3f} in [0.7, 1.3]")
 
 
 class TestCriterion8SdeStrongError:
@@ -264,10 +265,12 @@ class TestCriterion8SdeStrongError:
             rms = []
             for h in hs:
                 cfg = SchemeConfig(h=h, fine_substeps=16)
-                res = coupled_paths(spec, cfg, 256, RngStream(2024, 7))
+                res = coupled_paths(spec, cfg, AnnulusDecomposition(meas, h), 256,
+                                    RngStream(2024, 7))
                 rms.append(float(np.sqrt(np.mean(res.sup_distance ** 2))))
             slope, _ = rate_fit(hs, rms)
             assert 0.3 <= slope <= 0.7, (slope, rms)
+            print(f"C8 slope {slope:.3f} in [0.3, 0.7]")
 
 
 class TestCriterion9OracleEquivalence:

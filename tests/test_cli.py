@@ -45,8 +45,8 @@ TINY = {
 #: config.  A change that reorders random draws changes these on purpose,
 #: and CHANGES.md says so.
 GOLDEN = {
-    "jump-coupling": "ea6ca030ec0cbcfab4c1075c8c8ea1501761816bdb358506d534f5173e600e7b",
-    "sde-convergence": "0313f0ae8be149fbf960d789c6a7d7284258c665085ab25951b296c1f1a53561",
+    "jump-coupling": "d850d9346d9814859da6700773aaa2e0d6b89966fb4f0fcdf5308a2e15645b31",
+    "sde-convergence": "094764d6b3c8e17155ed89cd9a3c7c552e641f6ac0fb039f9664b0c7319eb548",
     "clt-rate-perturbed": "0e326a000259a9c1628a4dc0defb31264e24bd9970b10d4ceb791b1c0b5a9102",
     "edgeworth-build": "cd0e17870c960713cdce6f29f280cda43952a733f8dfab1d3b20dfa66451a489",
     "edgeworth-build-sigma": "00146694405456e9158ea7530adb1a22dd1171eeeef966308e673f109ccde8fc",

@@ -51,12 +51,15 @@ class TestStreams:
     def test_stream_id_purpose_separation(self, rep, step):
         assert derive_stream_id(rep, step, "bw") != derive_stream_id(rep, step, "jump")
 
-    @pytest.mark.parametrize("seed, stream_id", [(-1, 0), (9, 2**63), (-1, 2**64 - 1),
-                                                 (2024, derive_stream_id(3, 7, "w"))])
-    def test_stream_is_pcg64dxsm_of_its_key(self, seed, stream_id):
-        mask = (1 << 64) - 1
-        want = np.random.Generator(np.random.PCG64DXSM(
-            np.random.SeedSequence([seed & mask, stream_id & mask])))
+    @pytest.mark.parametrize("seed, stream_id, key", [
+        # a master seed of 2^32 and up (-1 is 2^64 - 1): word pairs and a tag
+        (-1, 0, [2**32 - 1, 2**32 - 1, 0, 0, 1]),
+        (9, 2**63, [9, 2**63]),
+        (-1, 2**64 - 1, [2**32 - 1] * 4 + [1]),
+        (2024, derive_stream_id(3, 7, "w"), [2024, derive_stream_id(3, 7, "w")]),
+    ])
+    def test_stream_is_pcg64dxsm_of_its_key(self, seed, stream_id, key):
+        want = np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(key)))
         got = RngStream(seed, stream_id)
         assert got.generator.bit_generator.state == want.bit_generator.state
 
@@ -65,6 +68,19 @@ class TestStreams:
                     g.poisson(3.0, 64))
 
         assert [d.tobytes() for d in draws(got)] == [d.tobytes() for d in draws(want)]
+
+
+    @pytest.mark.parametrize("a, b", [((5, 3 + 7 * 2**32), (5 + 3 * 2**32, 7)),
+                                      ((5 + 7 * 2**32, 0), (5, 7)),
+                                      ((-1, 0), (2**32 - 1, 2**32 - 1))])
+    def test_large_seeds_keep_distinct_keys(self, a, b):
+        # SeedSequence joins the 32-bit words of its entries and pads short
+        # entropy with zeros: these pairs would draw one stream
+        assert not np.array_equal(RngStream(*a).random(4), RngStream(*b).random(4))
+
+    def test_small_seed_keys_unchanged(self):
+        want = np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence([5, 7])))
+        assert RngStream(5, 7).random(64).tobytes() == want.random(64).tobytes()
 
 
 class TestGaussian:
@@ -130,44 +146,47 @@ class TestCompoundPoisson:
         assert np.array_equal(out, np.zeros((5, 2)))
 
     def test_chunking_consistency(self, monkeypatch):
-        # the planned slicing and reduceat scatter reproduce the row-by-row
-        # loop bit for bit (same sample_interval calls, same sums), over
-        # dimensions, jump budgets and mean counts per replicate; no
-        # call draws more than the budget
-        for q, mean_count, budget in itertools.product([1, 2, 3], [0.3, 4.0, 30.0], [1, 5, 64]):
+        # the block loop and its reduceat scatter reproduce a row-by-row
+        # reference bit for bit (same sample_interval calls, same sums),
+        # over dimensions, block sizes and mean counts per replicate; no
+        # call draws more than _BLOCK candidates
+        for q, mean_count, block in itertools.product([1, 2, 3, 4], [0.3, 4.0, 30.0], [1, 5, 64]):
             meas = StableLikeMeasure(q, 1.5, 1.0)
-            blocks = []
+            calls = []
             draw = meas.sample_interval
 
-            def recorded(a, b, c, g, draw=draw):
-                blocks.append(c)
-                return draw(a, b, c, g)
+            def recorded(a, b, k, g, draw=draw):
+                calls.append(k)
+                return draw(a, b, k, g)
 
             monkeypatch.setattr(meas, "sample_interval", recorded)
-            monkeypatch.setattr(sampling, "_JUMP_BUDGET", budget)
+            monkeypatch.setattr(sampling, "_BLOCK", block)
             a = sample_compound_poisson(meas, 0.25, 0.5, mean_count, 1.0, RngStream(7, q), 300)
-            kernel = blocks[:]
-            blocks.clear()
-            b = compound_poisson_row_loop(meas, 0.25, 0.5, mean_count, 1.0,
-                                          RngStream(7, q).generator, 300, budget)
-            assert np.array_equal(a, b), (q, mean_count, budget)
-            assert kernel == blocks
-            assert max(kernel) <= budget  # memory stays bounded
+            kernel = calls[:]
+            calls.clear()
+            b, counts = compound_poisson_row_loop(meas, 0.25, 0.5, mean_count, 1.0,
+                                                  RngStream(7, q).generator, 300, block)
+            assert np.array_equal(a, b), (q, mean_count, block)
+            assert kernel == calls
+            assert max(kernel) <= block  # memory stays bounded
+            assert (a[counts == 0] == 0).all()  # jump-free rows
             if mean_count > 1:
                 assert len(kernel) > 1
             else:
-                assert (a == 0).all(axis=1).any()  # jump-free rows
+                assert (counts == 0).any()
 
     def test_long_replicate_memory_bounded(self, monkeypatch):
-        # one replicate of about 2^22 jumps is drawn in budget-sized
-        # pieces: the peak stays far below its (n, q) jump array
+        # one replicate of about 2^22 jumps is drawn in blocks of at most
+        # _BLOCK candidates: the peak stays far below its (n, q) jump array
         meas = StableLikeMeasure(2, 1.5, 1.0)
-        calls = []
+        calls, jumps = [], []
         draw = meas.sample_interval
 
-        def recorded(a, b, c, g):
-            calls.append(c)
-            return draw(a, b, c, g)
+        def recorded(a, b, k, g):
+            calls.append(k)
+            z = draw(a, b, k, g)
+            jumps.append(len(z))
+            return z
 
         monkeypatch.setattr(meas, "sample_interval", recorded)
         tracemalloc.start()
@@ -176,7 +195,7 @@ class TestCompoundPoisson:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sum(calls) > 4_000_000 and max(calls) <= sampling._JUMP_BUDGET
+        assert sum(jumps) > 4_000_000 and max(calls) <= sampling._BLOCK
         assert peak < (1 << 22) * 2 * 8 / 16, peak
         assert np.isfinite(out).all()
 
@@ -198,34 +217,32 @@ class TestCompoundPoisson:
             calls[draw]()
 
 
-def compound_poisson_row_loop(spec, lo, hi, intensity, t, g, n, budget):
-    """Reference kernel: plan runs of rows one row at a time, then sum each
-    row's own slice of the run's jumps on its own; a row over the budget
-    is drawn and summed in pieces of the budget."""
-    out = np.zeros((n, spec.dimension))
+def compound_poisson_row_loop(spec, lo, hi, intensity, t, g, n, block):
+    """Reference kernel: the jumps of blocks of at most `block` candidates,
+    the last sized for the jumps still needed (spec.candidates),
+    concatenated into one stream; each row sums its own slice of it, cut
+    at the block boundaries, piece by piece in draw order.  Returns the
+    sums and the Poisson counts."""
+    q = spec.dimension
     counts = g.poisson(t * intensity, size=n)
+    total = int(counts.sum())
+    blocks, drawn = [], 0
+    while drawn < total:
+        need = total - drawn
+        blocks.append(spec.sample_interval(lo, hi, min(block, spec.candidates(need)), g)[:need])
+        drawn += len(blocks[-1])
+    stream = np.concatenate(blocks) if blocks else np.empty((0, q))
+    ends = np.cumsum([len(z) for z in blocks])  # stream position after each block
+    out = np.zeros((n, q))
     start = 0
-    while start < n:
-        stop = start
-        block = 0
-        while stop < n and (block == 0 or block + counts[stop] <= budget):
-            block += counts[stop]
-            stop += 1
-        if block > budget:
-            # one row over the budget: the sums of its pieces, in draw order
-            for done in range(0, int(block), budget):
-                jumps = spec.sample_interval(lo, hi, min(budget, int(block) - done), g)
-                out[stop - 1] += np.add.reduceat(jumps, [0], axis=0)[0]
-        elif block:
-            jumps = spec.sample_interval(lo, hi, int(block), g)
-            first = 0
-            for row in range(start, stop):
-                if counts[row]:
-                    row_jumps = jumps[first:first + counts[row]]
-                    out[row] = np.add.reduceat(row_jumps, [0], axis=0)[0]
-                    first += counts[row]
+    for row in range(n):
+        stop = start + int(counts[row])
+        # a jump-free row or a block without jumps gives no piece
+        cuts = sorted({start, stop} | {int(e) for e in ends if start < e < stop})
+        for u, v in zip(cuts, cuts[1:]):
+            out[row] += np.add.reduceat(stream[u:v], [0], axis=0)[0]
         start = stop
-    return out
+    return out, counts
 
 
 def _gapped_measure():
@@ -326,8 +343,13 @@ class TestLevyIncrement:
         meas = StableLikeMeasure(2, 1.5, 0.25)
         spec = SdeSpec(d=2, a=np.zeros(2), B=np.eye(2), x0=np.zeros(2), T=1.0,
                        measure=meas, sigma_fn=lambda x: np.tile(np.eye(2), (x.shape[0], 1, 1)))
+        # the decomposition coupled_paths takes at h = 0.5 cannot be built
         with pytest.raises(LevyError):
-            coupled_paths(spec, SchemeConfig(h=0.5), 4, RngStream(0, 0))
+            AnnulusDecomposition(meas, 0.5)
+        # and one of a cutoff inside the support does not stand in for it
+        with pytest.raises(SdeError, match="eps = cfg.h"):
+            coupled_paths(spec, SchemeConfig(h=0.5), AnnulusDecomposition(meas, 0.25), 4,
+                          RngStream(0, 0))
 
     def test_big_jumps_mean_and_variance(self):
         # compound Poisson over eps < |z| <= tau: mean 0 (isotropy) and

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from levyedge import sde
-from levyedge.levy import CustomRadialMeasure, StableLikeMeasure
+from levyedge.levy import AnnulusDecomposition, CustomRadialMeasure, StableLikeMeasure
 from levyedge.sampling import RngStream
 from levyedge.sde import (
     MAX_PATH_SIZE,
@@ -16,6 +16,11 @@ from levyedge.sde import (
 )
 
 MEAS = StableLikeMeasure(2, 1.5, 1.0)
+
+
+def decompose(spec, cfg):
+    """The decomposition coupled_paths takes: spec's measure at eps = cfg.h."""
+    return AnnulusDecomposition(spec.measure, cfg.h)
 
 
 def null_measure():
@@ -93,7 +98,7 @@ class TestCoupledPaths:
     def test_zero_sigma_zero_error(self):
         spec = make_spec(lambda x: np.zeros((x.shape[0], 2, 2)))
         cfg = SchemeConfig(h=0.25, fine_substeps=4)
-        res = coupled_paths(spec, cfg, 8, RngStream(3, 0))
+        res = coupled_paths(spec, cfg, decompose(spec, cfg), 8, RngStream(3, 0))
         assert np.all(res.sup_distance == 0)
 
     def test_constant_sigma_no_jumps_schemes_coincide(self):
@@ -101,14 +106,14 @@ class TestCoupledPaths:
         # coarse step, so the two schemes agree exactly
         spec = make_spec(diag_sigma(0.7), measure=null_measure())
         cfg = SchemeConfig(h=0.25, fine_substeps=8)
-        res = coupled_paths(spec, cfg, 8, RngStream(4, 0))
+        res = coupled_paths(spec, cfg, decompose(spec, cfg), 8, RngStream(4, 0))
         assert np.all(res.sup_distance < 1e-12)
 
     def test_reproducible_and_coupled(self):
         spec = make_spec(contractive_sigma)
         cfg = SchemeConfig(h=0.25, fine_substeps=4)
-        r1 = coupled_paths(spec, cfg, 16, RngStream(5, 0))
-        r2 = coupled_paths(spec, cfg, 16, RngStream(5, 0))
+        r1 = coupled_paths(spec, cfg, decompose(spec, cfg), 16, RngStream(5, 0))
+        r2 = coupled_paths(spec, cfg, decompose(spec, cfg), 16, RngStream(5, 0))
         assert np.array_equal(r1.exact, r2.exact)
         assert np.array_equal(r1.approx, r2.approx)
         # shared randomness keeps the pair far closer than independence would
@@ -121,8 +126,18 @@ class TestCoupledPaths:
                     x0=np.zeros(2), T=1.0)
         spec = make_spec(contractive_sigma)
         assert spec.q == MEAS.dimension
+        cfg = SchemeConfig(h=0.25)
         with pytest.raises(SdeError):
-            coupled_paths(spec, SchemeConfig(h=0.25), 1, RngStream(0, 0))
+            coupled_paths(spec, cfg, decompose(spec, cfg), 1, RngStream(0, 0))
+
+    @pytest.mark.parametrize("measure, eps", [(MEAS, 0.125), (StableLikeMeasure(2, 1.5, 1.0), 0.25)],
+                             ids=["other-cutoff", "other-measure"])
+    def test_decomposition_must_match_scheme(self, measure, eps):
+        # the jump cutoff is the coarse step h of spec's own measure
+        spec = make_spec(contractive_sigma)
+        with pytest.raises(SdeError, match="eps = cfg.h"):
+            coupled_paths(spec, SchemeConfig(h=0.25), AnnulusDecomposition(measure, eps), 2,
+                          RngStream(0, 0))
 
     def test_fine_substeps_must_be_positive(self):
         # no clamp: a substep count below one is an error, not one substep
@@ -142,10 +157,11 @@ class TestCoupledPaths:
             spec = SdeSpec(d=2, a=np.zeros(2), B=0.3 * np.eye(2), sigma_fn=contractive_sigma,
                            x0=np.zeros(2), T=T, measure=MEAS)
             with pytest.raises(SdeError, match="path arrays"):
-                coupled_paths(spec, cfg, 2, RngStream(0, 0))
+                coupled_paths(spec, cfg, decompose(spec, cfg), 2, RngStream(0, 0))
         # the noise block M * fine_substeps * q counts too
         wide = SchemeConfig(h=0.25, fine_substeps=MAX_PATH_SIZE // 4 + 1)
+        spec = make_spec(contractive_sigma)
         with pytest.raises(SdeError, match="path arrays"):
-            coupled_paths(make_spec(contractive_sigma), wide, 2, RngStream(0, 0))
+            coupled_paths(spec, wide, decompose(spec, wide), 2, RngStream(0, 0))
         # C8's largest array, 256 * 129 * 2, is far below the cap
         SchemeConfig(h=2.0 ** -7).check_size(1.0, 256, 2, 2)
