@@ -172,7 +172,8 @@ def sample_compound_poisson(
             z = spec.sample_interval(lo, hi, min(_BLOCK, spec.candidates(total - done)), g)
             z = z[:total - done]
             if len(z):
-                # the rows whose segments meet [done, done + len(z))
+                # the rows whose segments meet [done, done + len(z)); the
+                # first of them may have begun in an earlier block
                 i = int(np.searchsorted(first, done, side="right")) - 1
                 j = int(np.searchsorted(first, done + len(z)))
                 cuts = first[i:j] - done

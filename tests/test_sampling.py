@@ -53,10 +53,11 @@ class TestStreams:
 
     @pytest.mark.parametrize("seed, stream_id, key", [
         # a master seed of 2^32 and up (-1 is 2^64 - 1): word pairs and a tag
-        (-1, 0, [2**32 - 1, 2**32 - 1, 0, 0, 1]),
-        (9, 2**63, [9, 2**63]),
-        (-1, 2**64 - 1, [2**32 - 1] * 4 + [1]),
-        (2024, derive_stream_id(3, 7, "w"), [2024, derive_stream_id(3, 7, "w")]),
+        pytest.param(-1, 0, [2**32 - 1, 2**32 - 1, 0, 0, 1], id="-1-0"),
+        pytest.param(9, 2**63, [9, 2**63], id=f"9-{2**63}"),
+        pytest.param(-1, 2**64 - 1, [2**32 - 1] * 4 + [1], id=f"-1-{2**64 - 1}"),
+        pytest.param(2024, derive_stream_id(3, 7, "w"), [2024, derive_stream_id(3, 7, "w")],
+                     id=f"2024-{derive_stream_id(3, 7, 'w')}"),
     ])
     def test_stream_is_pcg64dxsm_of_its_key(self, seed, stream_id, key):
         want = np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(key)))
