@@ -19,7 +19,7 @@ from levyedge.sampling import RngStream, sample_perturbed_normal
 from levyedge.wasserstein import wp_1d_exact
 
 law = centered_exponential()
-print("law:", law.name, "| cumulants kappa_2..kappa_4 =",
+print("law: centered-exponential | cumulants kappa_2..kappa_4 =",
       [str(law.cumulants.mu[(j,)]) for j in (2, 3, 4)])
 
 r = 2

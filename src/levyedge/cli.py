@@ -281,7 +281,7 @@ def run_clt_rate(cfg: Dict[str, str], seed: int, threads: int) -> List[list]:
         )
 
     root = RngStream(seed, 0)
-    sigma = np.array([[float(v) for v in row] for row in law.cumulants.covariance])
+    sigma = law.cumulants.covariance_array()
     pmap = None
     r_order = target - 3
     if mode == "perturbed":
@@ -291,7 +291,7 @@ def run_clt_rate(cfg: Dict[str, str], seed: int, threads: int) -> List[list]:
             raise ConfigError(f"perturbed mode with n = {target} needs cumulants up to order "
                               f"{target - 1}; {law_name} has them up to {law.cumulants.order}")
         Q = build_Q(law.cumulants, r_order)
-        pmap = invert_S_map(Q, law.cumulants.covariance)
+        pmap = invert_S_map(Q, law.cumulants.gaussian)
 
     rows: List[list] = [["m", "p", "mode", "distance", "replicate"]]
     exact_quantile = (
@@ -538,7 +538,7 @@ def run_edgeworth_build(cfg: Dict[str, str], seed: int, threads: int) -> List[st
     for k in range(1, r + 1):
         lines.append(f"Q_{k}(x) = {Q[k - 1].to_text()}")
     lines.append("")
-    pmap = invert_S_map(Q, cset.covariance)
+    pmap = invert_S_map(Q, cset.gaussian)
     all_zero = True
     for k in range(1, r + 1):
         u = pmap.potentials[k - 1]
@@ -562,7 +562,7 @@ def run_edgeworth_build(cfg: Dict[str, str], seed: int, threads: int) -> List[st
         raise ConfigError("m_probe must be a positive perfect square")
     eps = Fraction(1, math.isqrt(m_probe))
     order = min(cset.order, r + 2)
-    left = edgeworth_signed_moments(cset, Q, eps, order, pmap.moments)
+    left = edgeworth_signed_moments(cset, Q, eps, order)
     right = scaled_sum_moments(cset, m_probe, order)
     lines.append(f"moment match at m = {m_probe} up to order {order}:")
     ok = True

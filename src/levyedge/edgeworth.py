@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, Tuple
 
 import numpy as np
@@ -35,7 +36,6 @@ from .polycore import (
     hermite_sum,
     multi_indices,
     positive_definite,
-    rational_inverse,
     sum_of_products,
     truncate,
 )
@@ -118,6 +118,12 @@ class CumulantSet:
             for alpha in multi_indices(dimension, d):
                 self.mu[alpha] = mu.get(alpha, Fraction(0))
         self.covariance = _second_order(self.mu, dimension)
+
+    @cached_property
+    def gaussian(self) -> GaussianMoments:
+        """N(0, covariance) as one GaussianMoments table, made on first
+        read: its moments and Sigma^(-1) serve every stage of a build."""
+        return GaussianMoments(self.covariance)
 
     def covariance_array(self) -> np.ndarray:
         return np.array([[float(c) for c in row] for row in self.covariance])
@@ -256,9 +262,8 @@ def build_Q(c: CumulantSet, r: int) -> list:
 def _hermite_form(c: CumulantSet, ps: list) -> list:
     """Q_1..Q_r from P_1..P_r = build_P(c, r), for a caller that keeps P."""
     c.check_nonsingular()
-    sigma_inv = rational_inverse(c.covariance)
     memo: dict = {}
-    return [hermite_sum(p, sigma_inv, memo) for p in ps]
+    return [hermite_sum(p, c.gaussian.inv, memo) for p in ps]
 
 
 def gaussian_density(sigma: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -286,25 +291,20 @@ def edgeworth_density(c: CumulantSet, r: int, eps: float, x) -> np.ndarray:
     return base * corr
 
 
-def edgeworth_signed_moments(c: CumulantSet, qs: list, eps, max_order: int,
-                             moments=None) -> Dict[tuple, Coeff]:
+def edgeworth_signed_moments(c: CumulantSet, qs: list, eps, max_order: int) -> Dict[tuple, Coeff]:
     """Moments of the signed density phi_Sigma (1 + sum eps^k Q_k), exact.
 
     qs is Q_1..Q_r as build_Q(c, r) gives them (empty for the Gaussian
     alone).  The factor 1 + sum eps^k Q_k is built once, and every
-    E[x^alpha (1 + sum eps^k Q_k)] is read off one moment table for Sigma:
-    moments, a GaussianMoments table of c.covariance from a caller that
-    already made one (invert_S_map keeps its recursion's on the map),
-    or a new one.  eps is rational (e.g. the reciprocal square root of a
-    perfect-square m).
+    E[x^alpha (1 + sum eps^k Q_k)] is read off c.gaussian, the one moment
+    table of Sigma.  eps is rational (e.g. the reciprocal square root of
+    a perfect-square m).
     """
     q = c.dimension
-    if moments is None:
-        moments = GaussianMoments(c.covariance, q)
     factor = sum_of_products(q, [(Polynomial.constant(q, Fraction(1)), 1)]
                              + [(qk, eps ** k) for k, qk in enumerate(qs, start=1)])
     alphas = [a for d in range(1, max_order + 1) for a in multi_indices(q, d)]
-    return dict(zip(alphas, moments.expectations(factor, alphas)))
+    return dict(zip(alphas, c.gaussian.expectations(factor, alphas)))
 
 
 def scaled_sum_moments(c: CumulantSet, m, max_order: int) -> Dict[tuple, Coeff]:

@@ -47,17 +47,12 @@ class TestLaw:
 
     def __init__(
         self,
-        name: str,
-        dimension: int,
-        order: int,
         cumulants: CumulantSet,
         sample: Callable[[int, np.random.Generator], np.ndarray],
         sample_sum: Optional[Callable[[int, np.random.Generator, np.ndarray], None]] = None,
         sum_quantile: Optional[Callable[[int], Callable[[np.ndarray], np.ndarray]]] = None,
     ):
-        self.name = name
-        self.dimension = dimension
-        self.order = order
+        self.dimension = cumulants.dimension
         self.cumulants = cumulants
         self._sample = sample
         self._sample_sum = sample_sum
@@ -125,10 +120,8 @@ def centered_exponential(order: int = 6) -> TestLaw:
 
         return qf
 
-    return TestLaw(
-        "centered-exponential", 1, order, _exp_cumulants_1d(order), sample,
-        sample_sum=_gamma_sum, sum_quantile=sum_quantile,
-    )
+    return TestLaw(_exp_cumulants_1d(order), sample, sample_sum=_gamma_sum,
+                   sum_quantile=sum_quantile)
 
 
 def product_exponential(order: int = 6) -> TestLaw:
@@ -146,7 +139,7 @@ def product_exponential(order: int = 6) -> TestLaw:
     def sample(n, rng):
         return rng.exponential(size=(n, 2)) - 1.0
 
-    return TestLaw("product-exponential", 2, order, cs, sample, sample_sum=_gamma_sum)
+    return TestLaw(cs, sample, sample_sum=_gamma_sum)
 
 
 def _disk_moments(order: int) -> MomentSet:
@@ -180,7 +173,7 @@ def uniform_disk(order: int = 6) -> TestLaw:
         ang = 2.0 * np.pi * rng.random(n)
         return np.stack([r * np.cos(ang), r * np.sin(ang)], axis=1)
 
-    return TestLaw("uniform-disk", 2, order, cs, sample)
+    return TestLaw(cs, sample)
 
 
 def gaussian_law(order: int = 6) -> TestLaw:
@@ -199,8 +192,7 @@ def gaussian_law(order: int = 6) -> TestLaw:
     def sample_sum(m, rng, out):
         rng.standard_normal(out=out)
 
-    return TestLaw("gaussian", 1, order, cs, sample, sample_sum=sample_sum,
-                   sum_quantile=lambda m: lambda z: z)
+    return TestLaw(cs, sample, sample_sum=sample_sum, sum_quantile=lambda m: lambda z: z)
 
 
 _LATTICE = {

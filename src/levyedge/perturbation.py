@@ -29,10 +29,10 @@ import numpy as np
 from .polycore import (
     GaussianMoments,
     Polynomial,
+    as_gaussian,
     diagonal_degree_solve,
     exp_coefficient,
     multi_indices,
-    rational_inverse,
     solve_linear,
     sum_of_products,
     taylor_terms,
@@ -63,23 +63,20 @@ class GradientPolyMap:
 
     When invert_S_map built the potentials, s_tilde holds S~_1..S~_r
     (S~_1 = 0) of its recursion, gradients the grad u_k that the
-    recursion built, l_sigma the L_Sigma u_k = x . Sigma^{-1} grad u_k
-    - Lap u_k that it checked and moments its GaussianMoments table of
-    Sigma; otherwise s_tilde, l_sigma and moments are None and the
-    gradients are built here.
+    recursion built and l_sigma the L_Sigma u_k = x . Sigma^{-1} grad u_k
+    - Lap u_k that it checked; otherwise s_tilde and l_sigma are None and
+    the gradients are built here.
     """
 
     def __init__(self, sigma, potentials: Sequence[Polynomial],
                  s_tilde: Optional[Sequence[Polynomial]] = None,
                  gradients: Optional[Sequence[list]] = None,
-                 l_sigma: Optional[Sequence[Polynomial]] = None,
-                 moments: Optional[GaussianMoments] = None):
+                 l_sigma: Optional[Sequence[Polynomial]] = None):
         self.sigma = [list(row) for row in sigma]
         self.dimension = len(self.sigma)
         self.potentials = list(potentials)
         self.s_tilde = None if s_tilde is None else list(s_tilde)
         self.l_sigma = None if l_sigma is None else list(l_sigma)
-        self.moments = moments
         self.gradients = ([u.gradient() for u in self.potentials] if gradients is None
                           else list(gradients))
         for k, (u, p) in enumerate(zip(self.potentials, self.gradients), start=1):
@@ -95,14 +92,10 @@ class GradientPolyMap:
         return len(self.potentials)
 
 
-def apply_L(u: Polynomial, sigma, inv=None) -> Polynomial:
-    """The divergence-form operator U = grad u  ->  div U - x . Sigma^{-1} U.
-
-    inv, when given, is Sigma^{-1}, from a caller that has inverted Sigma.
-    """
-    if inv is None:
-        inv = rational_inverse(sigma)
-    return u.laplacian() - x_dot_inv_grad(u, inv)
+def apply_L(u: Polynomial, sigma) -> Polynomial:
+    """The divergence-form operator U = grad u  ->  div U - x . Sigma^{-1} U,
+    that is -L_Sigma u; sigma is rows or a GaussianMoments table."""
+    return -_l_sigma(u, as_gaussian(sigma).inv)
 
 
 def _l_sigma(u: Polynomial, inv) -> Polynomial:
@@ -110,7 +103,7 @@ def _l_sigma(u: Polynomial, inv) -> Polynomial:
     return x_dot_inv_grad(u, inv) - u.laplacian()
 
 
-def solve_hermite_pde(rhs: Polynomial, sigma, inv=None, moments=None) -> Polynomial:
+def solve_hermite_pde(rhs: Polynomial, sigma) -> Polynomial:
     """Solve -Lap u + x . Sigma^{-1} grad u = rhs for positive-definite Sigma.
 
     x . Sigma^{-1} grad keeps the degree and -Lap lowers it by two, so the
@@ -122,15 +115,12 @@ def solve_hermite_pde(rhs: Polynomial, sigma, inv=None, moments=None) -> Polynom
     exactly when rhs integrates to zero against the N(0, Sigma) density,
     and the free constant is chosen so that u does too.  rhs and Sigma
     are rational, and L_Sigma u = x . Sigma^{-1} grad u - Lap u is built
-    once and checked to equal rhs exactly.  inv
-    (Sigma^{-1}) and moments (a GaussianMoments table of Sigma), when
-    given, come from a caller that already made them for this Sigma.
+    once and checked to equal rhs exactly.  sigma is rows or a
+    GaussianMoments table, whose Sigma^{-1} and moments are used.
     """
-    if inv is None:
-        inv = rational_inverse(sigma)
+    gauss = as_gaussian(sigma)
+    inv = gauss.inv
     q = rhs.dimension
-    if moments is None:
-        moments = GaussianMoments(sigma, q)
     diagonal = all(inv[i][j] == 0 for i in range(q) for j in range(q) if i != j)
     top = max(rhs.degree(), 0)
     parts = [Polynomial.zero(q)] * (top + 3)  # parts[d]: degree-d part of u
@@ -150,7 +140,7 @@ def solve_hermite_pde(rhs: Polynomial, sigma, inv=None, moments=None) -> Polynom
     u = Polynomial.zero(q)
     for part in parts[1:top + 1]:
         u = u + part
-    u = u - moments.expectation(u)
+    u = u - gauss.expectation(u)
     if _l_sigma(u, inv) != rhs:
         raise AssertionError("PDE residual nonzero")
     return u
@@ -197,11 +187,10 @@ class _Recursion:
     Every check is an exact equality.
     """
 
-    def __init__(self, sig, order: int):
-        q = len(sig)
+    def __init__(self, gauss: GaussianMoments, order: int):
+        q = len(gauss.sigma)
         self.q, self.order = q, order
-        self.inv = rational_inverse(sig)
-        self.moments = GaussianMoments(sig, q)
+        self.gauss, self.inv = gauss, gauss.inv
         zero, one = Polynomial.zero(q), Polynomial.constant(q, Fraction(1))
         self.zero = zero
         self.l_sigma: list = []  # L_Sigma u_j
@@ -281,7 +270,7 @@ class _Recursion:
                 for j, terms in enumerate(self.taylor, start=1)
                 for beta, t in terms if sum(beta) <= n - j])
         out = self.f[n] - shifted
-        if self.moments.expectation(out) != 0:
+        if self.gauss.expectation(out) != 0:
             raise AssertionError("correction polynomial must have zero Gaussian mean")
         self.s_tilde = out
 
@@ -298,14 +287,15 @@ def compute_S_tilde(
     as 1 + eps T_1 + ... and Taylor-shifts each S_j(y) back to x; the
     eps^(k+1) balance yields S~_{k+1} = T_{k+1} - sum_{j+l=k+1} w_{j,l}.
     Verifies the lower-level balances exactly and the zero-Gaussian-mean
-    property of the output.  The same recursion as invert_S_map's.
+    property of the output.  The same recursion as invert_S_map's; sigma
+    is rows or a GaussianMoments table.
     """
     k = len(potentials)
     if len(targets) != k:
         raise PerturbationError("need one target per potential")
     if k == 0:
         raise PerturbationError("empty input; the first correction is identically zero")
-    rec = _Recursion(sigma, k + 1)
+    rec = _Recursion(as_gaussian(sigma), k + 1)
     for u, s in zip(potentials, targets):
         rec.level(u, s)
     return rec.s_tilde
@@ -316,20 +306,22 @@ def invert_S_map(Q: Sequence[Polynomial], sigma) -> GradientPolyMap:
 
     Solves the level-by-level recursion S~_k + L_Sigma u_k = Q_k with
     S~_1 = 0, in one pass of the balance recursion, and keeps each S~_k,
-    grad u_k, L_Sigma u_k and the moment table on the map; Q and Sigma
-    are rational.  Each level's L_Sigma u_k is built once, by the solve's
-    residual check, and the right-hand side Q_k - S~_k it equals stands
-    for it after that.
+    grad u_k and L_Sigma u_k on the map; Q and Sigma are rational, and
+    sigma is rows or a GaussianMoments table, whose Sigma^{-1} and moments
+    serve every level.  Each level's L_Sigma u_k is built once, by the
+    solve's residual check, and the right-hand side Q_k - S~_k it equals
+    stands for it after that.
     """
-    rec = _Recursion(sigma, len(Q))
+    gauss = as_gaussian(sigma)
+    rec = _Recursion(gauss, len(Q))
     pots: List[Polynomial] = []
     s_tilde: List[Polynomial] = []
     for qk in Q:
         s_tilde.append(rec.s_tilde)
         rhs = qk - rec.s_tilde
-        pots.append(solve_hermite_pde(rhs, sigma, rec.inv, rec.moments))
+        pots.append(solve_hermite_pde(rhs, gauss))
         rec.level(pots[-1], qk, rhs)
-    return GradientPolyMap(sigma, pots, s_tilde, rec.grads, rec.l_sigma, rec.moments)
+    return GradientPolyMap(gauss.sigma, pots, s_tilde, rec.grads, rec.l_sigma)
 
 
 def pushforward_density_1d(u: Polynomial, eps: float, ys: np.ndarray, lam: float = 1.0) -> np.ndarray:

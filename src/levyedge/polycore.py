@@ -370,17 +370,13 @@ class Polynomial:
         return self._evals
 
     def __call__(self, x):
-        """Evaluate at a point or along the last axis of an array."""
+        """Evaluate at a point or along the last axis of an array, by
+        evaluate_into on the points as (n, dimension) rows."""
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.dimension:
             raise PolynomialError("point dimension mismatch")
-        out = np.zeros(x.shape[:-1])
-        for alpha, c in self._floats():
-            mono = np.ones(x.shape[:-1])
-            for j, e in enumerate(alpha):
-                if e:
-                    mono = mono * x[..., j] ** e
-            out = out + c * mono
+        rows = x.reshape(-1, self.dimension)
+        out = self.evaluate_into(rows, *np.empty((3, len(rows)))).reshape(x.shape[:-1])
         return out if out.shape else float(out)
 
     def evaluate_into(self, x: np.ndarray, out: np.ndarray, mono: np.ndarray,
@@ -389,8 +385,7 @@ class Polynomial:
 
         out, mono and power are distinct C-contiguous float (n,) arrays;
         mono and power hold each monomial and each power on the way, so
-        nothing is allocated.  The float operations and their order are
-        those of __call__, so the values are the same bit for bit.
+        nothing is allocated.
         """
         out.fill(0.0)
         for alpha, c in self._floats():
@@ -754,13 +749,16 @@ def positive_definite(mat: Sequence[Sequence], semi: bool = False) -> bool:
 
 
 class GaussianMoments:
-    """The moments E[x^gamma] under N(0, sigma), for one sigma.
+    """The exact Gaussian N(0, sigma): its moments E[x^gamma] and
+    Sigma^(-1), for one sigma.
 
     sigma is rational (a float raises PolynomialError).  It is checked
-    once, when the table is made: symmetric, and positive semi-definite by
-    the exact pivots of positive_definite.  Calling the table with an
-    exponent tuple gives its moment, memoised by packed gamma for the life
-    of the table and built by Gaussian integration by parts,
+    once, when the table is made: square, symmetric, and positive
+    semi-definite by the exact pivots of positive_definite.  inv is
+    Sigma^(-1) by rational_inverse, made on first read (a singular sigma
+    raises PolynomialError there).  Calling the table with an exponent
+    tuple gives its moment, memoised by packed gamma for the life of the
+    table and built by Gaussian integration by parts,
 
         E[x_i x^gamma] = sum_j sigma_ij gamma_j E[x^(gamma - e_j)].
 
@@ -769,14 +767,14 @@ class GaussianMoments:
     recurrence with S for sigma.
     """
 
-    __slots__ = ("sigma", "_s", "_den", "_memo", "_lay")
+    __slots__ = ("sigma", "_s", "_den", "_memo", "_lay", "_inv")
 
-    def __init__(self, sigma, q: int):
-        self.sigma = tuple(tuple(_rational(sigma[i][j]) for j in range(q)) for i in range(q))
-        for i in range(q):
-            for j in range(i):
-                if self.sigma[i][j] != self.sigma[j][i]:
-                    raise PolynomialError("sigma must be symmetric")
+    def __init__(self, sigma):
+        q = len(sigma)
+        self.sigma = tuple(tuple(_rational(c) for c in row) for row in sigma)
+        if any(len(row) != q or any(row[j] != self.sigma[j][i] for j in range(i))
+               for i, row in enumerate(self.sigma)):
+            raise PolynomialError("sigma must be a symmetric square matrix")
         if not positive_definite(self.sigma, semi=True):
             raise PolynomialError("sigma must be positive semi-definite")
         self._den = math.lcm(*(c.denominator for r in self.sigma for c in r))
@@ -784,6 +782,13 @@ class GaussianMoments:
                         for r in self.sigma)
         self._lay = _layout(q)
         self._memo = {0: 1}
+        self._inv = None
+
+    @property
+    def inv(self) -> list:
+        if self._inv is None:
+            self._inv = rational_inverse(self.sigma)
+        return self._inv
 
     def _numerator(self, gamma: int) -> int:
         """N(gamma), gamma a packed key."""
@@ -824,6 +829,8 @@ class GaussianMoments:
         odd moments), high the largest such |beta|; alpha + beta is the sum
         of the packed keys.
         """
+        if p.dimension != self._lay.q:
+            raise PolynomialError("dimension mismatch")
         nums, l = p._num, p._den
         den, memo, num = self._den, self._memo, self._numerator
         pack, top = self._lay.pack, self._lay.top
@@ -857,8 +864,13 @@ def gaussian_moment(alpha: Sequence[int], sigma) -> Fraction:
 
 def gaussian_expectation(p: Polynomial, sigma) -> Fraction:
     """Integral of p against the N(0, sigma) density; sigma is checked
-    as in gaussian_moment, once per call."""
-    return GaussianMoments(sigma, p.dimension).expectation(p)
+    as in gaussian_moment, once per table."""
+    return as_gaussian(sigma).expectation(p)
+
+
+def as_gaussian(sigma) -> GaussianMoments:
+    """sigma as its GaussianMoments: a table is itself, rows make one."""
+    return sigma if isinstance(sigma, GaussianMoments) else GaussianMoments(sigma)
 
 
 # ---------------------------------------------------------------------------

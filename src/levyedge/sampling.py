@@ -119,7 +119,7 @@ def sample_perturbed_normal(pmap: GradientPolyMap, eps: float, r: int, rng, n: i
     if r < 0 or r > pmap.order:
         raise SamplingError("r must lie in [0, map order]")
     if root is None:
-        root = sym_sqrt(np.array([[float(x) for x in row] for row in pmap.sigma]))
+        root = sym_sqrt(np.array(pmap.sigma, dtype=float))
     xi = sample_gaussian(root, rng, n, out=scratch, scratch=out)
     if out is None:
         out = xi.copy()

@@ -143,7 +143,6 @@ class CoupledResult:
     exact: np.ndarray        # (M, N+1, d) fine-grid proxy restricted to the coarse grid
     approx: np.ndarray       # (M, N+1, d) Gaussian-substituted scheme
     sup_distance: np.ndarray  # (M,) sup_k |X_k - Xbar_k|
-    times: np.ndarray
 
 
 def coupled_paths(spec: SdeSpec, cfg: SchemeConfig, dec: AnnulusDecomposition, M: int,
@@ -194,5 +193,4 @@ def coupled_paths(spec: SdeSpec, cfg: SchemeConfig, dec: AnnulusDecomposition, M
         exact[:, k + 1] = x
         approx[:, k + 1] = xb
     sup = np.max(np.linalg.norm(exact - approx, axis=2), axis=1)
-    times = np.arange(n + 1) * cfg.h
-    return CoupledResult(exact, approx, sup, times)
+    return CoupledResult(exact, approx, sup)

@@ -575,6 +575,27 @@ class TestDecimalCumulants:
         assert "moment check: all equal (exact)" in lines
 
 
+def count_gaussians(monkeypatch) -> list:
+    """A list that gets "inverse" for each rational_inverse call (at every
+    levyedge binding of it) and "table" for each GaussianMoments made."""
+    made = []
+    real_inverse, real_init = polycore.rational_inverse, polycore.GaussianMoments.__init__
+
+    def inverse(*args):
+        made.append("inverse")
+        return real_inverse(*args)
+
+    def init(table, *args):
+        made.append("table")
+        real_init(table, *args)
+
+    for mod in list(sys.modules.values()):  # every binding, as `from ... import` makes
+        if mod.__name__.startswith("levyedge") and vars(mod).get("rational_inverse") is real_inverse:
+            monkeypatch.setattr(mod, "rational_inverse", inverse)
+    monkeypatch.setattr(polycore.GaussianMoments, "__init__", init)
+    return made
+
+
 class TestOutputs:
     def test_small_run_and_summary(self, tmp_path):
         cfg = write(
@@ -598,6 +619,19 @@ class TestOutputs:
         rows = list(csv.reader(open(out)))
         assert [float(r[3]) for r in rows[2:-1]] == [0.0, 0.0, 0.0]
         assert rows[-1] == ["slope", "nan", "ci_lo", "nan", "ci_hi", "nan", "degenerate"]
+
+    def test_clt_rate_exact_quantile_ignores_sample_keys(self, tmp_path):
+        # perturbed mode at p = 2 on a 1-D law with a sum quantile draws
+        # nothing: n_samples and replicates enter the hash, not the rows
+        base = "law = centered-exponential\nmode = perturbed\nm_list = 4,16,64\n"
+        rows = []
+        for name, keys in (("a", ""), ("b", "n_samples = 300\nreplicates = 7\n")):
+            out = tmp_path / f"{name}.csv"
+            cfg = write(tmp_path, f"{name}.cfg", base + keys)
+            assert cli.main(["clt-rate", "--config", cfg, "--out", str(out), "--no-timestamp"]) == 0
+            rows.append(list(csv.reader(open(out)))[1:])
+        assert rows[0] == rows[1]
+        assert [r[4] for r in rows[0][1:-1]] == ["0", "0", "0"]
 
     @pytest.mark.parametrize("experiment", list(TINY))
     def test_byte_identical_rerun(self, tmp_path, experiment):
@@ -692,24 +726,24 @@ class TestOutputs:
         assert "residual check: all zero (exact)" in open(out).read().splitlines()
 
     def test_edgeworth_build_inverts_sigma_once_per_stage(self, tmp_path, monkeypatch):
-        # one Sigma^{-1} each for the Hermite step and the recursion, which
-        # hands it to every level's solve; the residual lines read the
-        # L_Sigma u_k that the recursion checked
-        calls = []
-        real = polycore.rational_inverse
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        for mod in list(sys.modules.values()):  # every binding, as `from ... import` makes
-            if mod.__name__.startswith("levyedge") and vars(mod).get("rational_inverse") is real:
-                monkeypatch.setattr(mod, "rational_inverse", counted)
+        # one Sigma^{-1}, on the cumulant set's Gaussian, for the Hermite
+        # step and the recursion, which hands it to every level's solve;
+        # the residual lines read the L_Sigma u_k that the recursion checked
+        made = count_gaussians(monkeypatch)
         cfg = write(tmp_path, "eb.cfg", EDGEWORTH_R3)
         out = str(tmp_path / "out.txt")
         assert cli.main(["edgeworth-build", "--config", cfg, "--out", out, "--no-timestamp"]) == 0
-        assert len(calls) == 2
+        assert sorted(made) == ["inverse", "table"]
         assert "residual check: all zero (exact)" in open(out).read().splitlines()
+
+    @pytest.mark.parametrize("p", [2, 4])  # the exact-quantile path, then the sampled one
+    def test_clt_rate_perturbed_makes_one_gaussian(self, tmp_path, monkeypatch, p):
+        # build_Q and invert_S_map share the law's one Sigma^{-1} and table
+        made = count_gaussians(monkeypatch)
+        cfg = write(tmp_path, "c.cfg", TINY["clt-rate"].format(reps=2) + f"mode = perturbed\np = {p}\n")
+        assert cli.main(["clt-rate", "--config", cfg, "--out", str(tmp_path / "c.csv"),
+                         "--no-timestamp"]) == 0
+        assert sorted(made) == ["inverse", "table"]
 
     def test_edgeworth_build_computes_each_moment_once(self, tmp_path, monkeypatch):
         # the moment check reads the recursion's Gaussian moment table:

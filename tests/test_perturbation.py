@@ -15,7 +15,7 @@ from levyedge.edgeworth import (
     multi_indices,
     scaled_sum_moments,
 )
-from levyedge import perturbation
+from levyedge import perturbation, polycore
 from levyedge.perturbation import (
     GradientPolyMap,
     PerturbationError,
@@ -183,19 +183,24 @@ class TestSolver:
         assert gaussian_expectation(u, sig) == 0
 
     def test_invert_S_map_inverts_sigma_once(self, monkeypatch):
-        # the recursion's Sigma^{-1} and moment table serve every level's solve
+        # one Sigma^{-1} and moment table serve every level's solve, and a
+        # table passed in serves them all, with no new table or inverse
         c = CumulantSet(2, 5, {(2, 0): 1, (0, 2): 2, (1, 1): Fraction(1, 2), (3, 0): 1,
                                (1, 2): Fraction(-1, 3), (4, 0): 2, (0, 5): Fraction(1, 7)})
         Q = build_Q(c, 3)
         made = []
-        real_inverse, real_table = perturbation.rational_inverse, perturbation.GaussianMoments
-        monkeypatch.setattr(perturbation, "rational_inverse",
+        real_inverse, real_init = polycore.rational_inverse, polycore.GaussianMoments.__init__
+        monkeypatch.setattr(polycore, "rational_inverse",
                             lambda s: made.append("inverse") or real_inverse(s))
-        monkeypatch.setattr(perturbation, "GaussianMoments",
-                            lambda s, q: made.append("moments") or real_table(s, q))
+        monkeypatch.setattr(polycore.GaussianMoments, "__init__",
+                            lambda table, s: made.append("moments") or real_init(table, s))
         pmap = invert_S_map(Q, c.covariance)
         assert len(pmap.potentials) == 3
         assert sorted(made) == ["inverse", "moments"]
+        made.clear()
+        reused = invert_S_map(Q, c.gaussian)  # build_Q read c.gaussian.inv already
+        assert made == []
+        assert reused.potentials == pmap.potentials
 
     def test_nonzero_mean_rejected(self):
         with pytest.raises(PerturbationError):

@@ -500,7 +500,7 @@ class TestGaussianMoments:
     @settings(deadline=None, max_examples=60)
     def test_table_equals_isserlis_pairing(self, case):
         sigma, gammas = case
-        table = GaussianMoments(sigma, len(sigma))
+        table = GaussianMoments(sigma)
         for gamma in gammas:
             m = table(gamma)
             indices = tuple(j for j, a in enumerate(gamma) for _ in range(a))
@@ -514,7 +514,7 @@ class TestGaussianMoments:
         # the integer-numerator sums against E[x^(alpha+beta)] by Isserlis
         # pairing, one exact Fraction per requested moment
         sigma, p, alphas = case
-        table = GaussianMoments(sigma, len(sigma))
+        table = GaussianMoments(sigma)
 
         def ref(alpha):
             total = Fraction(0)
@@ -541,6 +541,13 @@ class TestGaussianMoments:
             gaussian_expectation(p, [[1, 1], [0, 1]])
         with pytest.raises(PolynomialError, match="positive semi-definite"):
             gaussian_expectation(p, [[1, 2], [2, 1]])
+        # the table's dimension is len(sigma); a sigma of another shape is refused
+        with pytest.raises(PolynomialError, match="square"):
+            gaussian_expectation(p, [[1, 0], [0]])
+        with pytest.raises(PolynomialError, match="dimension mismatch"):
+            gaussian_expectation(p, [[1]])
+        with pytest.raises(PolynomialError, match="dimension mismatch"):
+            gaussian_expectation(p, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
     def test_gaussian_expectation_linear(self):
         p = 3 * x(0) ** 2 + x(0) * x(1) - 4
@@ -678,7 +685,7 @@ class TestFractionReference:
     @settings(deadline=None, max_examples=60)
     def test_expectations(self, case):
         sigma, p, alphas = case
-        table = GaussianMoments(sigma, len(sigma))
+        table = GaussianMoments(sigma)
         want = []
         for alpha in alphas:
             total = Fraction(0)
@@ -818,7 +825,7 @@ class TestExactKernels:
             lambda: x_dot_inv_grad(x(0) ** 2, [[1, 0.5], [0.5, 1]]),
             lambda: x_dot_inv_grad(x(0) ** 2, np.eye(2)),
             lambda: hermite_sigma((2, 1), [[1, 0.5], [0.5, 1]]),
-            lambda: GaussianMoments([[1.0, 0], [0, 1]], 2),
+            lambda: GaussianMoments([[1.0, 0], [0, 1]]),
             lambda: solve_linear([[2, 1], [1, 0.5]], [[1], [0]]),
             lambda: solve_linear([[2, 1], [1, 3]], [[1], [0.25]]),
             lambda: invert_S_map([Polynomial(1, {(3,): 0.5, (1,): -1.5})], [[1]]),
