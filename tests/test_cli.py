@@ -746,7 +746,7 @@ class TestOutputs:
         assert sorted(made) == ["inverse", "table"]
 
     def test_edgeworth_build_computes_each_moment_once(self, tmp_path, monkeypatch):
-        # the moment check reads the recursion's Gaussian moment table:
+        # the moment check reads the cumulant set's Gaussian moment table:
         # one table for Sigma, and no entry of it computed twice
         tables, computed = [], []
         real_init = polycore.GaussianMoments.__init__
