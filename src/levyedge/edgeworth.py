@@ -32,6 +32,7 @@ from .polycore import (
     EpsSeries,
     GaussianMoments,
     Polynomial,
+    PolynomialError,
     grlex_key,
     hermite_sum,
     multi_indices,
@@ -129,9 +130,14 @@ class CumulantSet:
         return np.array([[float(c) for c in row] for row in self.covariance])
 
     def check_nonsingular(self):
-        """The covariance is rational: judged exactly, by the pivots of
-        polycore.positive_definite."""
-        if not positive_definite(self.covariance):
+        """The covariance is rational: judged exactly, once, by the pivots
+        that make its GaussianMoments table (which refuses a covariance
+        that is not even semi-definite)."""
+        try:
+            definite = self.gaussian.definite
+        except PolynomialError:  # not semi-definite either: no table
+            definite = False
+        if not definite:
             raise EdgeworthError("covariance must be positive definite")
 
     # -- text format ---------------------------------------------------
@@ -208,6 +214,11 @@ def cumulants_to_moments(c: CumulantSet) -> MomentSet:
     the degree-d part of exp(K) is the eps^d coefficient of
     exp(sum_d eps^d K_d), which EpsSeries.exp builds in O(n^2) products.
     """
+    return MomentSet(c.dimension, c.order, _raw_moments(c))
+
+
+def _raw_moments(c: CumulantSet) -> Dict[tuple, Coeff]:
+    """E[X^alpha], 1 <= |alpha| <= c.order, of the cumulants c, unchecked."""
     q, n = c.dimension, c.order
     parts = [Polynomial.zero(q)] * 2 + [
         Polynomial(q, {a: Fraction(1, _factorial_alpha(a)) * c.mu[a] for a in multi_indices(q, d)})
@@ -218,7 +229,7 @@ def cumulants_to_moments(c: CumulantSet) -> MomentSet:
     for d in range(1, n + 1):
         for alpha in multi_indices(q, d):
             values[alpha] = mgen[d].coefficient(alpha) * _factorial_alpha(alpha)
-    return MomentSet(q, n, values)
+    return values
 
 
 def build_P(c: CumulantSet, r: int) -> list:
@@ -311,7 +322,8 @@ def scaled_sum_moments(c: CumulantSet, m, max_order: int) -> Dict[tuple, Coeff]:
     """Exact moments of m^(-1/2) (X_1 + ... + X_m) up to max_order.
 
     The cumulant of order |alpha| scales by m^(1 - |alpha|/2), so m must
-    be a perfect square.
+    be a perfect square.  The covariance does not scale: it is judged by
+    c.check_nonsingular, whose verdict c's table keeps.
     """
     if c.order < max_order:
         raise EdgeworthError("cumulant order too low")
@@ -323,4 +335,5 @@ def scaled_sum_moments(c: CumulantSet, m, max_order: int) -> Dict[tuple, Coeff]:
         for d in range(2, max_order + 1)
         for a in multi_indices(c.dimension, d)
     }
-    return cumulants_to_moments(CumulantSet(c.dimension, max_order, mu)).values
+    c.check_nonsingular()
+    return _raw_moments(CumulantSet(c.dimension, max_order, mu))

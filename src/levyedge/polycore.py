@@ -754,7 +754,9 @@ class GaussianMoments:
 
     sigma is rational (a float raises PolynomialError).  It is checked
     once, when the table is made: square, symmetric, and positive
-    semi-definite by the exact pivots of positive_definite.  inv is
+    semi-definite by the exact pivots of positive_definite, whose
+    verdict on definiteness the table keeps as `definite` (one pass for
+    a definite sigma, a second, semi-definite one only if not).  inv is
     Sigma^(-1) by rational_inverse, made on first read (a singular sigma
     raises PolynomialError there).  Calling the table with an exponent
     tuple gives its moment, memoised by packed gamma for the life of the
@@ -767,7 +769,7 @@ class GaussianMoments:
     recurrence with S for sigma.
     """
 
-    __slots__ = ("sigma", "_s", "_den", "_memo", "_lay", "_inv")
+    __slots__ = ("sigma", "definite", "_s", "_den", "_memo", "_lay", "_inv")
 
     def __init__(self, sigma):
         q = len(sigma)
@@ -775,7 +777,8 @@ class GaussianMoments:
         if any(len(row) != q or any(row[j] != self.sigma[j][i] for j in range(i))
                for i, row in enumerate(self.sigma)):
             raise PolynomialError("sigma must be a symmetric square matrix")
-        if not positive_definite(self.sigma, semi=True):
+        self.definite = positive_definite(self.sigma)
+        if not (self.definite or positive_definite(self.sigma, semi=True)):
             raise PolynomialError("sigma must be positive semi-definite")
         self._den = math.lcm(*(c.denominator for r in self.sigma for c in r))
         self._s = tuple(tuple(c.numerator * (self._den // c.denominator) for c in r)

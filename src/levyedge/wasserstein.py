@@ -2,16 +2,43 @@
 
 One-dimensional distances use the quantile formula (exact on sorted
 samples, a fixed Gauss-Hermite rule on quantile functions).  Multivariate
-empirical distances solve the minimum-cost assignment exactly.
+empirical distances solve the minimum-cost assignment exactly, with
+scipy's compiled shortest augmenting path solver (Crouse, IEEE TAES 2016)
+on a |x_i - y_j|^p cost built here in numpy.
+
+The solver is the builtin `linear_sum_assignment` of scipy's private
+extension module `scipy/optimize/_lsap`, loaded on its own: importing
+`scipy.optimize` would run its `__init__`, which loads scipy's linalg,
+sparse, spatial and fft packages, about 0.3 s of every CLI start.  There
+is no fallback: a scipy without that extension raises ImportError at
+import, naming the directory searched
+(tests/test_wasserstein.py::TestSolverLoad guards the dependency).
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
+import scipy
+
+
+def _load_lsap() -> Callable:
+    """linear_sum_assignment from scipy's compiled _lsap extension alone,
+    the same builtin that scipy.optimize exports."""
+    where = os.path.join(os.path.dirname(scipy.__file__), "optimize")
+    spec = importlib.machinery.PathFinder.find_spec("_lsap", [where])
+    if spec is None or not isinstance(spec.loader, importlib.machinery.ExtensionFileLoader):
+        raise ImportError(f"no compiled _lsap extension module in {where}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.linear_sum_assignment
+
+
+linear_sum_assignment = _load_lsap()
 
 
 class WassersteinError(ValueError):
@@ -19,6 +46,9 @@ class WassersteinError(ValueError):
 
 
 MAX_ASSIGNMENT_SIZE = 4096
+
+#: cost entries per row block: the one scratch block is 512 kB
+_BLOCK = 1 << 16
 
 
 #: nodes z_i and weights w_i with sum_i w_i h(z_i) = E h(Z), Z ~ N(0, 1), exact
@@ -91,12 +121,36 @@ def wp_empirical(a, b, p: float = 2.0, certify: bool = False) -> float:
     n = x.shape[0]
     if n > MAX_ASSIGNMENT_SIZE:
         raise WassersteinError(f"size cap {MAX_ASSIGNMENT_SIZE} exceeded")
-    cost = cdist(x, y) ** p
+    cost = _cost(x, y, p)
     rows, cols = linear_sum_assignment(cost)
     total = float(cost[rows, cols].sum())
     if certify and not _dual_certificate(cost, cols):
         raise AssertionError("assignment failed the optimality certificate")
     return (total / n) ** (1.0 / p)
+
+
+def _cost(x: np.ndarray, y: np.ndarray, p: float) -> np.ndarray:
+    """The (n, m) matrix |x_i - y_j|^p, with scipy's cdist arithmetic:
+    the squared coordinate differences summed in coordinate order, the
+    square root, then the power, so the bytes are cdist(x, y) ** p's.
+    Built in place one row block at a time; the cost and one block of
+    scratch are all it allocates."""
+    n, q = x.shape
+    cost = np.empty((n, y.shape[0]))
+    rows = max(1, _BLOCK // y.shape[0])
+    diff = np.empty((min(rows, n), y.shape[0]))
+    for lo in range(0, n, rows):
+        out, xb = cost[lo:lo + rows], x[lo:lo + rows]
+        np.subtract(xb[:, :1], y[:, 0], out=out)
+        out *= out
+        d = diff[:out.shape[0]]
+        for k in range(1, q):
+            np.subtract(xb[:, k:k + 1], y[:, k], out=d)
+            d *= d
+            out += d
+        np.sqrt(out, out=out)
+    cost **= p
+    return cost
 
 
 def _dual_certificate(cost: np.ndarray, cols: np.ndarray, tol: float = 1e-9) -> bool:

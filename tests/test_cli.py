@@ -772,6 +772,27 @@ class TestOutputs:
         assert computed and len(set(computed)) == len(computed)
         assert "moment check: all equal (exact)" in open(out).read().splitlines()
 
+    def test_edgeworth_build_judges_each_sigma_once(self, tmp_path, monkeypatch):
+        # reading the file, the Hermite step and the moment check all read
+        # the verdict of the one LDL^T pass that made the cumulant set's table
+        judged = []
+        real = polycore.positive_definite
+
+        def counted(mat, semi=False):
+            judged.append(tuple(tuple(Fraction(v) for v in row) for row in mat))
+            return real(mat, semi)
+
+        for mod in list(sys.modules.values()):
+            if mod.__name__.startswith("levyedge") and vars(mod).get("positive_definite") is real:
+                monkeypatch.setattr(mod, "positive_definite", counted)
+        cum = write(tmp_path, "q2.cum", "2 0 2\n1 1 1/2\n0 2 1\n3 0 1\n1 2 -1/3\n"
+                                        "0 3 1/2\n4 0 1/4\n2 2 -1/5\n0 4 1\n")
+        cfg = write(tmp_path, "eb.cfg", f"cumulants = {cum}\nr = 2\n")
+        out = str(tmp_path / "out.txt")
+        assert cli.main(["edgeworth-build", "--config", cfg, "--out", out, "--no-timestamp"]) == 0
+        assert judged == [((2, Fraction(1, 2)), (Fraction(1, 2), 1))]
+        assert "moment check: all equal (exact)" in open(out).read().splitlines()
+
     @pytest.mark.parametrize("experiment", list(TINY))
     def test_threads_do_not_change_results(self, tmp_path, experiment):
         # 5 replicates: over 2 or 4 threads the workers run unequal shares
@@ -908,12 +929,14 @@ def config_values(valid):
 
 
 class TestImport:
-    def test_cli_import_skips_scipy_stats(self):
-        # scipy.stats alone adds about half a second to every CLI start,
-        # and no module of the package needs scipy.integrate
+    def test_cli_import_skips_scipy_optimize_and_heavier(self):
+        # the CLI loads numpy, scipy.special and scipy's compiled _lsap
+        # solver alone: scipy.optimize would bring linalg, sparse and
+        # spatial, and scipy.stats alone adds about half a second
         src = str(Path(cli.__file__).resolve().parents[1])
         code = ("import sys, levyedge.cli\n"
-                "print(sorted({'scipy.stats', 'scipy.integrate'} & set(sys.modules)))")
+                "print(sorted({'scipy.optimize', 'scipy.spatial', 'scipy.sparse', 'scipy.linalg',"
+                " 'scipy.stats', 'scipy.integrate'} & set(sys.modules)))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": src})
         assert out.stdout.strip() == "[]"

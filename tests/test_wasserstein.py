@@ -1,6 +1,13 @@
 """Distance oracles: 1D quantile formula, exact assignment, rate fits."""
 
+import importlib.machinery
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +15,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
+from levyedge import wasserstein
 from levyedge.wasserstein import (
     WassersteinError,
+    _cost,
     _wp_1d_in_place,
     rate_fit,
     wp_1d_exact,
@@ -120,6 +129,82 @@ class TestEmpirical:
             b = rng.standard_normal((n, 2))
             vals.append(wp_empirical(a, b))
         assert vals[0] > vals[1] > vals[2] > 0
+
+
+class TestCost:
+    @pytest.mark.parametrize("q", range(1, 11))
+    @pytest.mark.parametrize("p", [2.0, 4.0])
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e4])
+    def test_cost_is_cdist_bit_for_bit(self, q, p, scale):
+        # the squared differences summed in coordinate order, the square
+        # root, then the power: cdist's arithmetic, so the same bytes; the
+        # rows differ in scale by up to e^(+-9) and 300 rows span two blocks
+        rng = np.random.default_rng(1000 * q + int(p))
+        for n in (1, 7, 300):
+            a = scale * rng.standard_normal((n, q)) * np.exp(3.0 * rng.standard_normal((n, 1)))
+            b = scale * rng.standard_t(2, (n, q))
+            assert np.array_equal(_cost(a, b, p), cdist(a, b) ** p)
+
+    @pytest.mark.parametrize("q", [2, 4])
+    def test_peak_memory_is_one_cost_matrix(self, q):
+        # numpy reports its buffers to tracemalloc: the (n, n) cost and one
+        # row block of scratch, not a full temporary per coordinate or a
+        # second matrix for the power
+        n = 1200
+        rng = np.random.default_rng(q)
+        a, b = rng.standard_normal((n, q)), rng.standard_normal((n, q))
+        tracemalloc.start()
+        try:
+            wp_empirical(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * 8 * n * n
+
+
+class TestSolverLoad:
+    def test_solver_is_the_compiled_lsap_builtin(self):
+        solve = wasserstein.linear_sum_assignment
+        assert isinstance(solve, types.BuiltinFunctionType)
+        module = solve.__self__
+        assert module.__name__ == "_lsap"
+        assert isinstance(module.__spec__.loader, importlib.machinery.ExtensionFileLoader)
+        assert Path(module.__file__).parent.name == "optimize"
+
+    @pytest.mark.parametrize("order", ["scipy.optimize first", "levyedge first"])
+    def test_value_equals_scipy_optimize_solve(self, order):
+        # the solver loaded alone and scipy.optimize's own copy of the same
+        # extension coexist, in either import order, and agree bit for bit
+        code = (
+            "import numpy as np\n"
+            + ("import scipy.optimize\nfrom levyedge.wasserstein import wp_empirical\n"
+               if order == "scipy.optimize first" else
+               "from levyedge.wasserstein import wp_empirical\nimport scipy.optimize\n")
+            + "from scipy.spatial.distance import cdist\n"
+            "rng = np.random.default_rng(3)\n"
+            "for q, p in ((1, 2.0), (2, 2.0), (3, 4.0), (5, 2.0)):\n"
+            "    a, b = rng.standard_normal((150, q)), rng.standard_t(3, (150, q))\n"
+            "    cost = cdist(a, b) ** p\n"
+            "    rows, cols = scipy.optimize.linear_sum_assignment(cost)\n"
+            "    want = (float(cost[rows, cols].sum()) / 150) ** (1.0 / p)\n"
+            "    assert wp_empirical(a, b, p) == want, (q, p)\n"
+        )
+        src = str(Path(wasserstein.__file__).resolve().parents[1])
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": src})
+
+    def test_no_extension_raises_import_error(self, tmp_path, monkeypatch):
+        # no fallback import: a scipy without a compiled _lsap refuses,
+        # naming the directory it searched, also when a Python _lsap is there
+        where = tmp_path / "optimize"
+        where.mkdir()
+        monkeypatch.setattr(wasserstein, "scipy",
+                            types.SimpleNamespace(__file__=str(tmp_path / "__init__.py")))
+        with pytest.raises(ImportError, match=f"in {where}$"):
+            wasserstein._load_lsap()
+        (where / "_lsap.py").write_text("linear_sum_assignment = None\n")
+        with pytest.raises(ImportError, match=f"in {where}$"):
+            wasserstein._load_lsap()
 
 
 class TestRateFit:
