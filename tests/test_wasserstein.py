@@ -3,6 +3,7 @@
 import importlib.machinery
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -200,10 +201,10 @@ class TestSolverLoad:
         where.mkdir()
         monkeypatch.setattr(wasserstein, "scipy",
                             types.SimpleNamespace(__file__=str(tmp_path / "__init__.py")))
-        with pytest.raises(ImportError, match=f"in {where}$"):
+        with pytest.raises(ImportError, match=f"in {re.escape(str(where))}$"):
             wasserstein._load_lsap()
         (where / "_lsap.py").write_text("linear_sum_assignment = None\n")
-        with pytest.raises(ImportError, match=f"in {where}$"):
+        with pytest.raises(ImportError, match=f"in {re.escape(str(where))}$"):
             wasserstein._load_lsap()
 
 
