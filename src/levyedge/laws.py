@@ -6,6 +6,10 @@ Gaussian or perturbed-Gaussian reference from the same description.  All
 built-ins are absolutely continuous: the higher-order expansions behind
 the perturbed reference require the characteristic function of the law
 to decay at infinity, which densities provide and lattice laws violate.
+The exponential's exact sum quantile takes ndtr, gammaincinv and
+gammainccinv from scipy's compiled special/_special_ufuncs, which
+`scipyext` loads without `scipy.special`
+(tests/test_laws.py::TestQuantileLoad guards them).
 """
 
 from __future__ import annotations
@@ -15,9 +19,9 @@ from fractions import Fraction
 from typing import Callable, Dict, Optional
 
 import numpy as np
-from scipy import special
 
 from .edgeworth import CumulantSet, MomentSet, moments_to_cumulants, multi_indices
+from .scipyext import special
 
 __all__ = [
     "LawError",

@@ -7,7 +7,10 @@ abstractions (exact power-law instance and a tabulated radial one), the
 closed-form small-jump variances, the block sampler whose k candidates
 give i.i.d. jumps on an interval, that decomposition, and diagnostics
 for the uniform Cramer condition the normal-approximation theorem
-requires, on the annuli Omega_r = {2^(-r-1) < |z| <= 2^(-r)}.
+requires, on the annuli Omega_r = {2^(-r-1) < |z| <= 2^(-r)}.  The
+probe's sphere average takes the Bessel function jv from scipy's
+compiled special/_special_ufuncs, which `scipyext` loads without
+`scipy.special` (tests/test_levy.py::TestBesselLoad guards it).
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ import math
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import special
+
+from .scipyext import special
 
 
 class LevyError(ValueError):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.random import PCG64DXSM, Generator, SeedSequence
 
 from .levy import AnnulusDecomposition, LevyMeasureSpec
 from .perturbation import GradientPolyMap
@@ -58,8 +59,8 @@ class RngStream:
     def __init__(self, master_seed: int, stream_id: int = 0):
         self.master_seed = master_seed & _MASK
         self.stream_id = stream_id & _MASK
-        self.generator = np.random.Generator(np.random.PCG64DXSM(
-            np.random.SeedSequence(_stream_key(self.master_seed, self.stream_id))))
+        self.generator = Generator(PCG64DXSM(
+            SeedSequence(_stream_key(self.master_seed, self.stream_id))))
 
     def child(self, replicate: int, step: int = 0, purpose: str = "") -> "RngStream":
         return RngStream(self.master_seed, derive_stream_id(replicate, step, purpose))
@@ -72,7 +73,7 @@ class RngStream:
 def _as_generator(rng):
     if isinstance(rng, RngStream):
         return rng.generator
-    if isinstance(rng, np.random.Generator):
+    if isinstance(rng, Generator):
         return rng
     raise SamplingError("rng must be an RngStream or numpy Generator")
 

@@ -7,38 +7,24 @@ scipy's compiled shortest augmenting path solver (Crouse, IEEE TAES 2016)
 on a |x_i - y_j|^p cost built here in numpy.
 
 The solver is the builtin `linear_sum_assignment` of scipy's private
-extension module `scipy/optimize/_lsap`, loaded on its own: importing
-`scipy.optimize` would run its `__init__`, which loads scipy's linalg,
-sparse, spatial and fft packages, about 0.3 s of every CLI start.  There
-is no fallback: a scipy without that extension raises ImportError at
-import, naming the directory searched
+extension module `scipy/optimize/_lsap`, which `scipyext` loads on its
+own, without `scipy.optimize` and its linalg, sparse, spatial and fft
+packages; a scipy without that extension raises ImportError at import
 (tests/test_wasserstein.py::TestSolverLoad guards the dependency).
 """
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
-import os
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
-import scipy
 
+from .scipyext import linear_sum_assignment
 
-def _load_lsap() -> Callable:
-    """linear_sum_assignment from scipy's compiled _lsap extension alone,
-    the same builtin that scipy.optimize exports."""
-    where = os.path.join(os.path.dirname(scipy.__file__), "optimize")
-    spec = importlib.machinery.PathFinder.find_spec("_lsap", [where])
-    if spec is None or not isinstance(spec.loader, importlib.machinery.ExtensionFileLoader):
-        raise ImportError(f"no compiled _lsap extension module in {where}")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.linear_sum_assignment
-
-
-linear_sum_assignment = _load_lsap()
+# numpy imports np.ma on first use, and rate_fit's np.percentile reaches it
+# (through np.unique's np.ma.is_masked): load it with the package rather
+# than inside the first operation that fits a rate
+np.ma
 
 
 class WassersteinError(ValueError):

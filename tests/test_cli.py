@@ -10,6 +10,7 @@ import sys
 import tempfile
 import threading
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -218,6 +219,17 @@ class TestExitCodes:
         assert rc == 3 and not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:") and "Traceback" not in err
+
+    def test_sde_convergence_overflow_warns_nothing(self, tmp_path, capsys):
+        # the overflowing paths of the test above are refused by the RMS
+        # check alone: numpy raises no overflow warning on the way
+        cfg = write(tmp_path, "s.cfg", TINY["sde-convergence"].format(reps=2) + "drift = 1e308\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = cli.main(["sde-convergence", "--config", cfg, "--out", str(tmp_path / "out.csv"),
+                           "--no-timestamp"])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("numerical failure:")
 
     @pytest.mark.parametrize("experiment,line", [
         ("jump-coupling", "p = nan"), ("jump-coupling", "p = inf"),
@@ -929,14 +941,37 @@ def config_values(valid):
 
 
 class TestImport:
-    def test_cli_import_skips_scipy_optimize_and_heavier(self):
-        # the CLI loads numpy, scipy.special and scipy's compiled _lsap
-        # solver alone: scipy.optimize would bring linalg, sparse and
-        # spatial, and scipy.stats alone adds about half a second
+    def test_cli_import_loads_no_scipy_package_f2py_or_testing(self):
+        # the CLI loads numpy and two compiled extensions of scipy alone,
+        # special/_special_ufuncs and optimize/_lsap: no scipy package runs,
+        # not even scipy/__init__, and scipy.special's array-API layer with
+        # numpy.f2py and numpy.testing stays out
         src = str(Path(cli.__file__).resolve().parents[1])
         code = ("import sys, levyedge.cli\n"
-                "print(sorted({'scipy.optimize', 'scipy.spatial', 'scipy.sparse', 'scipy.linalg',"
-                " 'scipy.stats', 'scipy.integrate'} & set(sys.modules)))")
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+                " or m in ('numpy.f2py', 'numpy.testing')))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "[]"
+
+    def test_runs_import_nothing_after_the_cli(self, tmp_path):
+        # every module an operation needs is imported with the CLI, so none
+        # of that work moves from the import into the operations' wall time
+        runs = [("jump-coupling", TINY["jump-coupling"].format(reps=2)),
+                ("sde-convergence", TINY["sde-convergence"].format(reps=2)),
+                ("clt-rate", TINY["clt-rate"].format(reps=2) + "mode = gaussian\n"),
+                ("clt-rate", TINY["clt-rate"].format(reps=2) + "mode = perturbed\n")]
+        argvs = []
+        for i, (experiment, text) in enumerate(runs):
+            cfg = write(tmp_path, f"c{i}.cfg", text)
+            argvs.append([experiment, "--config", cfg, "--out", str(tmp_path / f"o{i}.csv"),
+                          "--threads", "1", "--no-timestamp"])
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = ("import sys, levyedge.cli\n"
+                "before = set(sys.modules)\n"
+                f"for argv in {argvs!r}:\n"
+                "    assert levyedge.cli.main(argv) == 0, argv\n"
+                "print(sorted(set(sys.modules) - before))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": src})
         assert out.stdout.strip() == "[]"

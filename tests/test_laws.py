@@ -1,11 +1,16 @@
 """Built-in sample laws and their exact cumulants."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from levyedge import laws
 from levyedge.edgeworth import cumulants_to_moments
 from levyedge.laws import (
     BUILTIN_LAWS,
@@ -167,3 +172,32 @@ class TestSumIntoBuffer:
             into = law.sample_sum(m, n, np.random.default_rng(m), out=buf)
             assert into is buf
             assert want.tobytes() == fresh.tobytes() == buf.tobytes()
+
+
+class TestQuantileLoad:
+    @pytest.mark.parametrize("order", ["scipy.special first", "levyedge first"])
+    def test_sum_quantile_equals_scipy_special(self, order):
+        # ndtr, gammaincinv and gammainccinv of the extension loaded alone
+        # equal scipy.special's bit for bit at the SCORE_RULE nodes, in
+        # either import order, and so does the exponential's sum quantile
+        code = (
+            "import math\n"
+            "import numpy as np\n"
+            + ("import scipy.special as sp\nfrom levyedge.laws import centered_exponential, special\n"
+               if order == "scipy.special first" else
+               "from levyedge.laws import centered_exponential, special\nimport scipy.special as sp\n")
+            + "from levyedge.wasserstein import SCORE_RULE\n"
+            "z = SCORE_RULE[0]\n"
+            "lo, hi = sp.ndtr(z), sp.ndtr(-z)\n"
+            "assert np.array_equal(special.ndtr(z), lo) and np.array_equal(special.ndtr(-z), hi)\n"
+            "law = centered_exponential()\n"
+            "for m in (1, 16, 64, 256, 1024):\n"
+            "    for u in (lo, hi):\n"
+            "        assert np.array_equal(special.gammaincinv(m, u), sp.gammaincinv(m, u)), m\n"
+            "        assert np.array_equal(special.gammainccinv(m, u), sp.gammainccinv(m, u)), m\n"
+            "    g = np.where(z < 0, sp.gammaincinv(m, lo), sp.gammainccinv(m, hi))\n"
+            "    assert np.array_equal(law.sum_quantile(m)(z), (g - m) / math.sqrt(m)), m\n"
+        )
+        src = str(Path(laws.__file__).resolve().parents[1])
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": src})

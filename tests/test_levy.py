@@ -3,12 +3,17 @@ small-jump variances, the one-interval decomposition, and the
 characteristic-decay probe."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
+from levyedge import levy
 from levyedge.levy import (
     AnnulusDecomposition,
     CustomRadialMeasure,
@@ -387,3 +392,25 @@ class TestConfig:
     def test_alpha_range_enforced(self):
         with pytest.raises(LevyError):
             StableLikeMeasure(2, 2.5, 1.0)
+
+
+class TestBesselLoad:
+    @pytest.mark.parametrize("order", ["scipy.special first", "levyedge first"])
+    def test_jv_equals_scipy_special(self, order):
+        # the jv of the extension loaded alone and scipy.special's own coexist,
+        # in either import order, and agree bit for bit at the orders q/2 - 1
+        # of q = 2..5, on arguments from 1e-300 to 1e4 and negative ones
+        code = (
+            "import numpy as np\n"
+            + ("import scipy.special\nfrom levyedge.levy import special\n"
+               if order == "scipy.special first" else
+               "from levyedge.levy import special\nimport scipy.special\n")
+            + "assert special.jv is not scipy.special.jv\n"
+            "u = np.concatenate([np.logspace(-300, 4, 3001), np.linspace(0.0, 200.0, 2001),\n"
+            "                    -np.logspace(-12, 3, 301)])\n"
+            "for p in (0.0, 0.5, 1.0, 1.5):\n"
+            "    assert np.array_equal(special.jv(p, u), scipy.special.jv(p, u), equal_nan=True), p\n"
+        )
+        src = str(Path(levy.__file__).resolve().parents[1])
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": src})

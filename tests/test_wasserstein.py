@@ -3,7 +3,6 @@
 import importlib.machinery
 import math
 import os
-import re
 import subprocess
 import sys
 import tracemalloc
@@ -193,19 +192,6 @@ class TestSolverLoad:
         src = str(Path(wasserstein.__file__).resolve().parents[1])
         subprocess.run([sys.executable, "-c", code], check=True,
                        env={**os.environ, "PYTHONPATH": src})
-
-    def test_no_extension_raises_import_error(self, tmp_path, monkeypatch):
-        # no fallback import: a scipy without a compiled _lsap refuses,
-        # naming the directory it searched, also when a Python _lsap is there
-        where = tmp_path / "optimize"
-        where.mkdir()
-        monkeypatch.setattr(wasserstein, "scipy",
-                            types.SimpleNamespace(__file__=str(tmp_path / "__init__.py")))
-        with pytest.raises(ImportError, match=f"in {re.escape(str(where))}$"):
-            wasserstein._load_lsap()
-        (where / "_lsap.py").write_text("linear_sum_assignment = None\n")
-        with pytest.raises(ImportError, match=f"in {re.escape(str(where))}$"):
-            wasserstein._load_lsap()
 
 
 class TestRateFit:
