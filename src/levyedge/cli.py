@@ -14,6 +14,7 @@ failure.
 
 from __future__ import annotations
 
+import argparse
 import csv
 import datetime
 import hashlib
@@ -26,7 +27,6 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .cliargs import parse_args
 from .edgeworth import (
     CumulantSet,
     EdgeworthError,
@@ -645,8 +645,24 @@ _EXPERIMENTS = {
 }
 
 
+#: the one parser, built at import so no call of main builds another
+_PARSER = argparse.ArgumentParser(prog="levyedge", description=__doc__)
+_PARSER.add_argument("experiment", choices=list(_EXPERIMENTS), metavar="EXPERIMENT",
+                     help=" | ".join(_EXPERIMENTS))
+_PARSER.add_argument("--config", metavar="PATH", help="flat key = value config file")
+_PARSER.add_argument("--seed", type=int, default=0, metavar="INT",
+                     help="master seed (u64), default 0")
+_PARSER.add_argument("--out", metavar="PATH", help="output path (default stdout)")
+_PARSER.add_argument("--threads", type=int, default=1, metavar="INT",
+                     help="replicate worker threads, default 1")
+_PARSER.add_argument("--no-timestamp", action="store_true",
+                     help="suppress the timestamp line for byte-identical re-runs")
+_PARSER.add_argument("--force", action="store_true",
+                     help="overwrite outputs whose config hash differs")
+
+
 def main(argv=None) -> int:
-    args = parse_args(argv, _EXPERIMENTS, __doc__ or "")
+    args = vars(_PARSER.parse_args(argv))
     runner, kind = _EXPERIMENTS[args["experiment"]]
     try:
         cfg = load_config(args["config"])

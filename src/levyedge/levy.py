@@ -185,7 +185,7 @@ class StableLikeMeasure(LevyMeasureSpec):
     def __init__(self, q: int, alpha: float, tau: float = 1.0):
         if not 0.0 < alpha < 2.0:
             raise LevyError("alpha must lie in (0,2)")
-        if tau <= 0:
+        if not tau > 0:
             raise LevyError("tau must be positive")
         self.dimension = q
         self.alpha = alpha
@@ -225,6 +225,8 @@ class CustomRadialMeasure(LevyMeasureSpec):
     def __init__(self, q: int, radii: Sequence[float], density: Sequence[float]):
         radii = np.asarray(radii, dtype=float)
         density = np.asarray(density, dtype=float)
+        if not (np.all(np.isfinite(radii)) and np.all(np.isfinite(density))):
+            raise LevyError("radii and density must be finite")
         if radii.ndim != 1 or radii.size < 4 or np.any(np.diff(radii) <= 0):
             raise LevyError("radii must be an increasing grid")
         if np.any(density < 0) or radii[0] <= 0:

@@ -1,9 +1,7 @@
 """Command-line harness: config parsing, hashing, exit codes, CSV output."""
 
-import contextlib
 import csv
 import hashlib
-import io
 import os
 import subprocess
 import sys
@@ -16,9 +14,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from levyedge import cli, cliargs, edgeworth, laws, perturbation, polycore, sampling
+from levyedge import cli, edgeworth, laws, perturbation, polycore, sampling
 from levyedge.edgeworth import multi_indices
 from levyedge.levy import AnnulusDecomposition, StableLikeMeasure
 
@@ -189,6 +187,22 @@ class TestExitCodes:
         assert cli.main(["sde-convergence", "--config", cfg, "--no-timestamp"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "tau" in err
+
+    @pytest.mark.parametrize("experiment", ["probe-cramer", "jump-coupling", "sde-convergence"])
+    @pytest.mark.parametrize("measure", [
+        MEASURE + "tau = nan\n",
+        "kind = custom-radial\nq = 2\nradii = 0.01,0.1,0.5,inf\ndensity = 1,1,1,1\n",
+        "kind = custom-radial\nq = 2\nradii = 0.01,0.1,0.5,1\ndensity = 1,nan,1,1\n",
+    ], ids=["nan-tau", "inf-radius", "nan-density"])
+    def test_non_finite_measure_is_2(self, tmp_path, capsys, experiment, measure):
+        # a NaN tau fails no 'tau <= 0' test, and a non-finite table entry
+        # no ordering test: each is refused as a bad measure, with no warning
+        cfg = write(tmp_path, "m.cfg", measure)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main([experiment, "--config", cfg, "--out", str(tmp_path / "out"),
+                             "--no-timestamp"]) == 2
+        assert capsys.readouterr().err.startswith("config error: bad measure config")
 
     @pytest.mark.parametrize("p", ["2", "4"], ids=["exact", "sampled"])
     def test_clt_rate_perturbed_order_over_cumulants_is_2(self, tmp_path, monkeypatch, capsys, p):
@@ -976,16 +990,6 @@ class TestImport:
                              check=True, env={**os.environ, "PYTHONPATH": src})
         assert out.stdout.strip() == "[]"
 
-    def test_cli_import_builds_no_parser(self):
-        # the arguments are read per call, not by a parser made at import
-        src = str(Path(cli.__file__).resolve().parents[1])
-        code = ("import argparse\n"
-                "def refuse(*a, **k): raise AssertionError('a parser was built')\n"
-                "argparse.ArgumentParser.__init__ = refuse\n"
-                "import levyedge.cli")
-        subprocess.run([sys.executable, "-c", code], check=True,
-                       env={**os.environ, "PYTHONPATH": src})
-
 
 class TestExitCodeFuzz:
     @given(
@@ -1029,59 +1033,7 @@ class TestExitCodeFuzz:
         assert rc in (0, 2, 3)
 
 
-def reference_parser():
-    """The argparse parser the CLI once built on every call, kept here
-    only as the reference that cliargs.parse_args must agree with."""
-    import argparse
-
-    ap = argparse.ArgumentParser(prog="levyedge")
-    ap.add_argument("experiment", choices=list(cli._EXPERIMENTS))
-    ap.add_argument("--config", default=None)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--out", default=None)
-    ap.add_argument("--threads", type=int, default=1)
-    ap.add_argument("--no-timestamp", action="store_true")
-    ap.add_argument("--force", action="store_true")
-    return ap
-
-
-def parse_outcome(parse, argv):
-    """("ok", the values) or ("exit", the code) of one parse; what it
-    prints is discarded."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            return "ok", parse(argv)
-        except SystemExit as exc:
-            return "exit", exc.code
-
-
-_LONG = ["--config", "--seed", "--out", "--threads", "--no-timestamp", "--force", "--help"]
-_VALUES = ["0", "7", "-1", "-12", "-1.5", "-.5", "1.5", "x", "", "1_0", " 3", "-1\n", "a b",
-           "-a b", "-", "-x"]
-#: argv tokens: experiments, options and their unique prefixes, with and
-#: without '=value', values, negative numbers and junk
-ARG_TOKENS = st.one_of(
-    st.sampled_from(list(cli._EXPERIMENTS) + ["bogus", "-h"] + _LONG),
-    st.builds(lambda o, k: o[:k], st.sampled_from(_LONG), st.integers(2, 8)),
-    st.builds(lambda o, k, v: o[:k] + "=" + v, st.sampled_from(_LONG), st.integers(2, 14),
-              st.sampled_from(_VALUES)),
-    st.sampled_from(_VALUES),
-    st.sampled_from(["--", "-hh", "-hx", "-h=", "-h=h", "-h h", "--bogus", "--=x", "---",
-                     "-1e3", "-1.", "--x y", "-x=1"]),
-)
-
-
 class TestArguments:
-    @given(argv=st.lists(ARG_TOKENS, max_size=6))
-    # argparse keeps a '--' only next to the experiment, and reads '-1\n'
-    # as a negative number
-    @example(argv=["clt-rate", "--force", "--"])
-    @example(argv=["--", "clt-rate", "--seed", "-1\n"])
-    @settings(deadline=None, max_examples=500)
-    def test_parser_agrees_with_argparse(self, argv):
-        want = parse_outcome(lambda a: vars(reference_parser().parse_args(a)), argv)
-        assert parse_outcome(lambda a: cliargs.parse_args(a, cli._EXPERIMENTS), argv) == want
-
     @pytest.mark.parametrize("flag", ["-h", "--help", "--he"])
     def test_help_exits_0(self, flag, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -1090,7 +1042,8 @@ class TestArguments:
         out, err = capsys.readouterr()
         assert out.startswith("usage: levyedge") and "--no-timestamp" in out and not err
 
-    def test_console_script_reads_sys_argv_without_argparse(self, tmp_path, monkeypatch, capsys):
+    def test_main_builds_no_parser_per_call(self, tmp_path, monkeypatch, capsys):
+        # the console script reads sys.argv with the one parser built at import
         import argparse
 
         def refuse(*args, **kwargs):

@@ -97,11 +97,6 @@ class TestEmpirical:
         with pytest.raises(WassersteinError):
             wp_empirical(big, big)
 
-    def test_certificate_accepts_optimal(self):
-        rng = np.random.default_rng(9)
-        a, b = rng.standard_normal((80, 2)), rng.standard_normal((80, 2))
-        assert wp_empirical(a, b, certify=True) >= 0
-
     @pytest.mark.parametrize("bad", [
         np.array([[0.0, 1.0], [np.nan, 0.0]]),
         np.array([[0.0, np.inf], [1.0, 0.0]]),
