@@ -41,5 +41,5 @@ for h in hs:
     rms.append(r)
     print(f"h = eps = {h}:  RMS sup-error = {r:.4f}")
 
-slope, _ = rate_fit(hs, rms)
+slope, _ = rate_fit(hs, np.array(rms)[:, None])  # one RMS per h
 print(f"\nfitted exponent: {slope:.3f} (theory: error^2 ~ h + eps, so about 0.5)")

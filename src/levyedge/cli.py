@@ -83,6 +83,10 @@ MAX_TOTAL_JUMPS = 2e10
 #: perturbed mode three (n_samples,) float arrays more, another 384 MiB
 MAX_CLT_SAMPLES = 1 << 24
 
+#: largest W_p exponent: a distance to the power p stays inside the float
+#: range at p = 64, where a far larger p overflows the cost and the sums
+MAX_P = 64
+
 #: most grid points of one probe-cramer run: conditional_char makes
 #: (grid_n, 400) float arrays, 32 MB each at the cap; a q = 2 run at the
 #: cap peaks about 160 MB above the import
@@ -177,8 +181,8 @@ def _check_jump_budget(jumps: float, advice: str) -> None:
 
 
 def _check_even_p(p: float) -> int:
-    if not math.isfinite(p) or p != int(p) or int(p) <= 0 or int(p) % 2:
-        raise ConfigError("p must be a positive even integer")
+    if not (math.isfinite(p) and p == int(p) and 0 < p <= MAX_P) or int(p) % 2:
+        raise ConfigError(f"p must be a positive even integer no larger than {MAX_P}")
     return int(p)
 
 
@@ -243,8 +247,16 @@ def _parallel(fn, jobs, threads: int):
         return list(pool.map(fn, jobs))
 
 
-#: the last row of clt-rate and jump-coupling when a mean distance is 0: no log-log fit
-DEGENERATE_SLOPE_ROW = ["slope", "nan", "ci_lo", "nan", "ci_hi", "nan", "degenerate"]
+def _slope_row(grid, per_point, seed: int, tag: str) -> list:
+    """The last row of clt-rate and jump-coupling, from one list of replicate
+    distances per grid point: the rate fit under tag, or the degenerate row
+    when a mean distance is 0 (the gaussian law in perturbed mode, whose
+    every p_k is zero, or a measure with no small jumps): no log-log fit."""
+    mat = np.array(per_point)
+    if not np.all(mat.mean(axis=1) > 0):
+        return ["slope", "nan", "ci_lo", "nan", "ci_hi", "nan", "degenerate"]
+    slope, (lo, hi) = rate_fit(grid, mat, seed)
+    return ["slope", repr(slope), "ci_lo", repr(lo), "ci_hi", repr(hi), tag]
 
 
 # ------------------------------------------------------------ clt-rate
@@ -348,19 +360,8 @@ def run_clt_rate(cfg: Dict[str, str], seed: int, threads: int) -> List[list]:
         for m, vals in zip(m_list, per_m_reps):
             for rep, v in enumerate(vals):
                 rows.append([m, p, mode, repr(float(v)), rep])
-    mat = np.array(per_m_reps)
-    means = mat.mean(axis=1)
-    if not np.all(means > 0):
-        # the reference is the law itself, as for the gaussian law in
-        # perturbed mode, whose every p_k is zero
-        rows.append(DEGENERATE_SLOPE_ROW)
-        return rows
-    boot = mat.shape[1] > 1
-    slope, ci = rate_fit(m_list, means, bootstrap_reps=200 if boot else 0,
-                         replicates=mat if boot else None, seed=seed)
     null_case = law_name == "gaussian" and mode == "gaussian"
-    rows.append(["slope", repr(slope), "ci_lo", repr(ci[0]), "ci_hi", repr(ci[1]),
-                 "null_case" if null_case else "rate"])
+    rows.append(_slope_row(m_list, per_m_reps, seed, "null_case" if null_case else "rate"))
     return rows
 
 
@@ -410,13 +411,7 @@ def run_jump_coupling(cfg: Dict[str, str], seed: int, threads: int) -> List[list
         for rep, v in enumerate(vals):
             rows.append([eps, t, p, repr(float(v)), rep])
         per_eps.append(vals)
-    mat = np.array(per_eps)
-    means = mat.mean(axis=1)
-    if np.all(means > 0):
-        slope, ci = rate_fit(eps_list, means, bootstrap_reps=200, replicates=mat, seed=seed)
-        rows.append(["slope", repr(slope), "ci_lo", repr(ci[0]), "ci_hi", repr(ci[1]), "rate"])
-    else:
-        rows.append(DEGENERATE_SLOPE_ROW)
+    rows.append(_slope_row(eps_list, per_eps, seed, "rate"))
     return rows
 
 
@@ -501,7 +496,7 @@ def run_sde_convergence(cfg: Dict[str, str], seed: int, threads: int) -> List[li
     if not all(map(math.isfinite, rms)):
         raise NumericalFailure("an RMS sup-error is not finite: the paths overflowed")
     if all(r > 0 for r in rms):
-        slope, _ = rate_fit(h_list, rms)
+        slope, _ = rate_fit(h_list, np.array(rms)[:, None])
         rows.append(["slope", repr(slope), "", "rate"])
     else:
         rows.append(["slope", "0", "", "exact-coincidence"])

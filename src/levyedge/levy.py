@@ -236,11 +236,18 @@ class CustomRadialMeasure(LevyMeasureSpec):
         self.density = density
         self.tau = float(radii[-1])
         self.surface = sphere_surface(q)
-        mass = self.surface * radii ** (q - 1) * density
+        # a finite table can still overflow: a huge radius to the power q - 1,
+        # a steep cell, or a huge total mass; refused here, with no warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            mass = self.surface * radii ** (q - 1) * density
+            self._slope = np.diff(mass) / np.diff(radii)
+            # nu(|z| <= radii[k]) by the trapezoid rule, exact on linear cells
+            cdf = np.concatenate([[0.0],
+                                  np.cumsum(0.5 * (mass[1:] + mass[:-1]) * np.diff(radii))])
+        if not (np.all(np.isfinite(mass)) and np.all(np.isfinite(self._slope))
+                and math.isfinite(cdf[-1])):
+            raise LevyError("the table's radial mass density or its mass overflows the float range")
         self._mass_density = mass
-        self._slope = np.diff(mass) / np.diff(radii)
-        # nu(|z| <= radii[k]) by the trapezoid rule, exact on linear cells
-        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (mass[1:] + mass[:-1]) * np.diff(radii))])
         self._cdf = cdf
 
     def _cdf_at(self, x: float) -> float:

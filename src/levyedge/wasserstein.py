@@ -15,7 +15,7 @@ packages; a scipy without that extension raises ImportError at import
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -32,6 +32,9 @@ class WassersteinError(ValueError):
 
 
 MAX_ASSIGNMENT_SIZE = 4096
+
+#: column resamples behind rate_fit's bootstrap interval
+BOOTSTRAP_REPS = 200
 
 #: cost entries per row block: the one scratch block is 512 kB
 _BLOCK = 1 << 16
@@ -136,44 +139,39 @@ def _cost(x: np.ndarray, y: np.ndarray, p: float) -> np.ndarray:
 
 
 def rate_fit(
-    xs: Sequence[float],
-    ys: Sequence[float],
-    bootstrap_reps: int = 0,
-    replicates: Optional[np.ndarray] = None,
-    seed: int = 0,
+    xs: Sequence[float], reps: np.ndarray, seed: int = 0,
 ) -> Tuple[float, Tuple[float, float]]:
-    """Least-squares slope of log y against log x, with bootstrap CI.
+    """Least-squares slope of log mean against log x, with bootstrap CI.
 
-    replicates, when given, is an (len(xs), R) matrix of per-replicate
-    values; the CI resamples replicate columns and refits on the means.
-    Without replicates the CI degenerates to the point estimate.
+    reps is the (len(xs), R) matrix of per-replicate values; the slope
+    fits the log of its row means.  With R > 1 the CI is the 2.5-97.5%
+    range of BOOTSTRAP_REPS refits on resampled columns; with R = 1 every
+    resample is the matrix itself, and the CI is the point estimate.
     """
     xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    reps = np.asarray(reps, dtype=float)
     if xs.size < 3:
         raise WassersteinError("need at least 3 points")
-    if np.any(xs <= 0) or np.any(ys <= 0):
+    if reps.ndim != 2 or reps.shape[0] != xs.size or reps.shape[1] < 1:
+        raise WassersteinError("replicate matrix must have one row per x and a column")
+    means = reps.mean(axis=1)
+    if not (np.all(xs > 0) and np.all(means > 0)):
         raise WassersteinError("rate fit needs positive values")
     lx = np.log(xs)
 
     def _slope(vals):
         return float(np.polyfit(lx, np.log(vals), 1)[0])
 
-    slope = _slope(ys)
-    if bootstrap_reps <= 0 or replicates is None:
-        return slope, (slope, slope)
-    reps = np.asarray(replicates, dtype=float)
-    if reps.shape[0] != xs.size:
-        raise WassersteinError("replicate matrix must have one row per x")
-    rng = np.random.default_rng(seed)
+    slope = _slope(means)
     r = reps.shape[1]
+    if r == 1:
+        return slope, (slope, slope)
+    rng = np.random.default_rng(seed)
     slopes = []
-    for _ in range(bootstrap_reps):
-        pick = rng.integers(0, r, size=r)
-        m = reps[:, pick].mean(axis=1)
-        if np.any(m <= 0):
-            continue
-        slopes.append(_slope(m))
+    for _ in range(BOOTSTRAP_REPS):
+        m = reps[:, rng.integers(0, r, size=r)].mean(axis=1)
+        if np.all(m > 0):
+            slopes.append(_slope(m))
     if not slopes:
         raise WassersteinError("no bootstrap resample has positive means")
     lo, hi = np.percentile(slopes, [2.5, 97.5])

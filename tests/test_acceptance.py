@@ -178,8 +178,7 @@ class TestCriterion5CltRate:
                     ym = law.sample_sum(m, n, g)[:, 0]
                     ref = g.standard_normal(n)
                     mat[i, rep] = wp_1d_exact(ym, ref)
-            slope, _ = rate_fit(ms, mat.mean(axis=1), bootstrap_reps=200,
-                                replicates=mat, seed=3)
+            slope, _ = rate_fit(ms, mat, seed=3)
             assert -0.65 <= slope <= -0.35, slope
 
 
@@ -206,7 +205,7 @@ class TestCriterion6PerturbedRate:
                     return z + eps * p1(z[:, None])
 
                 ds.append(wp_1d_exact(qs, qref))
-            slope, _ = rate_fit(ms, ds)
+            slope, _ = rate_fit(ms, np.array(ds)[:, None])
             assert -1.25 <= slope <= -0.75, slope
 
 
@@ -234,8 +233,7 @@ class TestCriterion7JumpCouplingRate:
                     z = sample_small_jumps(dec, eps, g, n)
                     ref = math.sqrt(eps) * (g.standard_normal((n, 2)) * s)
                     mat[i, rep] = wp_empirical(z, ref)
-            slope, _ = rate_fit(eps_list, mat.mean(axis=1), bootstrap_reps=200,
-                                replicates=mat, seed=5)
+            slope, _ = rate_fit(eps_list, mat, seed=5)
             assert 0.7 <= slope <= 1.3, slope
             print(f"C7 slope {slope:.3f} in [0.7, 1.3]")
 
@@ -268,7 +266,7 @@ class TestCriterion8SdeStrongError:
                 res = coupled_paths(spec, cfg, AnnulusDecomposition(meas, h), 256,
                                     RngStream(2024, 7))
                 rms.append(float(np.sqrt(np.mean(res.sup_distance ** 2))))
-            slope, _ = rate_fit(hs, rms)
+            slope, _ = rate_fit(hs, np.array(rms)[:, None])
             assert 0.3 <= slope <= 0.7, (slope, rms)
             print(f"C8 slope {slope:.3f} in [0.3, 0.7]")
 

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -193,16 +194,38 @@ class TestExitCodes:
         MEASURE + "tau = nan\n",
         "kind = custom-radial\nq = 2\nradii = 0.01,0.1,0.5,inf\ndensity = 1,1,1,1\n",
         "kind = custom-radial\nq = 2\nradii = 0.01,0.1,0.5,1\ndensity = 1,nan,1,1\n",
-    ], ids=["nan-tau", "inf-radius", "nan-density"])
+        "kind = custom-radial\nq = 3\nradii = 0.01,0.1,0.5,1e200\ndensity = 1,1,1,1\n",
+    ], ids=["nan-tau", "inf-radius", "nan-density", "overflowing-mass"])
     def test_non_finite_measure_is_2(self, tmp_path, capsys, experiment, measure):
-        # a NaN tau fails no 'tau <= 0' test, and a non-finite table entry
-        # no ordering test: each is refused as a bad measure, with no warning
+        # a NaN tau fails no 'tau <= 0' test, a non-finite table entry no
+        # ordering test, and a finite radius of 1e200 squares to infinity
+        # in the mass density: each is refused as a bad measure, with no
+        # warning
         cfg = write(tmp_path, "m.cfg", measure)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert cli.main([experiment, "--config", cfg, "--out", str(tmp_path / "out"),
                              "--no-timestamp"]) == 2
         assert capsys.readouterr().err.startswith("config error: bad measure config")
+
+    @pytest.mark.parametrize("experiment", ["clt-rate", "jump-coupling"])
+    @pytest.mark.parametrize("p", ["66", "1e308"])
+    def test_p_over_64_is_2(self, tmp_path, capsys, experiment, p):
+        # |x - y|^p overflows the cost long before p = 1e308, which ended in
+        # a solver traceback (jump-coupling) or 0.0 distances (clt-rate)
+        cfg = write(tmp_path, "p.cfg", TINY[experiment].format(reps=2) + f"p = {p}\n")
+        assert cli.main([experiment, "--config", cfg, "--no-timestamp"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("experiment", ["clt-rate", "jump-coupling"])
+    def test_p_of_64_runs(self, tmp_path, experiment):
+        cfg = write(tmp_path, "p.cfg", TINY[experiment].format(reps=2) + "p = 64\n")
+        out = tmp_path / "out.csv"
+        assert cli.main([experiment, "--config", cfg, "--out", str(out), "--no-timestamp"]) == 0
+        header, *rows = list(csv.reader(open(out)))[1:-1]
+        col = header.index("p")
+        assert len(rows) == 6 and all(r[col] == "64" and 0 < float(r[3]) < math.inf for r in rows)
 
     @pytest.mark.parametrize("p", ["2", "4"], ids=["exact", "sampled"])
     def test_clt_rate_perturbed_order_over_cumulants_is_2(self, tmp_path, monkeypatch, capsys, p):
@@ -915,6 +938,84 @@ class TestOutputs:
         assert rows[-1][-1] == "degenerate"
         # every distance row is exactly zero
         assert all(float(r[3]) == 0.0 for r in rows[2:-1])
+
+
+def run_rows(tmp_path, experiment, text):
+    """cli.main on text as a config: its exit code and its CSV rows after
+    the hash line."""
+    cfg = write(tmp_path, "b.cfg", text)
+    out = tmp_path / "b.csv"
+    rc = cli.main([experiment, "--config", cfg, "--out", str(out), "--no-timestamp"])
+    return rc, list(csv.reader(open(out)))[1:] if rc == 0 else []
+
+
+def count_calls(monkeypatch, name) -> list:
+    """A list that gets one entry per call of cli's binding of name."""
+    calls, real = [], getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+class TestBranches:
+    """One tiny run down each CLI branch that the other tests do not take."""
+
+    @pytest.mark.parametrize("mode", ["gaussian", "perturbed"])
+    @pytest.mark.parametrize("law", ["product-exponential", "uniform-disk"])
+    def test_clt_rate_two_dimensional_law(self, tmp_path, monkeypatch, law, mode):
+        # a 2-D law takes the assignment distance, one per replicate
+        solves = count_calls(monkeypatch, "wp_empirical")
+        rc, rows = run_rows(tmp_path, "clt-rate", f"law = {law}\nmode = {mode}\n"
+                            "m_list = 4,16,64\nn_samples = 64\nreplicates = 2\n")
+        assert rc == 0 and len(solves) == 6
+        assert rows[0] == ["m", "p", "mode", "distance", "replicate"] and len(rows) == 8
+        assert all(len(r) == 5 and r[2] == mode and 0 < float(r[3]) < math.inf
+                   for r in rows[1:-1])
+        assert rows[-1][::2] == ["slope", "ci_lo", "ci_hi", "rate"]
+
+    def test_jump_coupling_one_dimensional(self, tmp_path, monkeypatch):
+        # at q = 1 the distance is the sorted-sample one: no assignment
+        solves = count_calls(monkeypatch, "wp_empirical")
+        rc, rows = run_rows(tmp_path, "jump-coupling", "kind = stable-like\nq = 1\n"
+                            "alpha = 1.5\neps_list = 0.5,0.25,0.125\nn_samples = 64\n"
+                            "replicates = 2\n")
+        assert rc == 0 and solves == []
+        assert rows[0] == ["eps", "t", "p", "distance", "replicate"] and len(rows) == 8
+        assert all(len(r) == 5 and 0 < float(r[3]) < math.inf for r in rows[1:-1])
+        assert rows[-1][::2] == ["slope", "ci_lo", "ci_hi", "rate"]
+
+    def test_sde_convergence_zero_sigma_is_exact_coincidence(self, tmp_path):
+        # with no jump coefficient the fine and coarse schemes agree exactly
+        rc, rows = run_rows(tmp_path, "sde-convergence",
+                            TINY["sde-convergence"].format(reps=2) + "sigma = zero\n")
+        assert rc == 0 and rows[0] == ["h", "eps", "replicates", "rms_sup_error"]
+        assert [float(r[3]) for r in rows[1:-1]] == [0.0, 0.0, 0.0]
+        assert rows[-1] == ["slope", "0", "", "exact-coincidence"]
+
+    def test_sde_convergence_constant_sigma(self, tmp_path):
+        rc, rows = run_rows(tmp_path, "sde-convergence",
+                            TINY["sde-convergence"].format(reps=2) + "sigma = constant\n")
+        assert rc == 0 and len(rows) == 5
+        assert all(len(r) == 4 and 0 < float(r[3]) < math.inf for r in rows[1:-1])
+        assert rows[-1][0] == "slope" and rows[-1][-1] == "rate"
+        assert math.isfinite(float(rows[-1][1]))
+
+    def test_sde_convergence_unknown_sigma_is_2(self, tmp_path, capsys):
+        rc, _ = run_rows(tmp_path, "sde-convergence",
+                         TINY["sde-convergence"].format(reps=2) + "sigma = wobbly\n")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: unknown sigma builtin") and "Traceback" not in err
+
+    def test_probe_cramer_amplified_bound(self, tmp_path):
+        cfg = write(tmp_path, "pc.cfg", PROBE + "grid_n = 50\ndelta = 0.5\n")
+        out = tmp_path / "probe.txt"
+        assert cli.main(["probe-cramer", "--config", cfg, "--out", str(out),
+                         "--no-timestamp"]) == 0
+        lines = out.read_text().splitlines()[1:]
+        assert len(lines) == 4
+        head, _, gbar = lines[-1].partition(" = ")
+        assert head == "amplified bound on |s| >= 0.5: gamma_bar"
+        assert 0 < float(gbar) < 1
 
 
 #: tokens a hand-edited file might hold in place of a number

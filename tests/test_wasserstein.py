@@ -192,13 +192,13 @@ class TestSolverLoad:
 class TestRateFit:
     def test_exact_inverse_sqrt(self):
         xs = np.array([1.0, 4.0, 16.0, 64.0])
-        slope, ci = rate_fit(xs, xs ** -0.5)
+        slope, ci = rate_fit(xs, (xs ** -0.5)[:, None])
         assert slope == pytest.approx(-0.5, abs=1e-12)
         assert ci == (slope, slope)
 
     def test_linear_scaling(self):
         xs = np.array([2.0, 3.0, 5.0, 7.0])
-        slope, _ = rate_fit(xs, 4.2 * xs)
+        slope, _ = rate_fit(xs, (4.2 * xs)[:, None])
         assert slope == pytest.approx(1.0, abs=1e-12)
 
     def test_noisy_slope_recovery(self):
@@ -207,7 +207,7 @@ class TestRateFit:
         hits = 0
         for _ in range(40):
             ys = xs ** -1.0 * (1 + 0.01 * rng.standard_normal(xs.size))
-            s, _ = rate_fit(xs, ys)
+            s, _ = rate_fit(xs, ys[:, None])
             hits += -1.05 <= s <= -0.95
         assert hits >= 38
 
@@ -215,15 +215,25 @@ class TestRateFit:
         rng = np.random.default_rng(8)
         xs = np.array([1.0, 2.0, 4.0, 8.0])
         reps = xs[:, None] ** -0.5 * (1 + 0.05 * rng.standard_normal((4, 30)))
-        slope, (lo, hi) = rate_fit(xs, reps.mean(axis=1), bootstrap_reps=200, replicates=reps)
+        slope, (lo, hi) = rate_fit(xs, reps)
         assert lo <= slope <= hi
         assert lo <= -0.5 <= hi
 
+    def test_rejects_a_matrix_of_the_wrong_shape(self):
+        # one row per x, and one column or more: a bare vector is refused
+        for reps in ([1.0, 2.0, 3.0], np.ones((4, 2)), np.ones((3, 0))):
+            with pytest.raises(WassersteinError):
+                rate_fit([1, 2, 3], reps)
+
     def test_rejects_nonpositive(self):
         with pytest.raises(WassersteinError):
-            rate_fit([1, 2, 3], [1.0, -1.0, 1.0])
+            rate_fit([1, 2, 3], [[1.0], [-1.0], [1.0]])
 
     def test_no_usable_bootstrap_resample(self):
-        # every resample has nonpositive means: a typed error, not IndexError
-        with pytest.raises(WassersteinError):
-            rate_fit([1, 2, 4], [1, 1, 1], bootstrap_reps=10, replicates=-np.ones((3, 2)))
+        # every row mean is positive, but a resample keeps them all positive
+        # only when it is a permutation of the 12 columns (probability
+        # 12!/12^12, about 5e-5): a typed error, not IndexError
+        reps = np.full((12, 12), -1.0) + 101.0 * np.eye(12)
+        for seed in range(5):
+            with pytest.raises(WassersteinError, match="no bootstrap resample"):
+                rate_fit(np.arange(1.0, 13.0), reps, seed)
